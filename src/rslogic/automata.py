@@ -267,20 +267,15 @@ class MultiTrackAutomaton:
             names = [f"t{i}" for i in range(len(systems))]
         tracks = tuple(Track(n, s) for n, s in zip(names, systems))
         shell = cls(tracks, 1, 0, frozenset(), [[0] * _alpha_size(tracks)])
-        outputs: dict[int, int] = {}
-        trans: dict[tuple[int, int], int] = {}
-        state = None
-        for ln in lines[1:]:
-            if "->" in ln:
-                left, right = ln.split("->")
-                digits = left.split()
-                sym = () if digits == ["-"] else tuple(int(d) for d in digits)
-                trans[(state, shell.symbol_index(sym))] = int(right)
-            else:
-                q, out = ln.split()
-                state = int(q)
-                outputs[state] = int(out)
-        n = max(outputs) + 1
+
+        def symbol_of(digits):
+            sym = () if digits == ["-"] else tuple(int(d) for d in digits)
+            if len(sym) != len(tracks):
+                raise AutomatonError(f"expected {len(tracks)} digits")
+            return shell.symbol_index(sym)
+
+        outputs, trans, _ = _parse_state_lines(lines[1:], symbol_of)
+        n = len(outputs)
         width = shell.alphabet_size
         matrix = [[None] * width for _ in range(n)]
         for (q, j), q2 in trans.items():
@@ -300,6 +295,48 @@ class MultiTrackAutomaton:
     def __repr__(self):
         sig = ",".join(f"{t.name}:{t.system}" for t in self.tracks)
         return f"<MultiTrackAutomaton [{sig}] {self.n_states} states>"
+
+
+def _parse_state_lines(lines, symbol_of):
+    """Read the "q output" and "digits -> q" lines of an automaton text.
+
+    ``symbol_of`` maps the digit tokens of a transition to its symbol index.
+    Returns (outputs, transitions, header line of each state).  States must
+    be numbered 0..n-1 and every transition must lead to one of them; each
+    error names the offending line.
+    """
+    outputs: dict[int, int] = {}
+    trans: dict[tuple[int, int], int] = {}
+    headers: dict[int, str] = {}
+    targets = []
+    state = None
+    for ln in lines:
+        try:
+            if "->" in ln:
+                if state is None:
+                    raise AutomatonError("transition before any state")
+                left, right = ln.split("->")
+                dest = int(right)
+                trans[(state, symbol_of(left.split()))] = dest
+                targets.append((dest, ln))
+            else:
+                q, out = ln.split()
+                state = int(q)
+                if state < 0 or state in outputs:
+                    raise AutomatonError(f"state {state} is negative or repeated")
+                outputs[state] = int(out)
+                headers[state] = ln
+        except (ValueError, AutomatonError) as exc:
+            raise AutomatonError(f"bad automaton line {ln!r}: {exc}") from None
+    if not outputs:
+        raise AutomatonError("automaton text declares no states")
+    for q in range(max(outputs) + 1):
+        if q not in outputs:
+            raise AutomatonError(f"state {q} is never declared")
+    for dest, ln in targets:
+        if dest not in outputs:
+            raise AutomatonError(f"bad automaton line {ln!r}: state {dest} is never declared")
+    return outputs, trans, headers
 
 
 def _alpha_size(tracks) -> int:
@@ -1023,20 +1060,25 @@ class OutputAutomaton:
     @classmethod
     def from_text(cls, text: str, name: str = "t0") -> "OutputAutomaton":
         lines = [ln for ln in text.splitlines() if ln.strip()]
+        if not lines:
+            raise AutomatonError("empty automaton file")
         system = NumberSystem.parse(lines[0])
         track = Track(name, system)
-        outputs: dict[int, int] = {}
-        trans: dict[tuple[int, int], int] = {}
-        state = None
-        for ln in lines[1:]:
-            if "->" in ln:
-                left, right = ln.split("->")
-                trans[(state, int(left))] = int(right)
-            else:
-                q, out = ln.split()
-                state = int(q)
-                outputs[state] = int(out)
-        n = max(outputs) + 1
+
+        def symbol_of(digits):
+            (d,) = map(int, digits)
+            if not 0 <= d < system.base:
+                raise AutomatonError(f"digit {d} out of range for {system}")
+            return d
+
+        outputs, trans, headers = _parse_state_lines(lines[1:], symbol_of)
+        n = len(outputs)
+        for q in range(n):
+            for d in range(system.base):
+                if (q, d) not in trans:
+                    raise AutomatonError(
+                        f"bad automaton line {headers[q]!r}: no transition on digit {d}"
+                    )
         matrix = [[trans[(q, d)] for d in range(system.base)] for q in range(n)]
         return cls(track, n, 0, [outputs[q] for q in range(n)], matrix)
 

@@ -129,13 +129,20 @@ def cmd_suite(args):
     return 0 if all(r.ok for r in rows) else 1
 
 
+def _check_count(value, flag, least):
+    if value < least:
+        raise EngineError(f"{flag} must be at least {least}, got {value}")
+
+
 def cmd_bounds(args):
+    _check_count(args.to, "--to", 0)
     report = verify_bounds(args.to)
     print(report.table())
     return 0 if report.ok else 1
 
 
 def cmd_curve(args):
+    _check_count(args.points, "--points", 1)
     ok = check_curve(args.points)
     points = curve_points(args.points)
     last = points[-1]
@@ -151,6 +158,7 @@ def cmd_curve(args):
 
 
 def cmd_seq(args):
+    _check_count(args.to, "--to", 0)
     s = partial_sums(args.to)
     t = alternating_sums(args.to)
     sp = double_zero_partial_sums(args.to)

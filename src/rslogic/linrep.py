@@ -4,7 +4,9 @@ A representation (v, gammas, w) computes v * gammas(d1) * ... * gammas(dk) * w
 over the digit tuples of its listed parameters.  Built from a relation
 automaton, the result counts, for each valuation of the listed parameters,
 how many valuations of the remaining tracks are accepted alongside it.
-Entries are exact rationals so subtraction and minimization stay lossless.
+Raw and subtracted representations hold Python ints, so evaluating them is
+plain integer arithmetic; minimization works over exact rationals, and only
+a minimal representation can carry non-integer entries.
 """
 
 from __future__ import annotations
@@ -57,11 +59,11 @@ def count_representation(automaton, params):
 
     keep = _trimmed_states(automaton)
     if not keep:
-        zero = [[Fraction(0)]]
+        zero = [[0]]
         return LinearRepresentation(
-            [Fraction(0)],
+            [0],
             [zero for _ in _listed_symbols(automaton, listed)],
-            [Fraction(0)],
+            [0],
             [automaton.tracks[i].system for i in listed],
         )
     rename = {q: i for i, q in enumerate(sorted(keep))}
@@ -69,7 +71,7 @@ def count_representation(automaton, params):
 
     gammas = []
     for listed_digits in _listed_symbols(automaton, listed):
-        matrix = [[Fraction(0)] * size for _ in range(size)]
+        matrix = [[0] * size for _ in range(size)]
         for counted_digits in itertools.product(
             *(range(automaton.tracks[i].base) for i in counted)
         ):
@@ -85,22 +87,12 @@ def count_representation(automaton, params):
                     matrix[rename[q]][rename[dest]] += 1
         gammas.append(matrix)
 
-    initial = [Fraction(0)] * size
-    initial[rename[automaton.initial]] = Fraction(1)
-    final = [Fraction(1) if q in automaton.accepting else Fraction(0) for q in sorted(keep)]
+    initial = [0] * size
+    initial[rename[automaton.initial]] = 1
+    final = [1 if q in automaton.accepting else 0 for q in sorted(keep)]
     return LinearRepresentation(
         initial, gammas, final, [automaton.tracks[i].system for i in listed]
     )
-
-
-def count_linrep(automaton, counted_track, free_track):
-    """Representation over free_track counting values of counted_track."""
-    names = [t.name for t in automaton.tracks]
-    if sorted(names) != sorted([counted_track, free_track]):
-        raise CompileError(
-            f"expected exactly tracks {counted_track!r} and {free_track!r}, found {names}"
-        )
-    return count_representation(automaton, [free_track])
 
 
 def _listed_symbols(automaton, listed):
@@ -128,15 +120,15 @@ def _trimmed_states(automaton):
 
 
 def _mat_vec(matrix, vec):
-    return [sum(row[j] * vec[j] for j in range(len(vec))) for row in matrix]
+    return [sum(x * v for x, v in zip(row, vec) if x) for row in matrix]
 
 
 def _vec_mat(vec, matrix):
     n = len(matrix[0]) if matrix else 0
-    return [sum(vec[i] * matrix[i][j] for i in range(len(vec))) for j in range(n)]
+    return [sum(x * row[j] for x, row in zip(vec, matrix) if x) for j in range(n)]
 
 
-def eval_linrep(rep, values, max_padding=None):
+def eval_linrep(rep, values):
     """Value at the given parameter values, padding until the count settles.
 
     Extra leading zero tuples can only reveal more completions, and the
@@ -156,16 +148,22 @@ def eval_linrep(rep, values, max_padding=None):
     for column in reversed(list(zip(*digit_rows))):
         tail = _mat_vec(rep.gammas[rep.symbol_index(column)], tail)
     zero = rep.gammas[0]
-    if max_padding is None:
-        max_padding = 3 * rep.rank + 6
     needed = rep.rank + 1
+    # The padded values are u_k = v Z^k t with Z = gammas[0], r x r for
+    # r = rep.rank, so its characteristic polynomial p (degree r) annihilates
+    # u.  If u settles at c, then w = u - c is annihilated by (x-1)p(x) of
+    # degree r+1, and as w is eventually zero its minimal polynomial is x^m
+    # with m <= r+1: u_k = c for all k >= m.  The run of r+1 equal values
+    # u_m..u_{m+r} is then complete by u_{2r+1}; the run is checked at the
+    # top of each iteration, so 2r+2 iterations decide, and a count still
+    # moving then never settles.
     run = 1
-    value = sum(a * b for a, b in zip(rep.initial, tail))
-    for _ in range(max_padding):
+    value = sum(a * b for a, b in zip(rep.initial, tail) if a)
+    for _ in range(2 * rep.rank + 2):
         if run >= needed:
             break
         tail = _mat_vec(zero, tail)
-        nxt = sum(a * b for a, b in zip(rep.initial, tail))
+        nxt = sum(a * b for a, b in zip(rep.initial, tail) if a)
         run = run + 1 if nxt == value else 1
         value = nxt
     else:
@@ -184,8 +182,8 @@ def subtract(rep1, rep2):
     final = list(rep1.final) + [-x for x in rep2.final]
     gammas = []
     for g1, g2 in zip(rep1.gammas, rep2.gammas):
-        top = [row + [Fraction(0)] * r2 for row in g1]
-        bottom = [[Fraction(0)] * r1 + row for row in g2]
+        top = [row + [0] * r2 for row in g1]
+        bottom = [[0] * r1 + row for row in g2]
         gammas.append(top + bottom)
     return LinearRepresentation(initial, gammas, final, rep1.systems)
 
@@ -201,7 +199,8 @@ class _RowSpace:
         self.size = 0  # inserted independent vectors
 
     def _reduce(self, vec):
-        vec = list(vec)
+        # Fractions, because x / scale on two ints would give a float
+        vec = [Fraction(x) for x in vec]
         combo = [Fraction(0)] * self.size
         for row, coord, pivot in zip(self.rows, self.coords, self.pivots):
             factor = vec[pivot]

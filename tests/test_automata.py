@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -312,3 +313,46 @@ def test_output_automaton_minimize_and_roundtrip():
     back = OutputAutomaton.from_text(small.to_text())
     for n in range(200):
         assert back.value(n) == small.value(n)
+
+
+def _with_line(text, index, new):
+    lines = text.splitlines()
+    lines[index] = new
+    return "\n".join(lines) + "\n"
+
+
+def test_multitrack_from_text_rejects_malformed_lines():
+    text = minimize(equality_automaton()).to_text()
+    lines = text.splitlines()
+    first = next(i for i, ln in enumerate(lines) if "->" in ln)
+    digits = lines[first].split("->")[0].strip()
+    for bad, line in (
+        (_with_line(text, first, f"{digits} -> 99"), f"{digits} -> 99"),
+        (_with_line(text, first, "2 0 -> 0"), "2 0 -> 0"),
+        (_with_line(text, first, "0 -> 0"), "0 -> 0"),
+        (_with_line(text, first, "0 0 -> x"), "0 0 -> x"),
+        (_with_line(text, first - 1, "0 1 2"), "0 1 2"),
+        (lines[0] + "\n0 0 -> 0\n" + "\n".join(lines[1:]), "0 0 -> 0"),
+    ):
+        with pytest.raises(AutomatonError, match=re.escape(repr(line))):
+            MultiTrackAutomaton.from_text(bad)
+    with pytest.raises(AutomatonError, match="state 1 is never declared"):
+        MultiTrackAutomaton.from_text("msd_2\n0 1\n2 0\n")
+
+
+def test_output_from_text_rejects_malformed_lines():
+    track = Track("n", NumberSystem(2))
+    text = OutputAutomaton(track, 2, 0, [1, -1], [[0, 1], [1, 0]]).to_text()
+    # text: header, "0 1", "0 -> 0", "1 -> 1", "1 -1", "0 -> 1", "1 -> 0"
+    missing = "\n".join(ln for i, ln in enumerate(text.splitlines()) if i != 6)
+    with pytest.raises(AutomatonError, match=re.escape("'1 -1'")):
+        OutputAutomaton.from_text(missing)
+    for bad, line in (
+        (_with_line(text, 2, "2 -> 0"), "2 -> 0"),
+        (_with_line(text, 2, "x -> 0"), "x -> 0"),
+        (_with_line(text, 2, "0 -> 7"), "0 -> 7"),
+    ):
+        with pytest.raises(AutomatonError, match=re.escape(repr(line))):
+            OutputAutomaton.from_text(bad)
+    with pytest.raises(AutomatonError):
+        OutputAutomaton.from_text("")

@@ -112,3 +112,16 @@ def test_guess_verified(tmp_path, capsys):
 def test_guess_underfit_sample_fails_verification(capsys):
     assert main(["guess", "nt", "--sample-bound", "1024"]) == 1
     assert "FAILS" in capsys.readouterr().out
+
+
+def test_curve_rejects_empty_walk(capsys):
+    assert main(["curve", "--points", "0"]) == 2
+    assert "--points must be at least 1" in capsys.readouterr().err
+
+
+def test_negative_to_rejected(capsys):
+    for command in ("seq", "bounds"):
+        assert main([command, "--to", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--to must be at least 0" in captured.err

@@ -1,11 +1,13 @@
 """Counting representations: construction, arithmetic, minimization."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rslogic.automata import NumberSystem
 from rslogic.errors import CompileError, DivergenceError
 from rslogic.linrep import (
-    count_linrep,
+    LinearRepresentation,
     count_representation,
     eval_linrep,
     is_zero,
@@ -135,24 +137,6 @@ def test_unknown_parameter_rejected():
         count_representation(aut, ["zz"])
 
 
-def test_count_linrep_matches_general_form(env):
-    aut = compile_formula(env, "?msd_4 $rss(k,?msd_2 n)")
-    rep = count_linrep(aut, "k", "n")
-    general = count_representation(aut, ["n"])
-    assert rep.rank == general.rank
-    for n in range(50):
-        assert eval_linrep(rep, n) == eval_linrep(general, n)
-
-
-def test_count_linrep_validates_tracks(env):
-    aut = compile_formula(env, "?msd_4 $rss(k,?msd_2 n)")
-    with pytest.raises(CompileError):
-        count_linrep(aut, "k", "zz")
-    three = compile_formula(env, "?msd_2 k<=n & m<=n")
-    with pytest.raises(CompileError):
-        count_linrep(three, "k", "n")
-
-
 def test_serialization_shape(env):
     rep = env.representations["ident"]
     lines = rep.to_text().splitlines()
@@ -188,6 +172,76 @@ def test_value_count_full_window(env):
 def test_count_stabilizes_for_bounded_machine():
     env = Environment()
     aut = compile_formula(env, "k<=n")
-    rep = count_linrep(aut, "k", "n")
+    rep = count_representation(aut, ["n"])
     for n in range(0, 4096, 13):
         assert eval_linrep(rep, n) == n + 1 == sum(1 for k in range(2**16) if k <= n)
+
+
+def _entries(rep):
+    return [*rep.initial, *rep.final, *(x for g in rep.gammas for row in g for x in row)]
+
+
+def test_raw_and_difference_entries_are_int(env):
+    reps = list(env.representations.values())
+    reps.append(subtract(env.representations["howmany"], env.representations["ident"]))
+    reps.append(count_representation(compile_formula(Environment(), "i<n & n<i"), ["n"]))
+    for rep in reps:
+        assert all(type(x) is int for x in _entries(rep))
+        minimal = minimize_schutzenberger(rep)
+        assert not any(isinstance(x, float) for x in _entries(minimal))
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 5, 8])
+def test_latest_settling_shift_chain(rank):
+    # (Z x)_i = x_{i+1}, so from v = e_0 the padded values v Z^k w are w_k
+    # for k < rank and 0 beyond: with w = e_{rank-1} the count moves at
+    # padding rank-1 and settles only at rank, as late as rank allows.
+    # Digit 1 doubles; with the last coordinate fixed by Z the chain settles
+    # one step earlier, at 2^(ones in n).
+    identity = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    shift = [[int(j == i + 1) for j in range(rank)] for i in range(rank)]
+    fixed_end = [row[:] for row in shift]
+    fixed_end[-1][-1] = 1
+    double = [[2 * x for x in row] for row in identity]
+    start = identity[0]
+    end = identity[-1]
+    nilpotent = LinearRepresentation(start, [shift, double], end, [M2])
+    absorbing = LinearRepresentation(start, [fixed_end, double], end, [M2])
+    for n in (0, 1, 3, 5, 7, 11, 255):
+        assert eval_linrep(nilpotent, n) == 0
+        assert eval_linrep(absorbing, n) == 2 ** bin(n).count("1")
+
+
+def _word_values(rep, longest):
+    """v * gammas(word) * w for every word up to longest, by plain products."""
+    rows = [list(rep.initial)]
+    values = []
+    for length in range(longest + 1):
+        values += [sum(a * b for a, b in zip(row, rep.final)) for row in rows]
+        if length < longest:
+            rows = [
+                [sum(row[i] * g[i][j] for i in range(rep.rank)) for j in range(rep.rank)]
+                for row in rows
+                for g in rep.gammas
+            ]
+    return values
+
+
+@st.composite
+def small_representations(draw):
+    rank = draw(st.integers(1, 4))
+    entry = st.integers(0, 3)
+    vector = st.lists(entry, min_size=rank, max_size=rank)
+    matrix = st.lists(vector, min_size=rank, max_size=rank)
+    return LinearRepresentation(
+        draw(vector), [draw(matrix), draw(matrix)], draw(vector), [M2]
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(small_representations())
+def test_minimization_preserves_every_short_word(rep):
+    minimal = minimize_schutzenberger(rep)
+    assert minimal.rank <= rep.rank
+    assert _word_values(minimal, 6) == _word_values(rep, 6)
+    assert is_zero(subtract(rep, rep))
