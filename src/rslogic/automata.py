@@ -15,6 +15,7 @@ import itertools
 import re
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import AutomatonError, BaseMismatchError, RegexError
 
@@ -31,6 +32,8 @@ __all__ = [
     "minimize",
     "reverse",
     "is_empty",
+    "reachable",
+    "coreachable",
     "language_equal",
     "find_witness",
     "from_regex",
@@ -349,8 +352,9 @@ def _alpha_size(tracks) -> int:
 class Nfa:
     """Nondeterministic counterpart used internally by projection and regex.
 
-    ``trans`` maps (state, symbol_index) to a frozenset of successors;
-    missing entries mean no successor.
+    ``trans`` holds one row per state and one frozenset of successors per
+    symbol index in that row, so ``trans[q][j]`` is the set reached from q on
+    symbol j; an empty frozenset means no successor.
     """
 
     __slots__ = ("tracks", "n_states", "initial", "accepting", "trans")
@@ -394,15 +398,35 @@ def _merge_tracks(a_tracks, b_tracks):
 
 def _projection_table(merged, part):
     """For each merged symbol index, the symbol index seen by ``part``."""
-    positions = [next(i for i, t in enumerate(merged) if t.name == p.name) for p in part]
-    bases = [t.base for t in part]
-    table = []
-    for sym in itertools.product(*(range(t.base) for t in merged)):
-        idx = 0
-        for pos, b in zip(positions, bases):
-            idx = idx * b + sym[pos]
-        table.append(idx)
+    # a digit on a part track adds digit * weight; other tracks add nothing
+    weight, w = {}, 1
+    for t in reversed(part):
+        weight[t.name] = w
+        w *= t.base
+    table = [0]
+    for t in merged:
+        w = weight.get(t.name, 0)
+        table = [x + d * w for x in table for d in range(t.base)]
     return table
+
+
+def _number_row(keys, ids, order):
+    """State numbers of ``keys``; a key not in ``ids`` gets the next number.
+
+    New keys are appended to ``order``, which the caller walks as its
+    breadth-first frontier.  Most rows hold no new key, so they are mapped
+    in one pass and walked only when a key is missing.
+    """
+    row = list(map(ids.get, keys))
+    if None in row:
+        for j, k in enumerate(keys):
+            if row[j] is None:
+                s = ids.get(k)
+                if s is None:
+                    s = ids[k] = len(order)
+                    order.append(k)
+                row[j] = s
+    return row
 
 
 def product(a: MultiTrackAutomaton, b: MultiTrackAutomaton, op) -> MultiTrackAutomaton:
@@ -413,31 +437,22 @@ def product(a: MultiTrackAutomaton, b: MultiTrackAutomaton, op) -> MultiTrackAut
     state pairs reachable from the initial pair are materialized.
     """
     merged = _merge_tracks(a.tracks, b.tracks)
-    ta = _projection_table(merged, a.tracks)
-    tb = _projection_table(merged, b.tracks)
-    width = len(ta)
-    amat, bmat = a.matrix, b.matrix
-    ids: dict[tuple[int, int], int] = {(a.initial, b.initial): 0}
-    order = [(a.initial, b.initial)]
+    pairs = list(zip(_projection_table(merged, a.tracks), _projection_table(merged, b.tracks)))
+    # a state pair (qa, qb) is keyed by the integer qa * nb + qb; a's rows
+    # are scaled by nb once so that a key is one addition
+    nb = b.n_states
+    amat = [[t * nb for t in row] for row in a.matrix]
+    bmat = b.matrix
+    start = a.initial * nb + b.initial
+    ids = {start: 0}
+    order = [start]
     matrix = []
-    frontier = deque(order)
-    while frontier:
-        qa, qb = frontier.popleft()
-        rowa, rowb = amat[qa], bmat[qb]
-        row = []
-        for j in range(width):
-            pair = (rowa[ta[j]], rowb[tb[j]])
-            s = ids.get(pair)
-            if s is None:
-                s = len(order)
-                ids[pair] = s
-                order.append(pair)
-                frontier.append(pair)
-            row.append(s)
-        matrix.append(row)
+    for key in order:
+        rowa, rowb = amat[key // nb], bmat[key % nb]
+        matrix.append(_number_row([rowa[x] + rowb[y] for x, y in pairs], ids, order))
     acc_a, acc_b = a.accepting, b.accepting
     accepting = frozenset(
-        i for i, (qa, qb) in enumerate(order) if op(qa in acc_a, qb in acc_b)
+        i for i, k in enumerate(order) if op(k // nb in acc_a, k % nb in acc_b)
     )
     return MultiTrackAutomaton(merged, len(order), 0, accepting, matrix)
 
@@ -451,35 +466,32 @@ def complement(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
 
 
 def determinize(nfa: Nfa) -> MultiTrackAutomaton:
-    """Subset construction; the empty subset becomes the rejecting sink."""
+    """Subset construction; the empty subset becomes the rejecting sink.
+
+    Subsets are numbered in breadth-first order.  A singleton subset takes
+    its state's row as is; a larger one unions its states' rows column by
+    column.
+    """
     if isinstance(nfa, MultiTrackAutomaton):
         return nfa
-    width = nfa.alphabet_size
     trans = nfa.trans
+    union = frozenset().union
+    sink_row = [frozenset()] * nfa.alphabet_size
     start = frozenset(nfa.initial)
     ids: dict[frozenset, int] = {start: 0}
     order = [start]
     matrix = []
-    frontier = deque([start])
-    empty = frozenset()
-    while frontier:
-        subset = frontier.popleft()
-        row = []
-        for j in range(width):
-            nxt = set()
-            for q in subset:
-                nxt.update(trans.get((q, j), empty))
-            nxt = frozenset(nxt)
-            s = ids.get(nxt)
-            if s is None:
-                s = len(order)
-                ids[nxt] = s
-                order.append(nxt)
-                frontier.append(nxt)
-            row.append(s)
-        matrix.append(row)
+    for subset in order:
+        if len(subset) == 1:
+            (q,) = subset
+            succ = trans[q]
+        elif subset:
+            succ = [union(*col) for col in zip(*[trans[q] for q in subset])]
+        else:
+            succ = sink_row
+        matrix.append(_number_row(succ, ids, order))
     acc = nfa.accepting
-    accepting = frozenset(i for i, subset in enumerate(order) if subset & acc)
+    accepting = frozenset(i for i, subset in enumerate(order) if not acc.isdisjoint(subset))
     return MultiTrackAutomaton(nfa.tracks, len(order), 0, accepting, matrix)
 
 
@@ -494,192 +506,124 @@ def project(a: MultiTrackAutomaton, name: str) -> MultiTrackAutomaton:
     """
     pos = a.track_index(name)
     rest = tuple(t for i, t in enumerate(a.tracks) if i != pos)
-    shell_width = _alpha_size(rest)
-    rest_bases = [t.base for t in rest]
-    # map each full symbol index to the projected symbol index
-    proj = []
-    zero_syms = []
-    for j, sym in enumerate(a.alphabet):
-        out = 0
-        all_zero = True
-        for i, d in enumerate(sym):
-            if i == pos:
-                continue
-            b = a.tracks[i].base
-            out = out * b + d
-            if d:
-                all_zero = False
-        proj.append(out)
-        if all_zero:
-            zero_syms.append(j)
-    trans: dict[tuple[int, int], set] = {}
-    for q in range(a.n_states):
-        row = a.matrix[q]
-        for j, target in enumerate(row):
-            key = (q, proj[j])
-            bucket = trans.get(key)
-            if bucket is None:
-                trans[key] = {target}
-            else:
-                bucket.add(target)
+    # group the full symbol indices by the projected symbol index they map to;
+    # group 0 holds the symbols whose remaining digits are all zero
+    groups = [[] for _ in range(_alpha_size(rest))]
+    for j, out in enumerate(_projection_table(a.tracks, rest)):
+        groups[out].append(j)
+    # every group holds one symbol per digit of the removed track, at least two
+    pickers = [itemgetter(*group) for group in groups]
+    trans = [[frozenset(pick(row)) for pick in pickers] for row in a.matrix]
     # close the initial set under leading zero padding
-    initial = {a.initial}
-    frontier = deque(initial)
-    while frontier:
-        q = frontier.popleft()
-        row = a.matrix[q]
-        for j in zero_syms:
-            t = row[j]
-            if t not in initial:
-                initial.add(t)
-                frontier.append(t)
-    nfa = Nfa(
-        rest,
-        a.n_states,
-        initial,
-        a.accepting,
-        {k: frozenset(v) for k, v in trans.items()},
-    )
-    out = determinize(nfa)
-    assert out.alphabet_size == shell_width
-    return out
+    initial = reachable([pickers[0](row) for row in a.matrix], a.initial)
+    return determinize(Nfa(rest, a.n_states, initial, a.accepting, trans))
 
 
 def reverse(a: MultiTrackAutomaton) -> Nfa:
     """Reversal: accepts mirror images of the words ``a`` accepts."""
-    trans: dict[tuple[int, int], set] = {}
-    for q in range(a.n_states):
-        for j, t in enumerate(a.matrix[q]):
-            trans.setdefault((t, j), set()).add(q)
-    return Nfa(
-        a.tracks,
-        a.n_states,
-        a.accepting,
-        {a.initial},
-        {k: frozenset(v) for k, v in trans.items()},
-    )
+    trans = [[set() for _ in range(a.alphabet_size)] for _ in range(a.n_states)]
+    for q, row in enumerate(a.matrix):
+        for j, t in enumerate(row):
+            trans[t][j].add(q)
+    rows = [[frozenset(cell) for cell in row] for row in trans]
+    return Nfa(a.tracks, a.n_states, a.accepting, {a.initial}, rows)
 
 
-def _reachable(a: MultiTrackAutomaton):
-    seen = [False] * a.n_states
-    seen[a.initial] = True
-    order = [a.initial]
-    frontier = deque(order)
-    while frontier:
-        q = frontier.popleft()
-        for t in a.matrix[q]:
-            if not seen[t]:
-                seen[t] = True
-                order.append(t)
-                frontier.append(t)
+def reachable(matrix, initial) -> list[int]:
+    """States reachable from ``initial``, in breadth-first order.
+
+    ``matrix[q]`` lists the successors of q by symbol index; successors are
+    visited in symbol order, so the order is canonical for a given matrix.
+    """
+    seen = {initial}
+    order = [initial]
+    for q in order:
+        row = matrix[q]
+        if not seen.issuperset(row):
+            for t in row:
+                if t not in seen:
+                    seen.add(t)
+                    order.append(t)
     return order
+
+
+def coreachable(matrix, targets) -> set[int]:
+    """States from which some state in ``targets`` is reachable."""
+    preds = [[] for _ in matrix]
+    for q, row in enumerate(matrix):
+        for t in set(row):
+            preds[t].append(q)
+    live = set(targets)
+    frontier = list(live)
+    while frontier:
+        for p in preds[frontier.pop()]:
+            if p not in live:
+                live.add(p)
+                frontier.append(p)
+    return live
+
+
+def _refine(matrix, initial, labels):
+    """Minimal quotient of the states reachable from ``initial``.
+
+    Moore signature refinement: start from the partition by label, and in
+    each round give a state the signature (class, class of each successor);
+    stop when a round adds no class.  The classes are then renumbered in
+    breadth-first order from the initial class (symbols in lexicographic
+    order), so equal behaviours always give identical matrices.  Returns the
+    quotient matrix, with initial state 0, and the label of each class.
+
+    Each round costs O(n * width) and adds at least one class, so there are
+    at most n rounds.  If a workload ever shows that quadratic bound, the
+    fallback is Valmari, "Fast brief practical DFA minimization" (IPL 2012).
+    """
+    reach = reachable(matrix, initial)
+    if len(reach) < len(matrix):
+        index = {q: i for i, q in enumerate(reach)}
+        matrix = [[index[t] for t in matrix[q]] for q in reach]
+        labels = [labels[q] for q in reach]
+        initial = 0
+    ids: dict = {}
+    cls = [ids.setdefault(label, len(ids)) for label in labels]
+    count = len(ids)
+    # a picker gives the classes of a row's successors (a bare class when the
+    # alphabet has a single symbol, which serves as a signature just as well)
+    pickers = [itemgetter(*row) for row in matrix]
+    while count < len(matrix):
+        sigs: dict = {}
+        cls = [sigs.setdefault((c, pick(cls)), len(sigs)) for c, pick in zip(cls, pickers)]
+        if len(sigs) == count:
+            break
+        count = len(sigs)
+    rep = [0] * count
+    for q, c in enumerate(cls):
+        rep[c] = q
+    quotient = [[cls[t] for t in matrix[q]] for q in rep]
+    order = reachable(quotient, cls[initial])
+    new_id = [0] * count
+    for i, c in enumerate(order):
+        new_id[c] = i
+    out = [[new_id[t] for t in quotient[c]] for c in order]
+    return out, [labels[rep[c]] for c in order]
 
 
 def minimize(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
     """Unique minimal complete automaton, states renumbered canonically.
 
-    Unreachable states are dropped, Hopcroft partition refinement merges
-    indistinguishable states, and states are finally renumbered in breadth
-    first order from the initial state (symbols in lexicographic order), so
-    equal languages always serialize to identical bytes.
+    Unreachable states are dropped and Moore signature refinement, starting
+    from the accepting/rejecting split, merges indistinguishable states (see
+    ``_refine``).  States are finally renumbered in breadth first order from
+    the initial state (symbols in lexicographic order), so equal languages
+    always serialize to identical bytes.
     """
-    reach = _reachable(a)
-    remap = {q: i for i, q in enumerate(reach)}
-    n = len(reach)
-    width = a.alphabet_size
-    matrix = [[remap[t] for t in a.matrix[q]] for q in reach]
-    accepting = {remap[q] for q in a.accepting if q in remap}
-    initial = remap[a.initial]
-
-    # Hopcroft refinement
-    preimage = [[[] for _ in range(n)] for _ in range(width)]
-    for q in range(n):
-        row = matrix[q]
-        for j in range(width):
-            preimage[j][row[j]].append(q)
-
-    fin = set(accepting)
-    nonfin = set(range(n)) - fin
-    partition = [s for s in (fin, nonfin) if s]
-    class_of = [0] * n
-    for cid, block in enumerate(partition):
-        for q in block:
-            class_of[q] = cid
-    work = deque()
-    in_work = set()
-    if len(partition) == 2:
-        smaller = 0 if len(partition[0]) <= len(partition[1]) else 1
-        work.append(smaller)
-        in_work.add(smaller)
-    elif partition:
-        work.append(0)
-        in_work.add(0)
-    while work:
-        aid = work.popleft()
-        in_work.discard(aid)
-        splitter = list(partition[aid])
-        for j in range(width):
-            x = set()
-            pre_j = preimage[j]
-            for q in splitter:
-                x.update(pre_j[q])
-            if not x:
-                continue
-            touched = {}
-            for q in x:
-                touched.setdefault(class_of[q], set()).add(q)
-            for cid, hit in touched.items():
-                block = partition[cid]
-                if len(hit) == len(block):
-                    continue
-                rest = block - hit
-                new_id = len(partition)
-                partition[cid] = hit
-                partition.append(rest)
-                for q in rest:
-                    class_of[q] = new_id
-                if cid in in_work:
-                    work.append(new_id)
-                    in_work.add(new_id)
-                else:
-                    small = cid if len(hit) <= len(rest) else new_id
-                    work.append(small)
-                    in_work.add(small)
-
-    # canonical breadth-first renumbering over the quotient
-    rep = {}
-    for q in range(n):
-        rep.setdefault(class_of[q], q)
-    start = class_of[initial]
-    new_id = {start: 0}
-    order = [start]
-    frontier = deque(order)
-    while frontier:
-        cid = frontier.popleft()
-        row = matrix[rep[cid]]
-        for j in range(width):
-            t = class_of[row[j]]
-            if t not in new_id:
-                new_id[t] = len(order)
-                order.append(t)
-                frontier.append(t)
-    out_matrix = []
-    for cid in order:
-        row = matrix[rep[cid]]
-        out_matrix.append([new_id[class_of[t]] for t in row])
-    out_acc = frozenset(
-        new_id[cid] for cid in order if rep[cid] in accepting
-    )
-    return MultiTrackAutomaton(a.tracks, len(order), 0, out_acc, out_matrix)
+    acc = a.accepting
+    matrix, labels = _refine(a.matrix, a.initial, [q in acc for q in range(a.n_states)])
+    accepting = frozenset(i for i, label in enumerate(labels) if label)
+    return MultiTrackAutomaton(a.tracks, len(matrix), 0, accepting, matrix)
 
 
 def is_empty(a: MultiTrackAutomaton) -> bool:
-    if a.initial in a.accepting:
-        return False
-    for q in _reachable(a):
-        if q in a.accepting:
-            return False
-    return True
+    return a.accepting.isdisjoint(reachable(a.matrix, a.initial))
 
 
 def _check_comparable(a, b):
@@ -911,60 +855,33 @@ def from_regex(systems, pattern: str, names=None) -> MultiTrackAutomaton:
     for out in frag.outs:
         builder.add_edge(out, _EPS, final)
 
-    def eps_closure(states):
-        seen = set(states)
-        frontier = deque(states)
-        while frontier:
-            q = frontier.popleft()
-            for sym, dst in builder.edges[q]:
-                if sym is _EPS and dst not in seen:
-                    seen.add(dst)
-                    frontier.append(dst)
-        return seen
-
-    zero = 0  # symbol index of the all-zero tuple
-    # states reachable from the start via leading zero tuples
-    closure = eps_closure({frag.start})
-    while True:
-        step = set()
-        for q in closure:
-            for sym, dst in builder.edges[q]:
-                if sym == zero:
-                    step.add(dst)
-        step = eps_closure(step)
-        if step <= closure:
-            break
-        closure |= step
+    edges = [builder.edges[q] for q in range(builder.n)]
+    eps = [[dst for sym, dst in e if sym is _EPS] for e in edges]
+    eps_closure = [reachable(eps, q) for q in range(builder.n)]
+    # states reachable from the start via epsilon moves and leading zero
+    # tuples (symbol index 0 is the all-zero tuple)
+    padding = [[dst for sym, dst in e if sym is _EPS or sym == 0] for e in edges]
+    closure = reachable(padding, frag.start)
 
     # NFA without epsilon edges, with a fresh start absorbing leading zeros
     width = _alpha_size(tracks)
-    trans: dict[tuple[int, int], set] = {}
-    for q in range(builder.n):
-        base = eps_closure({q})
-        for p in base:
-            for sym, dst in builder.edges[p]:
-                if sym is not _EPS:
-                    trans.setdefault((q, sym), set()).update(eps_closure({dst}))
     fresh = builder.n
-    moves_from_closure: dict[int, set] = {}
+    trans = [[set() for _ in range(width)] for _ in range(fresh + 1)]
+    for q in range(builder.n):
+        for p in eps_closure[q]:
+            for sym, dst in edges[p]:
+                if sym is not _EPS:
+                    trans[q][sym].update(eps_closure[dst])
     for q in closure:
-        for sym, dst in builder.edges[q]:
+        for sym, dst in edges[q]:
             if sym is not _EPS:
-                moves_from_closure.setdefault(sym, set()).update(eps_closure({dst}))
-    for sym, dsts in moves_from_closure.items():
-        trans.setdefault((fresh, sym), set()).update(dsts)
-    trans.setdefault((fresh, zero), set()).add(fresh)
+                trans[fresh][sym].update(eps_closure[dst])
+    trans[fresh][0].add(fresh)
     accepting = {final}
     if final in closure:
         accepting.add(fresh)
-    nfa = Nfa(
-        tracks,
-        builder.n + 1,
-        {fresh},
-        accepting,
-        {k: frozenset(v) for k, v in trans.items()},
-    )
-    return minimize(determinize(nfa))
+    rows = [[frozenset(cell) for cell in row] for row in trans]
+    return minimize(determinize(Nfa(tracks, fresh + 1, {fresh}, accepting, rows)))
 
 
 # --- automata with output ------------------------------------------------
@@ -1009,45 +926,13 @@ class OutputAutomaton:
         )
 
     def minimized(self) -> "OutputAutomaton":
-        """Moore minimization: initial partition groups states by output."""
-        # encode outputs as acceptance classes via a product trick: refine
-        # manually since the recognizer machinery only knows two classes.
-        n, width = self.n_states, self.base
-        class_of = {}
-        classes: dict[int, int] = {}
-        for q in range(n):
-            classes.setdefault(self.outputs[q], len(classes))
-        part = [classes[self.outputs[q]] for q in range(n)]
-        while True:
-            sigs = {}
-            new_part = [0] * n
-            for q in range(n):
-                sig = (part[q], tuple(part[t] for t in self.matrix[q]))
-                new_part[q] = sigs.setdefault(sig, len(sigs))
-            if new_part == part:
-                break
-            part = new_part
-        # canonical renumber by BFS
-        rep = {}
-        for q in range(n):
-            rep.setdefault(part[q], q)
-        start = part[self.initial]
-        order = [start]
-        new_id = {start: 0}
-        frontier = deque(order)
-        while frontier:
-            cid = frontier.popleft()
-            for t in self.matrix[rep[cid]]:
-                tid = part[t]
-                if tid not in new_id:
-                    new_id[tid] = len(order)
-                    order.append(tid)
-                    frontier.append(tid)
-        matrix = [
-            [new_id[part[t]] for t in self.matrix[rep[cid]]] for cid in order
-        ]
-        outputs = [self.outputs[rep[cid]] for cid in order]
-        return OutputAutomaton(self.track, len(order), 0, outputs, matrix)
+        """Minimal automaton with the same outputs, renumbered canonically.
+
+        The same refinement as ``minimize``, starting from the partition of
+        the states by output.
+        """
+        matrix, outputs = _refine(self.matrix, self.initial, self.outputs)
+        return OutputAutomaton(self.track, len(matrix), 0, outputs, matrix)
 
     def to_text(self) -> str:
         lines = [str(self.track.system)]

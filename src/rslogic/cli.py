@@ -58,15 +58,27 @@ GUESSABLE = {
 def _load_env(args):
     env = standard_environment()
     env_dir = getattr(args, "env_dir", None)
-    if env_dir:
-        directory = Path(env_dir)
-        for path in sorted(directory.glob("*.rel.txt")):
-            name = path.name[: -len(".rel.txt")]
-            automaton = MultiTrackAutomaton.from_text(path.read_text())
-            env.register_relation(name, automaton, overwrite=True)
-        for path in sorted(directory.glob("*.dfao.txt")):
-            name = path.name[: -len(".dfao.txt")]
-            env.register_dfao(name, OutputAutomaton.from_text(path.read_text()), overwrite=True)
+    if not env_dir:
+        return env
+    # the start-up machines (rss, rst, RS4) are verified on every run; a saved
+    # copy of one must be that machine and never replaces it
+    verified = {f"{name}.rel.txt": rel.automaton.to_text() for name, rel in env.relations.items()}
+    verified.update((f"{name}.dfao.txt", dfao.to_text()) for name, dfao in env.dfaos.items())
+    directory = Path(env_dir)
+    for suffix, parse, register in (
+        (".rel.txt", MultiTrackAutomaton.from_text, env.register_relation),
+        (".dfao.txt", OutputAutomaton.from_text, env.register_dfao),
+    ):
+        for path in sorted(directory.glob(f"*{suffix}")):
+            try:
+                text = path.read_text()
+            except (OSError, UnicodeDecodeError) as exc:
+                raise EngineError(f"cannot read {path}: {exc}") from None
+            machine = parse(text)
+            if path.name not in verified:
+                register(path.name[: -len(suffix)], machine, overwrite=True)
+            elif machine.to_text() != verified[path.name]:
+                raise EngineError(f"{path} differs from the verified machine of that name")
     return env
 
 
@@ -135,7 +147,10 @@ def _check_count(value, flag, least):
 
 
 def cmd_bounds(args):
-    _check_count(args.to, "--to", 0)
+    # the sweep covers n < --to; its witness rows need n = 9 at least:
+    # alternating_zeros wants the first three zeros of t, at 1, 7 and 9, and
+    # pseudo_square_of_sum_tight its equalities, first at n = 1 and n = 6
+    _check_count(args.to, "--to", 10)
     report = verify_bounds(args.to)
     print(report.table())
     return 0 if report.ok else 1

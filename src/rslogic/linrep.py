@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .automata import to_digits
+from .automata import coreachable, reachable, to_digits
 from .errors import CompileError, DivergenceError
 
 
@@ -57,7 +57,9 @@ def count_representation(automaton, params):
     listed = [names.index(p) for p in params]
     counted = [i for i in range(len(names)) if names[i] not in params]
 
-    keep = _trimmed_states(automaton)
+    keep = coreachable(automaton.matrix, automaton.accepting).intersection(
+        reachable(automaton.matrix, automaton.initial)
+    )
     if not keep:
         zero = [[0]]
         return LinearRepresentation(
@@ -97,26 +99,6 @@ def count_representation(automaton, params):
 
 def _listed_symbols(automaton, listed):
     return itertools.product(*(range(automaton.tracks[i].base) for i in listed))
-
-
-def _trimmed_states(automaton):
-    reached = {automaton.initial}
-    queue = [automaton.initial]
-    while queue:
-        q = queue.pop()
-        for dest in automaton.matrix[q]:
-            if dest not in reached:
-                reached.add(dest)
-                queue.append(dest)
-    live = set(automaton.accepting)
-    changed = True
-    while changed:
-        changed = False
-        for q in range(automaton.n_states):
-            if q not in live and any(dest in live for dest in automaton.matrix[q]):
-                live.add(q)
-                changed = True
-    return reached & live
 
 
 def _mat_vec(matrix, vec):

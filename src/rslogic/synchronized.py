@@ -14,7 +14,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .automata import MultiTrackAutomaton, NumberSystem, Track, minimize, to_digits
+from .automata import (
+    MultiTrackAutomaton,
+    NumberSystem,
+    Track,
+    coreachable,
+    minimize,
+    to_digits,
+)
 from .errors import FunctionalityError, GuessFailedError
 from .logic import Environment, compile_formula, find_counterexample
 from .sequences import rudin_shapiro_dfao4
@@ -159,21 +166,9 @@ def sync_eval(automaton, n, input_track=None, output_track=None):
     raise FunctionalityError(f"no accepted output for input {n}")
 
 
-def _live_states(automaton):
-    live = set(automaton.accepting)
-    changed = True
-    while changed:
-        changed = False
-        for q in range(automaton.n_states):
-            if q not in live and any(dest in live for dest in automaton.matrix[q]):
-                live.add(q)
-                changed = True
-    return live
-
-
 def _run_frontier(automaton, digits, pos_in, pos_out, b_in, b_out):
     matrix = automaton.matrix
-    live = _live_states(automaton)
+    live = coreachable(matrix, automaton.accepting)
     pair = [0, 0]
     frontier = {(automaton.initial, 0)}
     for d_in in digits:
@@ -198,7 +193,7 @@ def sync_table(automaton, count, input_track=None, output_track=None, extra=2):
     width = len(to_digits(count - 1, b_in)) if count > 1 else 1
     total = width + extra
     accepting = automaton.accepting
-    live = _live_states(automaton)
+    live = coreachable(automaton.matrix, automaton.accepting)
     # move: move[q][d_in] -> list of (successor, d_out), dead ends dropped
     pair = [0, 0]
     move = []

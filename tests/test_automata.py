@@ -1,8 +1,11 @@
 import itertools
+import math
 import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rslogic.automata import (
     MultiTrackAutomaton,
@@ -13,6 +16,7 @@ from rslogic.automata import (
     OP_OR,
     OP_XOR,
     complement,
+    coreachable,
     decode_word,
     determinize,
     encode_values,
@@ -24,6 +28,7 @@ from rslogic.automata import (
     minimize,
     product,
     project,
+    reachable,
     to_digits,
 )
 from rslogic.errors import AutomatonError, BaseMismatchError, RegexError
@@ -356,3 +361,140 @@ def test_output_from_text_rejects_malformed_lines():
             OutputAutomaton.from_text(bad)
     with pytest.raises(AutomatonError):
         OutputAutomaton.from_text("")
+
+
+# --- properties of the kernel on random small automata ----------------------
+
+
+@st.composite
+def small_dfas(draw, initial_zero=False):
+    """Complete DFAs with 1-2 tracks, bases 2-3 and at most 8 states."""
+    bases = draw(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=2))
+    tracks = tuple(Track(name, NumberSystem(b)) for name, b in zip("xy", bases))
+    n = draw(st.integers(1, 8))
+    state = st.integers(0, n - 1)
+    width = math.prod(bases)
+    matrix = draw(st.lists(st.lists(state, min_size=width, max_size=width), min_size=n, max_size=n))
+    initial = 0 if initial_zero else draw(state)
+    return MultiTrackAutomaton(tracks, n, initial, draw(st.sets(state)), matrix)
+
+
+def _pairs_reached(a, p, b, q, length):
+    """Pairs (state of a, state of b) that words up to ``length`` lead (p, q) to.
+
+    Words that reach the same pair behave alike from then on, so one pair
+    stands for all of them; every word of each length is covered.
+    """
+    level = {(p, q)}
+    seen = set(level)
+    for _ in range(length):
+        level = {(a.step(x, sym), b.step(y, sym)) for x, y in level for sym in a.alphabet}
+        seen |= level
+    return seen
+
+
+def _agree(a, b, pairs):
+    return all((x in a.accepting) == (y in b.accepting) for x, y in pairs)
+
+
+def _reached(a):
+    return _pairs_reached(a, a.initial, a, a.initial, a.n_states)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_dfas())
+def test_minimize_accepts_the_same_words(a):
+    m = minimize(a)
+    assert _agree(a, m, _pairs_reached(a, a.initial, m, m.initial, a.n_states + m.n_states))
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_dfas())
+def test_minimize_has_one_state_per_residual(a):
+    reached = sorted({x for x, _ in _reached(a)})
+    # words up to n - 2 separate any two distinguishable states
+    residuals = []
+    for q in reached:
+        if not any(_agree(a, a, _pairs_reached(a, q, a, r, a.n_states)) for r in residuals):
+            residuals.append(q)
+    assert minimize(a).n_states == len(residuals)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_dfas())
+def test_minimize_is_idempotent(a):
+    m = minimize(a)
+    assert minimize(m).to_text() == m.to_text()
+
+
+def _exists_accepted(a, pos, word):
+    """Brute force: some digits on track ``pos`` under some zero padding of word."""
+
+    def full(sym, d):
+        return sym[:pos] + (d,) + sym[pos:]
+
+    digits = range(a.tracks[pos].base)
+    zero = (0,) * (len(a.tracks) - 1)
+    level = {a.initial}
+    states = set(level)
+    # a zero-padding path longer than n states repeats a state
+    for _ in range(a.n_states):
+        level = {a.step(q, full(zero, d)) for q in level for d in digits}
+        states |= level
+    for sym in word:
+        states = {a.step(q, full(sym, d)) for q in states for d in digits}
+    return not states.isdisjoint(a.accepting)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_dfas(), st.data())
+def test_project_is_existential_over_removed_track(a, data):
+    pos = data.draw(st.integers(0, len(a.tracks) - 1))
+    p = project(a, a.tracks[pos].name)
+    assert [t.name for t in p.tracks] == [t.name for i, t in enumerate(a.tracks) if i != pos]
+    for length in range(5):
+        for word in itertools.product(p.alphabet, repeat=length):
+            assert p.accepts(word) == _exists_accepted(a, pos, word), word
+
+
+@st.composite
+def small_dfaos(draw):
+    base = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 8))
+    state = st.integers(0, n - 1)
+    matrix = draw(st.lists(st.lists(state, min_size=base, max_size=base), min_size=n, max_size=n))
+    outputs = draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n))
+    return OutputAutomaton(Track("n", NumberSystem(base)), n, draw(state), outputs, matrix)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_dfaos())
+def test_output_minimized_keeps_every_short_word(dfao):
+    small = dfao.minimized()
+    assert small.n_states <= dfao.n_states
+    for length in range(7):
+        for word in itertools.product(range(dfao.base), repeat=length):
+            assert small.value_of_word(word) == dfao.value_of_word(word)
+    assert small.minimized().to_text() == small.to_text()
+    back = OutputAutomaton.from_text(small.to_text())
+    assert back.to_text() == small.to_text()
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_dfas(initial_zero=True))
+def test_text_round_trip(a):
+    back = MultiTrackAutomaton.from_text(a.to_text(), names=[t.name for t in a.tracks])
+    assert back.tracks == a.tracks
+    assert back.to_text() == a.to_text()
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_dfas())
+def test_reachability_helpers_match_brute_force(a):
+    assert set(reachable(a.matrix, a.initial)) == {x for x, _ in _reached(a)}
+    live = {
+        q
+        for q in range(a.n_states)
+        if not a.accepting.isdisjoint(x for x, _ in _pairs_reached(a, q, a, q, a.n_states))
+    }
+    assert coreachable(a.matrix, a.accepting) == live

@@ -43,6 +43,49 @@ def test_def_persists_to_env_dir(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "TRUE"
 
 
+def _saved_env_dir(tmp_path, capsys):
+    env_dir = tmp_path / "env"
+    assert main(["def", "triple", "?msd_2 y=3*x", "--env-dir", str(env_dir)]) == 0
+    capsys.readouterr()
+    return env_dir
+
+
+def test_env_dir_round_trips_unchanged(tmp_path, capsys):
+    env_dir = _saved_env_dir(tmp_path, capsys)
+    saved = {p.name: p.read_text() for p in env_dir.iterdir()}
+    assert {"rss.rel.txt", "rst.rel.txt", "RS4.dfao.txt", "triple.rel.txt"} <= set(saved)
+    assert main(["eval", "?msd_4 An Ex $rss(n,x)", "--env-dir", str(env_dir)]) == 0
+    assert main(["eval", "Ax Ey $triple(x,y)", "--env-dir", str(env_dir)]) == 0
+    assert capsys.readouterr().out.split() == ["TRUE", "TRUE"]
+    assert {p.name: p.read_text() for p in env_dir.iterdir()} == saved
+
+
+def test_env_dir_rejects_edited_verified_machine(tmp_path, capsys):
+    env_dir = _saved_env_dir(tmp_path, capsys)
+    for name in ("rss.rel.txt", "RS4.dfao.txt"):
+        path = env_dir / name
+        original = path.read_text()
+        lines = original.splitlines()
+        # flip the output of state 0: the file still parses, but is another machine
+        state, output = lines[1].split()
+        lines[1] = f"{state} {1 - int(output)}"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["eval", "?msd_4 An Ex $rss(n,x)", "--env-dir", str(env_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{name} differs from the verified machine" in captured.err
+        assert "Traceback" not in captured.err
+        path.write_text(original)
+
+
+def test_env_dir_rejects_unreadable_file(tmp_path, capsys):
+    env_dir = tmp_path / "env"
+    env_dir.mkdir()
+    (env_dir / "junk.rel.txt").write_bytes(b"\xff\xfe not text")
+    assert main(["eval", "An n<=n", "--env-dir", str(env_dir)]) == 2
+    assert "cannot read" in capsys.readouterr().err
+
+
 def test_run_script(tmp_path, capsys):
     script = tmp_path / "script.txt"
     script.write_text(
@@ -120,8 +163,18 @@ def test_curve_rejects_empty_walk(capsys):
 
 
 def test_negative_to_rejected(capsys):
-    for command in ("seq", "bounds"):
+    for command, least in (("seq", 0), ("bounds", 10)):
         assert main([command, "--to", "-5"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "--to must be at least 0" in captured.err
+        assert f"--to must be at least {least}" in captured.err
+
+
+def test_bounds_rejects_range_without_witnesses(capsys):
+    for to in ("0", "9"):
+        assert main(["bounds", "--to", to]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--to must be at least 10" in captured.err
+    assert main(["bounds", "--to", "10"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
