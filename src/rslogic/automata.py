@@ -25,6 +25,11 @@ __all__ = [
     "MultiTrackAutomaton",
     "Nfa",
     "OutputAutomaton",
+    "OP_AND",
+    "OP_OR",
+    "OP_XOR",
+    "OP_IMPLIES",
+    "OP_IFF",
     "product",
     "complement",
     "project",

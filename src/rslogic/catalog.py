@@ -2,8 +2,9 @@
 
 Each entry is one query-language command.  The corpus is ordered: reg and
 def entries install named machines that later sentences apply, so it must
-run top to bottom in one environment (see toolkit.standard_environment,
-which seeds the RS4 sign table and the verified rss/rst machines first).
+run top to bottom in one environment.  toolkit.run_suite replays it that
+way, after toolkit.standard_environment has seeded the RS4 sign table and
+the verified rss/rst machines.
 
 Kinds:
   reg        installs an automaton from a regex; no truth value
@@ -211,19 +212,9 @@ COUNT_EQUAL = (
 )
 
 
-def checks_by_name():
-    return {check.name: check for check in CHECKS}
-
-
 def gold_automaton(env, name):
     """The pinned language for an automaton entry, over its track systems."""
     pattern = dict(GOLDS)[name]
     systems = [t.system for t in env.relation(name).automaton.tracks]
     return from_regex(systems, pattern)
 
-
-def run_catalog(env):
-    """Run every check in corpus order; yields (check, CommandResult)."""
-    for check in CHECKS:
-        (result,) = env.run_script(check.script)
-        yield check, result

@@ -21,18 +21,18 @@ from .sequences import (
     alternating_sum_by_recurrence,
     alternating_sums,
     double_zero_alternating_sum_by_recurrence,
-    double_zero_alternating_sums,
     double_zero_partial_sum_by_recurrence,
-    double_zero_partial_sums,
     double_zero_sign,
     double_zero_sign_dfao4,
     partial_sum_by_recurrence,
     partial_sums,
     rudin_shapiro,
     rudin_shapiro_dfao4,
+    running_sums,
 )
 from .synchronized import guess_sync, verify_sync
 from .toolkit import (
+    SuiteReport,
     check_curve,
     curve_points,
     emit_csv,
@@ -107,14 +107,14 @@ def _describe(result):
 
 
 def cmd_suite(args):
-    report = run_suite()
-    rows = [r for r in report.rows if fnmatch.fnmatch(r.name, args.filter)]
+    rows = [r for r in run_suite().rows if fnmatch.fnmatch(r.name, args.filter)]
     if not rows:
         print(f"no checks match {args.filter!r}", file=sys.stderr)
         return 2
+    report = SuiteReport(rows)
     if args.report == "json":
         payload = {
-            "ok": all(r.ok for r in rows),
+            "ok": report.ok,
             "rows": [
                 {
                     "id": r.name,
@@ -129,16 +129,9 @@ def cmd_suite(args):
         }
         print(json.dumps(payload, indent=2))
     else:
-        width = max(len(r.name) for r in rows)
-        for r in rows:
-            status = "pass" if r.ok else "FAIL"
-            print(
-                f"{r.name:<{width}}  {status}  {1000 * r.seconds:8.1f} ms"
-                f"  expected {r.expected}, got {r.actual}"
-            )
-        passed = sum(r.ok for r in rows)
-        print(f"{passed}/{len(rows)} checks passed")
-    return 0 if all(r.ok for r in rows) else 1
+        print(report.table())
+        print(f"{sum(r.ok for r in rows)}/{len(rows)} checks passed")
+    return 0 if report.ok else 1
 
 
 def _check_count(value, flag, least):
@@ -176,8 +169,8 @@ def cmd_seq(args):
     _check_count(args.to, "--to", 0)
     s = partial_sums(args.to)
     t = alternating_sums(args.to)
-    sp = double_zero_partial_sums(args.to)
-    tp = double_zero_alternating_sums(args.to)
+    sp = running_sums(double_zero_sign, args.to)
+    tp = running_sums(double_zero_sign, args.to, alternating=True)
     print("n,a,s,t,ap,sp,tp")
     for n in range(args.to):
         print(
@@ -216,6 +209,7 @@ def cmd_def(args):
 
 
 def cmd_guess(args):
+    _check_count(args.sample_bound, "--sample-bound", 1)
     oracle, dfao, rule, base = GUESSABLE[args.sequence]
     candidate = guess_sync(
         oracle, args.sample_bound, args.state_cap, names=("n", "x")
@@ -288,7 +282,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except EngineError as exc:
+    except (EngineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

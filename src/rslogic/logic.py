@@ -35,7 +35,6 @@ from .parser import (
     BinOp,
     Command,
     Compare,
-    DEFAULT_SYSTEM,
     Not,
     OutputTest,
     Quantified,

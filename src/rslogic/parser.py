@@ -21,7 +21,7 @@ and names starting with A or E are reserved for quantifiers.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .automata import NumberSystem
 from .errors import FormulaParseError

@@ -14,18 +14,15 @@ from .automata import NumberSystem, OutputAutomaton, Track
 __all__ = [
     "pair_count",
     "rudin_shapiro",
-    "partial_sum",
-    "alternating_sum",
+    "running_sums",
     "partial_sums",
     "alternating_sums",
     "partial_sum_by_recurrence",
     "alternating_sum_by_recurrence",
     "pseudo_square",
     "double_zero_sign",
-    "double_zero_partial_sum",
-    "double_zero_alternating_sum",
-    "double_zero_partial_sums",
-    "double_zero_alternating_sums",
+    "double_zero_partial_sum_by_recurrence",
+    "double_zero_alternating_sum_by_recurrence",
     "rudin_shapiro_dfao2",
     "rudin_shapiro_dfao4",
     "double_zero_sign_dfao4",
@@ -42,43 +39,34 @@ def rudin_shapiro(n: int) -> int:
     return -1 if pair_count(n) & 1 else 1
 
 
-def partial_sum(n: int) -> int:
-    """Sum of rudin_shapiro(0..n)."""
-    return sum(rudin_shapiro(i) for i in range(n + 1))
+def running_sums(sign, limit: int, alternating: bool = False) -> list[int]:
+    """Sum of sign(0..n) for every n < limit, as one running sweep.
 
-
-def alternating_sum(n: int) -> int:
-    """Alternating sum of rudin_shapiro(0..n), even indices positive."""
-    total = 0
-    for i in range(n + 1):
-        v = rudin_shapiro(i)
-        total += v if i % 2 == 0 else -v
-    return total
+    With alternating set, odd-indexed terms are subtracted (even indices
+    positive).
+    """
+    out = []
+    acc = 0
+    for i in range(limit):
+        v = sign(i)
+        acc += -v if alternating and i & 1 else v
+        out.append(acc)
+    return out
 
 
 def partial_sums(limit: int) -> list[int]:
-    """partial_sum(n) for all n < limit, as one running sweep."""
-    out = []
-    acc = 0
-    for i in range(limit):
-        acc += rudin_shapiro(i)
-        out.append(acc)
-    return out
+    """s(n), the sum of rudin_shapiro(0..n), for every n < limit."""
+    return running_sums(rudin_shapiro, limit)
 
 
 def alternating_sums(limit: int) -> list[int]:
-    out = []
-    acc = 0
-    for i in range(limit):
-        v = rudin_shapiro(i)
-        acc += v if i % 2 == 0 else -v
-        out.append(acc)
-    return out
+    """t(n), the alternating sum of rudin_shapiro(0..n), for every n < limit."""
+    return running_sums(rudin_shapiro, limit, alternating=True)
 
 
 @lru_cache(maxsize=None)
 def partial_sum_by_recurrence(n: int) -> int:
-    """Independent route to partial_sum via halving recurrences."""
+    """Independent route to s(n) via halving recurrences."""
     if n == 0:
         return 1
     half, r = divmod(n, 2)
@@ -111,21 +99,9 @@ def double_zero_sign(n: int) -> int:
     return -1 if pairs & 1 else 1
 
 
-def double_zero_partial_sum(n: int) -> int:
-    return sum(double_zero_sign(i) for i in range(n + 1))
-
-
-def double_zero_alternating_sum(n: int) -> int:
-    total = 0
-    for i in range(n + 1):
-        v = double_zero_sign(i)
-        total += v if i % 2 == 0 else -v
-    return total
-
-
 @lru_cache(maxsize=None)
 def double_zero_partial_sum_by_recurrence(n: int) -> int:
-    """Independent route to double_zero_partial_sum via halving recurrences."""
+    """Sum of double_zero_sign(0..n) via halving recurrences; 0 for n < 0."""
     if n < 0:
         return 0
     if n == 0:
@@ -160,25 +136,6 @@ def double_zero_alternating_sum_by_recurrence(n: int) -> int:
         - double_zero_partial_sum_by_recurrence(half)
         + 2
     )
-
-
-def double_zero_partial_sums(limit: int) -> list[int]:
-    out = []
-    acc = 0
-    for i in range(limit):
-        acc += double_zero_sign(i)
-        out.append(acc)
-    return out
-
-
-def double_zero_alternating_sums(limit: int) -> list[int]:
-    out = []
-    acc = 0
-    for i in range(limit):
-        v = double_zero_sign(i)
-        acc += v if i % 2 == 0 else -v
-        out.append(acc)
-    return out
 
 
 def rudin_shapiro_dfao2() -> OutputAutomaton:

@@ -11,7 +11,6 @@ base case, and both inductive steps as sentences.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .automata import (
@@ -151,13 +150,22 @@ def _track_positions(automaton, input_track, output_track):
     return names.index(input_track), names.index(output_track)
 
 
+# Leading zero input digits fed before n, so that an output longer than the
+# input still fits: sync_eval tries each padding in turn, sync_table always
+# uses one.  For rss, s(n)**2 <= 6n gives s(n) < 2**(k+2) when n < 4**k, so
+# two binary digits more than n has base-4 digits suffice.  Both are fixed
+# paddings, not yet bounds derived from the automaton.
+SYNC_EVAL_PADDINGS = (3, 9)
+SYNC_TABLE_PADDING = 2
+
+
 def sync_eval(automaton, n, input_track=None, output_track=None):
     """The unique y with (n, y) accepted; FunctionalityError otherwise."""
     pos_in, pos_out = _track_positions(automaton, input_track, output_track)
     b_in = automaton.tracks[pos_in].base
     b_out = automaton.tracks[pos_out].base
     digits = to_digits(n, b_in)
-    for extra in (3, 9):
+    for extra in SYNC_EVAL_PADDINGS:
         found = _run_frontier(automaton, [0] * extra + digits, pos_in, pos_out, b_in, b_out)
         if len(found) == 1:
             return found.pop()
@@ -185,13 +193,13 @@ def _run_frontier(automaton, digits, pos_in, pos_out, b_in, b_out):
     return {y for q, y in frontier if q in automaton.accepting}
 
 
-def sync_table(automaton, count, input_track=None, output_track=None, extra=2):
+def sync_table(automaton, count, input_track=None, output_track=None):
     """Outputs for every input below count, by shared-prefix search."""
     pos_in, pos_out = _track_positions(automaton, input_track, output_track)
     b_in = automaton.tracks[pos_in].base
     b_out = automaton.tracks[pos_out].base
     width = len(to_digits(count - 1, b_in)) if count > 1 else 1
-    total = width + extra
+    total = width + SYNC_TABLE_PADDING
     accepting = automaton.accepting
     live = coreachable(automaton.matrix, automaton.accepting)
     # move: move[q][d_in] -> list of (successor, d_out), dead ends dropped
@@ -223,7 +231,7 @@ def sync_table(automaton, count, input_track=None, output_track=None, extra=2):
             return
         remaining = total - pos - 1
         span = b_in**remaining
-        digit_range = range(b_in) if pos >= extra else (0,)
+        digit_range = range(b_in) if pos >= SYNC_TABLE_PADDING else (0,)
         for d_in in digit_range:
             lo = (prefix * b_in + d_in) * span
             if lo >= count:

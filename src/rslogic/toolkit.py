@@ -178,69 +178,50 @@ def run_suite(env=None):
     return SuiteReport(rows)
 
 
-def _bound_row(name, start, violations, detail="no violations"):
-    ok = not violations
-    actual = detail if ok else f"violated at n={violations[0]}"
-    return SuiteRow(name, "bound", detail, actual, ok, time.perf_counter() - start)
+def _timed_row(name, expected, check):
+    """A bound row from check(), which returns (ok, actual) and is timed."""
+    start = time.perf_counter()
+    ok, actual = check()
+    return SuiteRow(name, "bound", expected, actual, ok, time.perf_counter() - start)
 
 
 def verify_bounds(N=2**16):
     """Integer-only sweeps of the inequality families below N."""
     s = partial_sums(N)
     t = alternating_sums(N)
-    rows = []
+    clean = "no violations"
 
-    start = time.perf_counter()
-    rows.append(_bound_row("square_sum_upper", start, [n for n in range(1, N) if s[n] * s[n] > 6 * n]))
-    start = time.perf_counter()
-    rows.append(_bound_row("square_sum_lower", start, [n for n in range(1, N) if 5 * s[n] * s[n] < 3 * n + 7]))
-    start = time.perf_counter()
-    rows.append(_bound_row("alternating_nonnegative", start, [n for n in range(N) if t[n] < 0]))
-    start = time.perf_counter()
-    rows.append(_bound_row("square_alternating_upper", start, [n for n in range(1, N) if t[n] * t[n] > 3 * n]))
+    def never(violated, first=1):
+        def check():
+            bad = next((n for n in range(first, N) if violated(n)), None)
+            return bad is None, clean if bad is None else f"violated at n={bad}"
 
-    start = time.perf_counter()
-    m = [pseudo_square(n) for n in range(N)]
-    bad = [n for n in range(N) if not (n * n + 2 * n <= 3 * m[n] <= 3 * n * n)]
-    rows.append(_bound_row("pseudo_square_window", start, bad))
+        return check
 
-    start = time.perf_counter()
-    bad = [n for n in range(1, N) if not (3 * n + 7 <= 5 * pseudo_square(s[n]) and pseudo_square(s[n]) <= 3 * n + 1)]
-    rows.append(_bound_row("pseudo_square_of_sum", start, bad))
+    def tight():
+        upper = [n for n in range(1, N) if pseudo_square(s[n]) == 3 * n + 1]
+        lower = [n for n in range(1, N) if 5 * pseudo_square(s[n]) == 3 * n + 7]
+        ok = bool(upper) and bool(lower)
+        return ok, f"upper at n={upper[:3]}, lower at n={lower[:3]}" if ok else "not reached"
 
-    start = time.perf_counter()
-    upper = [n for n in range(1, N) if pseudo_square(s[n]) == 3 * n + 1]
-    lower = [n for n in range(1, N) if 5 * pseudo_square(s[n]) == 3 * n + 7]
-    ok = bool(upper) and bool(lower)
-    rows.append(
-        SuiteRow(
-            "pseudo_square_of_sum_tight",
-            "bound",
-            "equality reached on both sides",
-            f"upper at n={upper[:3]}, lower at n={lower[:3]}" if ok else "not reached",
-            ok,
-            time.perf_counter() - start,
-        )
+    def zeros():
+        found = [n for n in range(N) if t[n] == 0]
+        return found[:3] == [1, 7, 9], f"{len(found)} zeros, first {found[:3]}"
+
+    rows = (
+        ("square_sum_upper", clean, never(lambda n: s[n] * s[n] > 6 * n)),
+        ("square_sum_lower", clean, never(lambda n: 5 * s[n] * s[n] < 3 * n + 7)),
+        ("alternating_nonnegative", clean, never(lambda n: t[n] < 0, first=0)),
+        ("square_alternating_upper", clean, never(lambda n: t[n] * t[n] > 3 * n)),
+        ("pseudo_square_window", clean,
+         never(lambda n: not (n * n + 2 * n <= 3 * pseudo_square(n) <= 3 * n * n), first=0)),
+        ("pseudo_square_of_sum", clean,
+         never(lambda n: not (3 * n + 7 <= 5 * pseudo_square(s[n]) and pseudo_square(s[n]) <= 3 * n + 1))),
+        ("pseudo_square_of_sum_tight", "equality reached on both sides", tight),
+        ("pseudo_square_of_alternating", clean, never(lambda n: pseudo_square(t[n]) > n + 1, first=0)),
+        ("alternating_zeros", "value 0 recurs, first at 1, 7, 9", zeros),
     )
-
-    start = time.perf_counter()
-    bad = [n for n in range(N) if pseudo_square(t[n]) > n + 1]
-    rows.append(_bound_row("pseudo_square_of_alternating", start, bad))
-
-    start = time.perf_counter()
-    zeros = [n for n in range(N) if t[n] == 0]
-    ok = len(zeros) >= 3 and zeros[:3] == [1, 7, 9]
-    rows.append(
-        SuiteRow(
-            "alternating_zeros",
-            "bound",
-            "value 0 recurs, first at 1, 7, 9",
-            f"{len(zeros)} zeros, first {zeros[:3]}",
-            ok,
-            time.perf_counter() - start,
-        )
-    )
-    return SuiteReport(rows)
+    return SuiteReport([_timed_row(*row) for row in rows])
 
 
 @dataclass(frozen=True)

@@ -178,3 +178,27 @@ def test_bounds_rejects_range_without_witnesses(capsys):
         assert "--to must be at least 10" in captured.err
     assert main(["bounds", "--to", "10"]) == 0
     assert "FAIL" not in capsys.readouterr().out
+
+
+def test_os_errors_exit_2_without_traceback(tmp_path, capsys):
+    # a path below a regular file can be neither read nor created
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for argv in (
+        ["run", str(tmp_path / "missing.txt")],
+        ["run", str(tmp_path)],
+        ["curve", "--points", "8", "--svg", str(blocker / "curve.svg")],
+        ["guess", "s", "--sample-bound", "64", "--out", str(blocker / "machine.txt")],
+        ["eval", "An n<=n", "--env-dir", str(blocker / "env")],
+    ):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, argv
+
+
+def test_guess_rejects_sample_bound_below_one(capsys):
+    for bound in ("0", "-5"):
+        assert main(["guess", "s", "--sample-bound", bound]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--sample-bound must be at least 1" in captured.err

@@ -7,7 +7,6 @@ import pytest
 from rslogic.automata import NumberSystem, from_regex, language_equal
 from rslogic.errors import BaseMismatchError, CompileError, FormulaParseError
 from rslogic.logic import Environment, compile_formula, decide, find_counterexample
-from rslogic.numeration import build_const_mul, build_compare
 from rslogic.parser import (
     Apply,
     BinOp,
@@ -19,6 +18,8 @@ from rslogic.parser import (
     parse_script,
 )
 from rslogic.sequences import rudin_shapiro, rudin_shapiro_dfao4
+
+from builders import build_compare, build_const_mul
 
 MSD2 = NumberSystem(2)
 MSD4 = NumberSystem(4)

@@ -4,13 +4,9 @@ import pytest
 
 from rslogic.automata import NumberSystem, language_equal, minimize
 from rslogic.errors import AutomatonError, CompileError
-from rslogic.numeration import (
-    RELATIONS,
-    build_add,
-    build_compare,
-    build_const_mul,
-    linear_atom,
-)
+from rslogic.numeration import RELATIONS, linear_atom
+
+from builders import build_add, build_compare, build_const_mul
 
 B2 = NumberSystem(2)
 B3 = NumberSystem(3)

@@ -1,21 +1,19 @@
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from rslogic.sequences import (
-    alternating_sum,
     alternating_sum_by_recurrence,
     alternating_sums,
-    double_zero_alternating_sum,
-    double_zero_alternating_sums,
-    double_zero_partial_sum,
-    double_zero_partial_sums,
     double_zero_sign,
     double_zero_sign_dfao4,
     pair_count,
-    partial_sum,
     partial_sum_by_recurrence,
     partial_sums,
     pseudo_square,
     rudin_shapiro,
     rudin_shapiro_dfao2,
     rudin_shapiro_dfao4,
+    running_sums,
 )
 
 # published reference values for the two partial sums, n = 0..20
@@ -36,21 +34,24 @@ def test_term_values():
 
 
 def test_partial_sum_tables():
-    assert [partial_sum(n) for n in range(21)] == SUM_TABLE
-    assert [alternating_sum(n) for n in range(21)] == ALT_TABLE
     assert partial_sums(21) == SUM_TABLE
     assert alternating_sums(21) == ALT_TABLE
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from([1, -1]), max_size=40), st.booleans())
+def test_running_sums_match_direct_sums(signs, alternating):
+    weight = [(-1) ** i if alternating else 1 for i in range(len(signs))]
+    direct = [sum(weight[i] * signs[i] for i in range(n + 1)) for n in range(len(signs))]
+    assert running_sums(signs.__getitem__, len(signs), alternating) == direct
+
+
 def test_recurrence_route_agrees_with_direct_sums():
-    sums = partial_sums(3000)
-    alts = alternating_sums(3000)
-    for n in range(3000):
+    sums = partial_sums(2 ** 15 + 8)
+    alts = alternating_sums(2 ** 15 + 8)
+    for n in [*range(3000), 2 ** 15, 2 ** 15 + 7, 3 ** 9]:
         assert partial_sum_by_recurrence(n) == sums[n]
         assert alternating_sum_by_recurrence(n) == alts[n]
-    for n in (2 ** 15, 2 ** 15 + 7, 3 ** 9):
-        assert partial_sum_by_recurrence(n) == partial_sum(n)
-        assert alternating_sum_by_recurrence(n) == alternating_sum(n)
 
 
 def test_pseudo_square_values():
@@ -65,14 +66,14 @@ def test_pseudo_square_values():
 
 def test_double_zero_tables():
     assert [double_zero_sign(n) for n in range(16)] == DZ_SIGN_TABLE
-    assert [double_zero_partial_sum(n) for n in range(16)] == DZ_SUM_TABLE
-    assert [double_zero_alternating_sum(n) for n in range(16)] == DZ_ALT_TABLE
+    assert running_sums(double_zero_sign, 16) == DZ_SUM_TABLE
+    assert running_sums(double_zero_sign, 16, alternating=True) == DZ_ALT_TABLE
 
 
 def test_double_zero_alternating_sum_stays_at_most_one():
     # the alternating 0-pair sum never exceeds 1, and hits 1 exactly at 0
     # and at the numbers written 1010...10 in binary
-    alts = double_zero_alternating_sums(2 ** 16)
+    alts = running_sums(double_zero_sign, 2 ** 16, alternating=True)
     over = [n for n, v in enumerate(alts) if v > 0]
     assert over == [0, 2, 10, 42, 170, 682, 2730, 10922, 43690]
     assert all(n == 0 or bin(n)[2:] == "10" * (len(bin(n)[2:]) // 2) for n in over)
@@ -80,8 +81,8 @@ def test_double_zero_alternating_sum_stays_at_most_one():
 
 
 def test_double_zero_halving_recurrences():
-    sums = double_zero_partial_sums(2 ** 13)
-    alts = double_zero_alternating_sums(2 ** 13)
+    sums = running_sums(double_zero_sign, 2 ** 13)
+    alts = running_sums(double_zero_sign, 2 ** 13, alternating=True)
     # empty-sum convention: the partial sum at -1 is 0
     sp = lambda n: 0 if n < 0 else sums[n]
     for n in range(2 ** 12):
@@ -94,7 +95,7 @@ def test_double_zero_halving_recurrences():
 
 def test_double_zero_quartering_recurrences():
     # the correction term riding along is the threaded sign itself
-    sums = double_zero_partial_sums(2 ** 14)
+    sums = running_sums(double_zero_sign, 2 ** 14)
     for n in range(2 ** 12):
         r = double_zero_sign(n)
         sign = -1 if n % 2 else 1
@@ -113,7 +114,7 @@ def test_double_zero_sign_halving_recurrence():
 
 
 def test_double_zero_block_extremes():
-    sums = double_zero_partial_sums(4 ** 6)
+    sums = running_sums(double_zero_sign, 4 ** 6)
     for k in range(1, 5):
         lo, hi = 4 ** k, 4 ** (k + 1)
         window = sums[lo:hi]
@@ -124,8 +125,8 @@ def test_double_zero_block_extremes():
 
 
 def test_double_zero_square_root_bounds():
-    sums = double_zero_partial_sums(2 ** 14)
-    alts = double_zero_alternating_sums(2 ** 14)
+    sums = running_sums(double_zero_sign, 2 ** 14)
+    alts = running_sums(double_zero_sign, 2 ** 14, alternating=True)
     for n in range(1, 2 ** 14):
         sp = sums[n]
         assert 9 * n <= 4 * sp * sp

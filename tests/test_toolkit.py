@@ -15,18 +15,15 @@ from rslogic.toolkit import (
 )
 
 
-@pytest.fixture(scope="module")
-def report():
-    return run_suite()
-
-
-def test_suite_all_pass(report):
+def test_suite_all_pass(corpus):
+    _, report = corpus
     assert report.ok
     assert len(report.rows) == 100
     assert not report.failures()
 
 
-def test_suite_covers_every_kind(report):
+def test_suite_covers_every_kind(corpus):
+    _, report = corpus
     kinds = {row.kind for row in report.rows}
     assert kinds == {"sentence", "automaton", "counting", "reg", "def"}
     sentences = [row for row in report.rows if row.kind == "sentence"]
@@ -34,12 +31,14 @@ def test_suite_covers_every_kind(report):
     assert sum(row.expected == "FALSE" for row in sentences) == 3
 
 
-def test_suite_records_times(report):
+def test_suite_records_times(corpus):
+    _, report = corpus
     for row in report.rows:
         assert 0.0 <= row.seconds < 1.0, row.name
 
 
-def test_suite_counting_rows(report):
+def test_suite_counting_rows(corpus):
+    _, report = corpus
     assert report.row("satz22_rank").actual == "rank 7"
     for name in (
         "satz22_matches_gfunc",
@@ -49,7 +48,8 @@ def test_suite_counting_rows(report):
         assert report.row(name).ok, name
 
 
-def test_suite_table_mentions_every_check(report):
+def test_suite_table_mentions_every_check(corpus):
+    _, report = corpus
     table = report.table()
     assert "curvecheck3" in table and "expected FALSE, got FALSE" in table
     assert table.count("\n") == len(report.rows) - 1
