@@ -477,8 +477,6 @@ def determinize(nfa: Nfa) -> MultiTrackAutomaton:
     its state's row as is; a larger one unions its states' rows column by
     column.
     """
-    if isinstance(nfa, MultiTrackAutomaton):
-        return nfa
     trans = nfa.trans
     union = frozenset().union
     sink_row = [frozenset()] * nfa.alphabet_size

@@ -182,7 +182,10 @@ def cmd_seq(args):
 
 def cmd_run(args):
     env = _load_env(args)
-    text = Path(args.script).read_text()
+    try:
+        text = Path(args.script).read_text()
+    except UnicodeDecodeError as exc:
+        raise EngineError(f"cannot read {args.script}: {exc}") from None
     results = env.run_script(text, continue_on_error=args.continue_on_error)
     failed = False
     for result in results:

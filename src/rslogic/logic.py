@@ -281,11 +281,8 @@ class _Compiler:
             autos = [a for k, a in enumerate(autos) if k not in (i, j)]
             autos.append(merged)
             project_single_holders()
-        out = autos[0]
-        for v in sorted(pending):
-            if _has_track(out, v):
-                out = minimize(project(out, v))
-        return out
+        # one automaton left: project_single_holders has emptied pending
+        return autos[0]
 
 
 def _has_track(automaton, name):

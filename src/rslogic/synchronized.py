@@ -154,7 +154,10 @@ def _track_positions(automaton, input_track, output_track):
 # input still fits: sync_eval tries each padding in turn, sync_table always
 # uses one.  For rss, s(n)**2 <= 6n gives s(n) < 2**(k+2) when n < 4**k, so
 # two binary digits more than n has base-4 digits suffice.  Both are fixed
-# paddings, not yet bounds derived from the automaton.
+# paddings, not yet bounds derived from the automaton.  sync_table reuses
+# blocks only past its padding, keyed by the digits left and the frontier
+# {(state, y - min y)}: there every digit is free and the output below a node
+# is its min y shifted up plus what that relative frontier produces.
 SYNC_EVAL_PADDINGS = (3, 9)
 SYNC_TABLE_PADDING = 2
 
@@ -194,7 +197,21 @@ def _run_frontier(automaton, digits, pos_in, pos_out, b_in, b_out):
 
 
 def sync_table(automaton, count, input_track=None, output_track=None):
-    """Outputs for every input below count, by shared-prefix search."""
+    """Outputs for every input below count, by shared-prefix search.
+
+    The walk descends digit by digit, carrying the frontier of live
+    (state, y) pairs.  What lies below a node depends only on its digits
+    left and its frontier up to a common shift of y: with m the least y,
+    every output in the block is m * b_out**left plus what the frontier of
+    pairs (q, y - m) produces, since each later digit maps y to
+    y * b_out + d_out and acceptance looks at q alone.  This is the k-kernel
+    of the table (Allouche & Shallit, *Automatic Sequences*, ch. 6).  So a
+    full block, one that ends at or below count, is walked once per key
+    (left, {(q, y - m)}); a later block with the same key is the first
+    block's slice shifted by the difference of the two shifts, with None
+    kept as None.  A reused block was walked once without raising, so
+    errors come at the same input with the same message.
+    """
     pos_in, pos_out = _track_positions(automaton, input_track, output_track)
     b_in = automaton.tracks[pos_in].base
     b_out = automaton.tracks[pos_out].base
@@ -219,6 +236,11 @@ def sync_table(automaton, count, input_track=None, output_track=None):
         move.append(rows)
 
     values = [None] * count
+    # key -> (first input of the block walked for it, its shift).  An entry
+    # is two ints plus its key and never a copy of the block, which stays
+    # in values; a key is stored once per fully walked internal node, so
+    # there are at most as many keys as internal nodes of the plain walk.
+    memo = {}
 
     def descend(pos, prefix, frontier):
         if pos == total:
@@ -229,8 +251,25 @@ def sync_table(automaton, count, input_track=None, output_track=None):
                 )
             values[prefix] = found.pop()
             return
-        remaining = total - pos - 1
-        span = b_in**remaining
+        left = total - pos
+        block = b_in**left
+        base = prefix * block
+        key = None
+        # only a full block, wholly below count, is reused; none lies in
+        # the padding, whose blocks span more than b_in**width >= count
+        if base + block <= count:
+            low = min(y for _, y in frontier)
+            key = (left, frozenset((q, y - low) for q, y in frontier))
+            shift = low * b_out**left
+            seen = memo.get(key)
+            if seen is not None:
+                src, src_shift = seen
+                delta = shift - src_shift
+                values[base : base + block] = [
+                    None if v is None else v + delta for v in values[src : src + block]
+                ]
+                return
+        span = block // b_in
         digit_range = range(b_in) if pos >= SYNC_TABLE_PADDING else (0,)
         for d_in in digit_range:
             lo = (prefix * b_in + d_in) * span
@@ -242,6 +281,8 @@ def sync_table(automaton, count, input_track=None, output_track=None):
                     new.add((dest, y * b_out + d_out))
             if new:
                 descend(pos + 1, prefix * b_in + d_in, new)
+        if key is not None:
+            memo[key] = (base, shift)
 
     if count > 0:
         descend(0, 0, {(automaton.initial, 0)})

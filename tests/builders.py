@@ -1,9 +1,10 @@
-"""Hand-built arithmetic automata: the independent route to linear_atom.
+"""Independent routes the tests compare the engine against.
 
 A carry adder, a digitwise comparator and a doubling chain of adders
 assemble the same relations that ``rslogic.numeration.linear_atom``
-compiles in one pass.  The tests compare the two routes, so these stay
-deliberately separate from the compiler.
+compiles in one pass.  ``plain_sync_table`` is ``sync_table`` without its
+kernel memo: it walks every input prefix.  These stay deliberately
+separate from the engine code they check.
 """
 
 from __future__ import annotations
@@ -13,14 +14,17 @@ from rslogic.automata import (
     NumberSystem,
     OP_AND,
     Track,
+    coreachable,
     determinize,
     minimize,
     product,
     project,
     reverse,
+    to_digits,
 )
-from rslogic.errors import AutomatonError, CompileError
+from rslogic.errors import AutomatonError, CompileError, FunctionalityError
 from rslogic.numeration import RELATIONS, _trivial, linear_atom
+from rslogic.synchronized import SYNC_TABLE_PADDING, _track_positions
 
 
 def build_compare(rel: str, system: NumberSystem, names=("x", "y")) -> MultiTrackAutomaton:
@@ -116,3 +120,61 @@ def _const_mul_chain(c: int, system: NumberSystem) -> MultiTrackAutomaton:
         add = build_add(system, ("a", "b", "c")).renamed({"a": "mid", "b": "in", "c": "out"})
         step = product(prev, add, OP_AND)
     return minimize(project(step, "mid"))
+
+
+def plain_sync_table(automaton, count, input_track=None, output_track=None):
+    """Outputs for every input below count, visiting every input prefix."""
+    pos_in, pos_out = _track_positions(automaton, input_track, output_track)
+    b_in = automaton.tracks[pos_in].base
+    b_out = automaton.tracks[pos_out].base
+    width = len(to_digits(count - 1, b_in)) if count > 1 else 1
+    total = width + SYNC_TABLE_PADDING
+    accepting = automaton.accepting
+    live = coreachable(automaton.matrix, automaton.accepting)
+    # move: move[q][d_in] -> list of (successor, d_out), dead ends dropped
+    pair = [0, 0]
+    move = []
+    for q in range(automaton.n_states):
+        rows = []
+        for d_in in range(b_in):
+            pair[pos_in] = d_in
+            row = []
+            for d_out in range(b_out):
+                pair[pos_out] = d_out
+                dest = automaton.matrix[q][automaton.symbol_index(tuple(pair))]
+                if dest in live:
+                    row.append((dest, d_out))
+            rows.append(row)
+        move.append(rows)
+
+    values = [None] * count
+
+    def descend(pos, prefix, frontier):
+        if pos == total:
+            found = {y for q, y in frontier if q in accepting}
+            if len(found) != 1:
+                raise FunctionalityError(
+                    f"{sorted(found)} accepted for input {prefix}"
+                )
+            values[prefix] = found.pop()
+            return
+        remaining = total - pos - 1
+        span = b_in**remaining
+        digit_range = range(b_in) if pos >= SYNC_TABLE_PADDING else (0,)
+        for d_in in digit_range:
+            lo = (prefix * b_in + d_in) * span
+            if lo >= count:
+                break
+            new = set()
+            for q, y in frontier:
+                for dest, d_out in move[q][d_in]:
+                    new.add((dest, y * b_out + d_out))
+            if new:
+                descend(pos + 1, prefix * b_in + d_in, new)
+
+    if count > 0:
+        descend(0, 0, {(automaton.initial, 0)})
+    missing = [i for i, v in enumerate(values) if v is None]
+    if missing:
+        raise FunctionalityError(f"no accepted output for inputs {missing[:5]}")
+    return values

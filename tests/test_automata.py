@@ -18,7 +18,6 @@ from rslogic.automata import (
     complement,
     coreachable,
     decode_word,
-    determinize,
     encode_values,
     find_witness,
     from_digits,

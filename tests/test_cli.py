@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from rslogic.cli import main
 
 
@@ -107,6 +105,15 @@ def test_run_script_error_paths(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "broken: error:" in out
     assert "fine: TRUE" in out
+
+
+def test_run_rejects_a_script_that_is_not_utf8(tmp_path, capsys):
+    script = tmp_path / "script.txt"
+    script.write_bytes(b"\xff\xfe")
+    assert main(["run", str(script)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {script}:")
+    assert "Traceback" not in err
 
 
 def test_suite_filter(capsys):

@@ -4,14 +4,12 @@ import itertools
 
 import pytest
 
-from rslogic.automata import NumberSystem, from_regex, language_equal
+from rslogic.automata import NumberSystem, from_regex
 from rslogic.errors import BaseMismatchError, CompileError, FormulaParseError
 from rslogic.logic import Environment, compile_formula, decide, find_counterexample
 from rslogic.parser import (
     Apply,
     BinOp,
-    Compare,
-    Not,
     OutputTest,
     Quantified,
     parse_formula,

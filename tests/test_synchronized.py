@@ -1,8 +1,10 @@
 """Guess-and-verify for the running-sum automata."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rslogic.automata import NumberSystem
+from rslogic.automata import MultiTrackAutomaton, NumberSystem, Track
 from rslogic.errors import FunctionalityError, GuessFailedError
 from rslogic.numeration import linear_atom
 from rslogic.logic import Environment
@@ -26,6 +28,8 @@ from rslogic.synchronized import (
     verify_sync_s,
     verify_sync_t,
 )
+
+from builders import plain_sync_table
 
 M4 = NumberSystem(4)
 M2 = NumberSystem(2)
@@ -72,6 +76,156 @@ def test_sync_table_matches_oracle(rss, rst):
     assert table == [partial_sum_by_recurrence(n) for n in range(1 << 14)]
     table = sync_table(rst, 1 << 14)
     assert table == [alternating_sum_by_recurrence(n) for n in range(1 << 14)]
+
+
+def _two_track(b_in, b_out, input_first, n_states, initial, accepting, move):
+    """Input track n and output track y (or a, which sorts before n).
+
+    move(q, d_in, d_out) gives the successor of state q.
+    """
+    out_name = "y" if input_first else "a"
+    tracks = sorted(
+        [Track("n", NumberSystem(b_in)), Track(out_name, NumberSystem(b_out))],
+        key=lambda t: t.name,
+    )
+    matrix = []
+    for q in range(n_states):
+        row = []
+        for first in range(tracks[0].base):
+            for second in range(tracks[1].base):
+                d_in, d_out = (first, second) if input_first else (second, first)
+                row.append(move(q, d_in, d_out))
+        matrix.append(row)
+    return MultiTrackAutomaton(tracks, n_states, initial, accepting, matrix)
+
+
+@st.composite
+def two_track_dfas(draw):
+    """Complete two-track DFAs: input base 2-4, output base 2-3, <= 8 states.
+
+    A third are unconstrained and mostly end in FunctionalityError.  The
+    rest compute y from n, so that tables exist and blocks are reused:
+
+    - lookahead: a Mealy machine on states 0..k-1 emits out(q, d) for input
+      digit d, and y's digit at each position is what it emits at the next
+      one, so the automaton guesses it and checks it one step later.  Some
+      (state, digit) pairs are cut off, so inputs go missing too.
+    - two branches: one input DFA with two output functions; y follows
+      branch 1 where the DFA ends in S and branch 2 elsewhere.  Once the
+      branches have emitted different digits, both stay in the frontier
+      with a gap in y that the states do not record, which is what the
+      offsets in the memo key are for.
+    """
+    b_in = draw(st.integers(2, 4))
+    b_out = draw(st.integers(2, 3))
+    input_first = draw(st.booleans())
+    family = draw(st.sampled_from(["free", "lookahead", "branches"]))
+    if family == "free":
+        n = draw(st.integers(1, 7))
+        size = n * b_in * b_out
+        targets = draw(st.lists(st.integers(0, n), min_size=size, max_size=size))
+        accepting = draw(st.sets(st.integers(0, n)))
+
+        def move(q, d_in, d_out):
+            return n if q == n else targets[(q * b_in + d_in) * b_out + d_out]
+
+        initial = draw(st.integers(0, n))
+        return _two_track(b_in, b_out, input_first, n + 1, initial, accepting, move)
+    digit_out = st.integers(0, b_out - 1)
+    if family == "lookahead":
+        k = draw(st.integers(1, 7 // b_out))
+        mealy = draw(
+            st.lists(
+                st.tuples(st.integers(0, k - 1), digit_out, st.booleans()),
+                min_size=k * b_in,
+                max_size=k * b_in,
+            )
+        )
+        mealy[0] = (0, 0, True)  # leading zeros leave the start state (0, 0) alone
+        final = draw(st.lists(digit_out, min_size=k, max_size=k))
+        sink = k * b_out
+
+        def move(q, d_in, d_out):
+            if q == sink:
+                return sink
+            state, owed = divmod(q, b_out)
+            nxt, emitted, kept = mealy[state * b_in + d_in]
+            return nxt * b_out + d_out if kept and emitted == owed else sink
+
+        accepting = {q * b_out + final[q] for q in range(k)}
+        return _two_track(b_in, b_out, input_first, sink + 1, 0, accepting, move)
+    # states: 3*q for both branches alive, 3*q+1 branch 1 only, 3*q+2 branch 2 only
+    k = draw(st.integers(1, 2))
+    step = st.tuples(st.integers(0, k - 1), digit_out, digit_out)
+    steps = draw(st.lists(step, min_size=k * b_in, max_size=k * b_in))
+    steps[0] = (0, 0, 0)  # leading zeros leave the start state alone
+    chosen = draw(st.sets(st.integers(0, k - 1)))
+    sink = 3 * k
+
+    def move(q, d_in, d_out):
+        if q == sink:
+            return sink
+        state, alive = divmod(q, 3)
+        nxt, out1, out2 = steps[state * b_in + d_in]
+        keep1 = alive != 2 and d_out == out1
+        keep2 = alive != 1 and d_out == out2
+        if not (keep1 or keep2):
+            return sink
+        return 3 * nxt + (0 if keep1 and keep2 else 1 if keep1 else 2)
+
+    accepting = {3 * q for q in range(k)}
+    accepting |= {3 * q + (1 if q in chosen else 2) for q in range(k)}
+    return _two_track(b_in, b_out, input_first, sink + 1, 0, accepting, move)
+
+
+def _table_or_error(table, automaton, count):
+    try:
+        return table(automaton, count, input_track="n")
+    except FunctionalityError as exc:
+        return ("FunctionalityError", str(exc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(two_track_dfas(), st.integers(0, 300))
+def test_sync_table_equals_plain_walk(automaton, count):
+    assert _table_or_error(sync_table, automaton, count) == _table_or_error(
+        plain_sync_table, automaton, count
+    )
+
+
+def test_sync_table_names_an_ambiguous_input():
+    # y is 0 or 1 whatever n is: state 0 has read only 0s of y, state 1
+    # has read a final 1, state 2 is dead
+    def move(q, d_in, d_out):
+        return d_out if q == 0 else 2
+
+    both = _two_track(2, 2, True, 3, 0, {0, 1}, move)
+    with pytest.raises(FunctionalityError, match=r"^\[0, 1\] accepted for input 0$"):
+        sync_table(both, 300, input_track="n")
+
+
+def test_sync_table_names_the_first_missing_inputs():
+    # y = n where n has no two adjacent binary 1s; other inputs die
+    def move(q, d_in, d_out):
+        if q == 2 or d_in != d_out or (q == 1 and d_in == 1):
+            return 2
+        return d_in
+
+    fibbinary = _two_track(2, 2, True, 3, 0, {0, 1}, move)
+    message = r"^no accepted output for inputs \[3, 6, 7, 11, 12\]$"
+    with pytest.raises(FunctionalityError, match=message):
+        sync_table(fibbinary, 300, input_track="n")
+    none = linear_atom({"n": 1, "y": 1}, "<", 0, M2)  # empty
+    with pytest.raises(FunctionalityError, match=r"inputs \[0, 1, 2, 3, 4\]$"):
+        sync_table(none, 300, input_track="n")
+
+
+def test_guess_with_input_track_sorted_last():
+    # "a" sorts before "n", so guess_sync transposes its digit-pair table
+    machine = guess_sync(partial_sum_by_recurrence, names=("n", "a"))
+    assert [t.name for t in machine.tracks] == ["a", "n"]
+    assert verify_sync_s(machine.renamed({"a": "x"}))
+    assert sync_table(machine, 2**14, input_track="n") == partial_sums(2**14)
 
 
 def test_sync_eval_rejects_relations_that_are_not_functions():
