@@ -370,17 +370,23 @@ def verify_sync(automaton, sign_dfao, rule, base_value, input_track=None, output
     return VerifyOutcome(all(c.passed for c in outcomes), outcomes)
 
 
-def verify_sync_s(candidate):
+def verify_sync_s(candidate, input_track=None, output_track=None):
     """Prove candidate computes the running sum of the base-4 sign table.
 
-    Falsy on failure; the outcome's failures() carry concrete witnesses.
+    input_track names the argument track (default: the first) and
+    output_track the value track (default: the other one).  Falsy on
+    failure; the outcome's failures() carry concrete witnesses.
     """
-    return verify_sync(candidate, rudin_shapiro_dfao4(), "sum", 1)
+    return verify_sync(
+        candidate, rudin_shapiro_dfao4(), "sum", 1, input_track, output_track
+    )
 
 
-def verify_sync_t(candidate):
+def verify_sync_t(candidate, input_track=None, output_track=None):
     """As verify_sync_s with the parity-weighted step (alternating sum)."""
-    return verify_sync(candidate, rudin_shapiro_dfao4(), "alt", 1)
+    return verify_sync(
+        candidate, rudin_shapiro_dfao4(), "alt", 1, input_track, output_track
+    )
 
 
 def define_derived_sync(env, name, formula):

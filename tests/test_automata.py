@@ -276,6 +276,21 @@ def test_serialization_roundtrip():
         assert back.to_text() == m.to_text()
 
 
+def test_from_text_completes_missing_transitions_with_a_sink():
+    # leave out every transition into the dead state 1: a fresh rejecting
+    # sink takes their place and the language stays the same
+    full = equality_automaton()
+    text = full.to_text()
+    partial = "".join(ln for ln in text.splitlines(keepends=True) if not ln.endswith("-> 1\n"))
+    assert partial.count("->") == 2
+    back = MultiTrackAutomaton.from_text(partial, names=["x", "y"])
+    assert back.n_states == 3
+    assert 2 not in back.accepting and back.matrix[2] == [2, 2, 2, 2]
+    for length in range(5):
+        for word in itertools.product(full.alphabet, repeat=length):
+            assert back.accepts(list(word)) == full.accepts(list(word)), word
+
+
 def test_determinize_subset_construction():
     nfa = from_regex(["msd_2"], "(0|1)*1(0|1)")  # second to last digit is 1
     values = {n for n in range(256) if len(to_digits(n, 2)) >= 2 and to_digits(n, 2)[-2] == 1}

@@ -89,11 +89,13 @@ def test_run_script(tmp_path, capsys):
     script.write_text(
         'def half "Ek (n=2*k & m=k)":\n'
         'eval halves_below "Am,n $half(m,n) => 2*m<=n":\n'
+        'eval gfunc n "i<n":\n'
     )
     assert main(["run", str(script)]) == 0
     out = capsys.readouterr().out
     assert "half: automaton" in out
     assert "halves_below: TRUE" in out
+    assert "gfunc: linear representation of rank 2" in out
 
 
 def test_run_script_error_paths(tmp_path, capsys):

@@ -28,6 +28,7 @@ from rslogic.synchronized import (
     verify_sync_s,
     verify_sync_t,
 )
+from rslogic.toolkit import _shipped_text
 
 from builders import plain_sync_table
 
@@ -37,12 +38,18 @@ M2 = NumberSystem(2)
 
 @pytest.fixture(scope="module")
 def rss():
-    return guess_sync(partial_sum_by_recurrence, names=("n", "x"))
+    return guess_sync(partial_sum_by_recurrence, 2**14, 64, names=("n", "x"))
 
 
 @pytest.fixture(scope="module")
 def rst():
-    return guess_sync(alternating_sum_by_recurrence, names=("n", "x"))
+    return guess_sync(alternating_sum_by_recurrence, 2**14, 64, names=("n", "x"))
+
+
+def test_guess_reproduces_the_shipped_machines(rss, rst):
+    # standard_environment proves the shipped text; guessing must still give it
+    assert rss.to_text() == _shipped_text("rss")
+    assert rst.to_text() == _shipped_text("rst")
 
 
 def test_guess_shape(rss, rst):
@@ -224,8 +231,10 @@ def test_guess_with_input_track_sorted_last():
     # "a" sorts before "n", so guess_sync transposes its digit-pair table
     machine = guess_sync(partial_sum_by_recurrence, names=("n", "a"))
     assert [t.name for t in machine.tracks] == ["a", "n"]
-    assert verify_sync_s(machine.renamed({"a": "x"}))
+    assert verify_sync_s(machine, input_track="n")
     assert sync_table(machine, 2**14, input_track="n") == partial_sums(2**14)
+    alternating = guess_sync(alternating_sum_by_recurrence, names=("n", "a"))
+    assert verify_sync_t(alternating, input_track="n")
 
 
 def test_sync_eval_rejects_relations_that_are_not_functions():

@@ -2,7 +2,10 @@
 
 import pytest
 
+from rslogic import toolkit
+from rslogic.automata import MultiTrackAutomaton
 from rslogic.errors import GuessFailedError
+from rslogic.logic import Environment
 from rslogic.synchronized import accepting_bit_mutations
 from rslogic.toolkit import (
     check_curve,
@@ -53,6 +56,20 @@ def test_suite_table_mentions_every_check(corpus):
     table = report.table()
     assert "curvecheck3" in table and "expected FALSE, got FALSE" in table
     assert table.count("\n") == len(report.rows) - 1
+
+
+def test_suite_reports_engine_errors_as_rows():
+    # without RS4, rss and rst most rows cannot compile; every error becomes a
+    # failing row of its own kind and none escapes run_suite
+    report = run_suite(Environment())
+    assert len(report.rows) == 100
+    assert {row.kind for row in report.failures()} == {"sentence", "automaton", "counting", "def"}
+    for name in ("test1", "min_rss", "satz22"):
+        assert report.row(name).actual == "unknown relation 'rss'", name
+    assert report.row("satz22_rank").actual == "missing"
+    for name in ("satz22_matches_gfunc", "counta1_matches_counta2", "countb1_matches_countb2"):
+        row = report.row(name)
+        assert not row.ok and row.actual == "nonzero", name
 
 
 def test_mutated_machine_fails_suite():
@@ -161,7 +178,26 @@ def test_svg_is_a_polyline(tmp_path):
     assert "viewBox" in text
 
 
-def test_environment_requires_verification():
-    # candidates that cannot be verified never make it into the environment
-    with pytest.raises(GuessFailedError):
-        standard_environment(sample_bound=16)
+def test_environment_requires_verification(monkeypatch):
+    # a shipped machine with one accepting bit flipped never enters the environment
+    shipped = {name: toolkit._shipped_text(name) for name in ("rss", "rst")}
+    mutants = 0
+    for name, text in shipped.items():
+        machine = MultiTrackAutomaton.from_text(text, names=("n", "x"))
+        for _, mutant in accepting_bit_mutations(machine):
+            served = {**shipped, name: mutant.to_text()}
+            monkeypatch.setattr(toolkit, "_shipped_text", served.__getitem__)
+            with pytest.raises(GuessFailedError, match=f"^{name} candidate failed"):
+                standard_environment()
+            mutants += 1
+    assert mutants == 17
+
+
+def test_shipped_machines_round_trip(corpus):
+    # cli._load_env compares saved files with these texts, so parsing and
+    # printing one must give it back unchanged
+    env, _ = corpus
+    for name in ("rss", "rst"):
+        text = toolkit._shipped_text(name)
+        assert MultiTrackAutomaton.from_text(text).to_text() == text
+        assert env.relations[name].automaton.to_text() == text
