@@ -164,10 +164,7 @@ class MultiTrackAutomaton:
 
     @property
     def alphabet_size(self) -> int:
-        size = 1
-        for b in self.bases:
-            size *= b
-        return size
+        return _alpha_size(self.tracks)
 
     @property
     def alphabet(self) -> tuple[tuple, ...]:
@@ -176,12 +173,7 @@ class MultiTrackAutomaton:
         return self._alphabet
 
     def symbol_index(self, sym) -> int:
-        idx = 0
-        for d, b in zip(sym, self.bases):
-            if not 0 <= d < b:
-                raise AutomatonError(f"digit tuple {sym} out of range for {self.bases}")
-            idx = idx * b + d
-        return idx
+        return _symbol_index(self.bases, sym)
 
     def step(self, state: int, sym) -> int:
         return self.matrix[state][self.symbol_index(sym)]
@@ -211,38 +203,14 @@ class MultiTrackAutomaton:
         """Rename tracks and restore sorted-by-name track order.
 
         Renaming two tracks to the same name intersects them with the
-        diagonal: only tuples whose merged components agree survive, others
-        are redirected to a fresh rejecting sink.
+        diagonal: the result reads the merged track's digit on both.
         """
-        new_names = [mapping.get(t.name, t.name) for t in self.tracks]
-        merged: dict[str, NumberSystem] = {}
-        for name, tr in zip(new_names, self.tracks):
-            if name in merged and merged[name] != tr.system:
-                raise BaseMismatchError(
-                    f"cannot merge track {name!r} across bases "
-                    f"{merged[name]} and {tr.system}"
-                )
-            merged[name] = tr.system
-        out_tracks = tuple(
-            Track(name, merged[name]) for name in sorted(merged)
-        )
-        # source tuple positions feeding each output track; a name shared by
-        # several positions receives the same digit on all of them, which is
-        # exactly the diagonal restriction
-        sources = {name: [i for i, n in enumerate(new_names) if n == name] for name in merged}
-        out_alpha = tuple(
-            itertools.product(*(range(t.base) for t in out_tracks))
-        )
-        src_index = []
-        for sym in out_alpha:
-            digits = [0] * len(self.tracks)
-            for value, track in zip(sym, out_tracks):
-                for pos in sources[track.name]:
-                    digits[pos] = value
-            src_index.append(self.symbol_index(tuple(digits)))
-        matrix = [
-            [self.matrix[q][j] for j in src_index] for q in range(self.n_states)
-        ]
+        parts = [Track(mapping.get(t.name, t.name), t.system) for t in self.tracks]
+        out_tracks = _merge_tracks(parts)
+        # a name shared by several source tracks feeds all of them the same
+        # digit, which is exactly the diagonal restriction
+        src_index = _projection_table(out_tracks, parts)
+        matrix = [[row[j] for j in src_index] for row in self.matrix]
         return MultiTrackAutomaton(
             out_tracks, self.n_states, self.initial, self.accepting, matrix
         )
@@ -274,17 +242,17 @@ class MultiTrackAutomaton:
         if names is None:
             names = [f"t{i}" for i in range(len(systems))]
         tracks = tuple(Track(n, s) for n, s in zip(names, systems))
-        shell = cls(tracks, 1, 0, frozenset(), [[0] * _alpha_size(tracks)])
+        bases = tuple(s.base for s in systems)
 
         def symbol_of(digits):
             sym = () if digits == ["-"] else tuple(int(d) for d in digits)
             if len(sym) != len(tracks):
                 raise AutomatonError(f"expected {len(tracks)} digits")
-            return shell.symbol_index(sym)
+            return _symbol_index(bases, sym)
 
         outputs, trans, _ = _parse_state_lines(lines[1:], symbol_of)
         n = len(outputs)
-        width = shell.alphabet_size
+        width = _alpha_size(tracks)
         matrix = [[None] * width for _ in range(n)]
         for (q, j), q2 in trans.items():
             matrix[q][j] = q2
@@ -348,10 +316,21 @@ def _parse_state_lines(lines, symbol_of):
 
 
 def _alpha_size(tracks) -> int:
+    """Number of digit tuples over ``tracks``."""
     size = 1
     for t in tracks:
         size *= t.base
     return size
+
+
+def _symbol_index(bases, sym) -> int:
+    """Index of a digit tuple: mixed radix, the first track most significant."""
+    idx = 0
+    for d, b in zip(sym, bases):
+        if not 0 <= d < b:
+            raise AutomatonError(f"digit tuple {sym} out of range for {bases}")
+        idx = idx * b + d
+    return idx
 
 
 class Nfa:
@@ -373,10 +352,6 @@ class Nfa:
         self.trans = trans
 
     @property
-    def bases(self):
-        return tuple(t.base for t in self.tracks)
-
-    @property
     def alphabet_size(self):
         return _alpha_size(self.tracks)
 
@@ -388,25 +363,32 @@ OP_IMPLIES = lambda x, y: (not x) or y
 OP_IFF = lambda x, y: x == y
 
 
-def _merge_tracks(a_tracks, b_tracks):
+def _merge_tracks(tracks):
+    """One track per name, in sorted name order; a name keeps one base."""
     by_name: dict[str, NumberSystem] = {}
-    for t in list(a_tracks) + list(b_tracks):
-        if t.name in by_name:
-            if by_name[t.name] != t.system:
-                raise BaseMismatchError(
-                    f"track {t.name!r} used with both {by_name[t.name]} and {t.system}"
-                )
-        else:
-            by_name[t.name] = t.system
+    for t in tracks:
+        if by_name.setdefault(t.name, t.system) != t.system:
+            raise BaseMismatchError(
+                f"track {t.name!r} used with both {by_name[t.name]} and {t.system}"
+            )
     return tuple(Track(name, by_name[name]) for name in sorted(by_name))
 
 
 def _projection_table(merged, part):
-    """For each merged symbol index, the symbol index seen by ``part``."""
-    # a digit on a part track adds digit * weight; other tracks add nothing
+    """For each symbol index over ``merged``, the symbol index seen by ``part``.
+
+    Tracks are matched by name.  A merged track that ``part`` lacks is
+    ignored; a name that ``part`` repeats gives the merged track's digit to
+    every one of its positions, so ``part`` only sees the diagonal of those
+    positions.  This is the one map between the symbol indices of two track
+    sets: products, projections, renamings, counting and function tables all
+    read their alphabets through it.
+    """
+    # a digit on a part track adds digit * weight, summed over the positions
+    # carrying its name; other tracks add nothing
     weight, w = {}, 1
     for t in reversed(part):
-        weight[t.name] = w
+        weight[t.name] = weight.get(t.name, 0) + w
         w *= t.base
     table = [0]
     for t in merged:
@@ -441,7 +423,7 @@ def product(a: MultiTrackAutomaton, b: MultiTrackAutomaton, op) -> MultiTrackAut
     does not carry.  ``op`` combines acceptance of the two parts.  Only
     state pairs reachable from the initial pair are materialized.
     """
-    merged = _merge_tracks(a.tracks, b.tracks)
+    merged = _merge_tracks(a.tracks + b.tracks)
     pairs = list(zip(_projection_table(merged, a.tracks), _projection_table(merged, b.tracks)))
     # a state pair (qa, qb) is keyed by the integer qa * nb + qb; a's rows
     # are scaled by nb once so that a key is one addition
@@ -692,12 +674,9 @@ class _Frag:
 
 
 class _RegexBuilder:
-    def __init__(self, tracks):
-        self.tracks = tuple(tracks)
+    def __init__(self):
         self.n = 0
         self.edges: dict[int, list[tuple[int | None, int]]] = {}
-        shell_bases = [t.base for t in self.tracks]
-        self.bases = shell_bases
 
     def new_state(self):
         q = self.n
@@ -708,18 +687,20 @@ class _RegexBuilder:
     def add_edge(self, src, sym, dst):
         self.edges[src].append((sym, dst))
 
-    def symbol_index(self, digits):
-        idx = 0
-        for d, b in zip(digits, self.bases):
-            if not 0 <= d < b:
-                raise RegexError(f"digit tuple {digits} out of range for bases {self.bases}")
-            idx = idx * b + d
-        return idx
 
+def _parse_regex(text: str, bases):
+    """Parse into an AST of ('sym', index) / ('cat'|'alt', l, r) / ('star', x) / ('eps',).
 
-def _parse_regex(text: str, n_tracks: int):
-    """Parse into an AST of ('sym', digits) / ('cat'|'alt', l, r) / ('star', x) / ('eps',)."""
+    A tuple literal is read as its symbol index over ``bases``.
+    """
     pos = 0
+    n_tracks = len(bases)
+
+    def symbol(digits):
+        try:
+            return ("sym", _symbol_index(bases, digits))
+        except AutomatonError:
+            raise RegexError(f"digit tuple {digits} out of range for bases {bases}") from None
 
     def peek():
         nonlocal pos
@@ -788,14 +769,14 @@ def _parse_regex(text: str, n_tracks: int):
                 raise RegexError(
                     f"tuple literal {digits} has {len(digits)} digits, expected {n_tracks}"
                 )
-            return ("sym", tuple(digits))
+            return symbol(tuple(digits))
         if c.isdigit():
             if n_tracks != 1:
                 raise RegexError(
                     "bare digits are only allowed for single-track patterns; use [..] tuples"
                 )
             pos += 1
-            return ("sym", (int(c),))
+            return symbol((int(c),))
         raise RegexError(f"unexpected character {c!r} in pattern {text!r}")
 
     node = parse_alt()
@@ -811,7 +792,7 @@ def _thompson(builder: _RegexBuilder, node) -> _Frag:
         return _Frag(q, [q])
     if kind == "sym":
         q1, q2 = builder.new_state(), builder.new_state()
-        builder.add_edge(q1, builder.symbol_index(node[1]), q2)
+        builder.add_edge(q1, node[1], q2)
         return _Frag(q1, [q2])
     if kind == "cat":
         left = _thompson(builder, node[1])
@@ -852,8 +833,8 @@ def from_regex(systems, pattern: str, names=None) -> MultiTrackAutomaton:
     if names is None:
         names = [f"t{i}" for i in range(len(parsed))]
     tracks = [Track(n, s) for n, s in zip(names, parsed)]
-    builder = _RegexBuilder(tracks)
-    frag = _thompson(builder, _parse_regex(pattern, len(tracks)))
+    builder = _RegexBuilder()
+    frag = _thompson(builder, _parse_regex(pattern, [t.base for t in tracks]))
     final = builder.new_state()
     for out in frag.outs:
         builder.add_edge(out, _EPS, final)

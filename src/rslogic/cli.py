@@ -12,11 +12,13 @@ from __future__ import annotations
 import argparse
 import fnmatch
 import json
+import re
 import sys
 from pathlib import Path
 
 from .automata import MultiTrackAutomaton, OutputAutomaton
-from .errors import EngineError
+from .errors import EngineError, FormulaParseError
+from .parser import NAME_PATTERN, Command
 from .sequences import (
     alternating_sum_by_recurrence,
     alternating_sums,
@@ -197,15 +199,17 @@ def cmd_run(args):
 
 def cmd_eval(args):
     env = _load_env(args)
-    (result,) = env.run_script(f'eval it "{args.query}":')
+    result = env.run_command(Command("eval", "it", [], args.query))
     print(_describe(result))
     _save_env(env, args)
     return 0
 
 
 def cmd_def(args):
+    if not re.fullmatch(NAME_PATTERN, args.name):
+        raise FormulaParseError(f"{args.name!r} is not a relation name")
     env = _load_env(args)
-    (result,) = env.run_script(f'def {args.name} "{args.formula}":')
+    result = env.run_command(Command("def", args.name, [], args.formula))
     print(f"{args.name}: {_describe(result)}")
     _save_env(env, args)
     return 0

@@ -11,11 +11,10 @@ a minimal representation can carry non-integer entries.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .automata import coreachable, reachable, to_digits
+from .automata import _alpha_size, _projection_table, coreachable, reachable, to_digits
 from .errors import CompileError, DivergenceError
 
 
@@ -54,51 +53,36 @@ def count_representation(automaton, params):
     missing = [p for p in params if p not in names]
     if missing:
         raise CompileError(f"listed parameters {missing} are not free variables")
-    listed = [names.index(p) for p in params]
-    counted = [i for i in range(len(names)) if names[i] not in params]
+    if len(set(params)) != len(params):
+        raise CompileError(f"listed parameters {list(params)} repeat a name")
+    listed = [automaton.tracks[names.index(p)] for p in params]
+    systems = [t.system for t in listed]
+    width = _alpha_size(listed)
 
     keep = coreachable(automaton.matrix, automaton.accepting).intersection(
         reachable(automaton.matrix, automaton.initial)
     )
     if not keep:
-        zero = [[0]]
-        return LinearRepresentation(
-            [0],
-            [zero for _ in _listed_symbols(automaton, listed)],
-            [0],
-            [automaton.tracks[i].system for i in listed],
-        )
-    rename = {q: i for i, q in enumerate(sorted(keep))}
-    size = len(keep)
+        return LinearRepresentation([0], [[[0]]] * width, [0], systems)
+    order = sorted(keep)
+    rename = {q: i for i, q in enumerate(order)}
+    size = len(order)
 
-    gammas = []
-    for listed_digits in _listed_symbols(automaton, listed):
-        matrix = [[0] * size for _ in range(size)]
-        for counted_digits in itertools.product(
-            *(range(automaton.tracks[i].base) for i in counted)
-        ):
-            sym = [0] * len(names)
-            for i, d in zip(listed, listed_digits):
-                sym[i] = d
-            for i, d in zip(counted, counted_digits):
-                sym[i] = d
-            idx = automaton.symbol_index(tuple(sym))
-            for q in keep:
-                dest = automaton.matrix[q][idx]
-                if dest in keep:
-                    matrix[rename[q]][rename[dest]] += 1
-        gammas.append(matrix)
+    # every symbol adds one to the entry (q, dest) of the gamma of the
+    # listed digits it carries, so unlisted digits are summed out
+    gammas = [[[0] * size for _ in range(size)] for _ in range(width)]
+    listed_index = _projection_table(automaton.tracks, listed)
+    for q in order:
+        i = rename[q]
+        for g, dest in zip(listed_index, automaton.matrix[q]):
+            k = rename.get(dest)
+            if k is not None:
+                gammas[g][i][k] += 1
 
     initial = [0] * size
     initial[rename[automaton.initial]] = 1
-    final = [1 if q in automaton.accepting else 0 for q in sorted(keep)]
-    return LinearRepresentation(
-        initial, gammas, final, [automaton.tracks[i].system for i in listed]
-    )
-
-
-def _listed_symbols(automaton, listed):
-    return itertools.product(*(range(automaton.tracks[i].base) for i in listed))
+    final = [1 if q in automaton.accepting else 0 for q in order]
+    return LinearRepresentation(initial, gammas, final, systems)
 
 
 def _mat_vec(matrix, vec):

@@ -16,6 +16,7 @@ from .automata import (
     MultiTrackAutomaton,
     NumberSystem,
     Track,
+    _alpha_size,
     complement,
     determinize,
     minimize,
@@ -29,11 +30,8 @@ RELATIONS = ("=", "!=", "<", "<=", ">", ">=")
 
 
 def _trivial(tracks, truth: bool) -> MultiTrackAutomaton:
-    size = 1
-    for t in tracks:
-        size *= t.base
     return MultiTrackAutomaton(
-        tuple(tracks), 1, 0, {0} if truth else set(), [[0] * size]
+        tuple(tracks), 1, 0, {0} if truth else set(), [[0] * _alpha_size(tracks)]
     )
 
 

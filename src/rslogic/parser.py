@@ -35,6 +35,7 @@ __all__ = [
     "BinOp",
     "Quantified",
     "Command",
+    "NAME_PATTERN",
     "parse_formula",
     "parse_script",
 ]
@@ -106,10 +107,13 @@ class Command:
     source: str = ""
 
 
+# a variable, relation or command name
+NAME_PATTERN = r"[A-Za-z_][A-Za-z0-9_']*"
+
 _TOKEN = re.compile(
     r"""\s*(?:
         (?P<annot>\?msd_\d+)
-      | (?P<name>[A-Za-z_][A-Za-z0-9_']*)
+      | (?P<name>""" + NAME_PATTERN + r""")
       | (?P<int>\d+)
       | (?P<op><=>|=>|<=|>=|!=|[-+*=<>()\[\],@$~&|])
     )""",
@@ -356,8 +360,8 @@ def _strip_comments(text: str) -> str:
 
 _COMMAND = re.compile(
     r"""(?P<kind>def|eval|reg)\s+
-        (?P<name>[A-Za-z_][A-Za-z0-9_']*)
-        (?P<params>(?:\s+[A-Za-z_][A-Za-z0-9_']*)*)\s*
+        (?P<name>""" + NAME_PATTERN + r""")
+        (?P<params>(?:\s+""" + NAME_PATTERN + r""")*)\s*
         "(?P<body>[^"]*)"\s*:?""",
     re.VERBOSE,
 )

@@ -17,11 +17,12 @@ from .automata import (
     MultiTrackAutomaton,
     NumberSystem,
     Track,
+    _projection_table,
     coreachable,
     minimize,
     to_digits,
 )
-from .errors import FunctionalityError, GuessFailedError
+from .errors import AutomatonError, FunctionalityError, GuessFailedError
 from .logic import Environment, compile_formula, find_counterexample
 from .sequences import rudin_shapiro_dfao4
 
@@ -39,34 +40,31 @@ __all__ = [
 ]
 
 
-def guess_sync(
-    oracle,
-    sample_bound=2**14,
-    state_cap=64,
-    input_system=None,
-    output_system=None,
-    names=("n", "y"),
-    probe_depth=4,
-):
+# guess_sync reads n in base 4 and writes the value in base 2, and tells
+# prefixes apart by their completions up to this many digits
+GUESS_INPUT = NumberSystem(4)
+GUESS_OUTPUT = NumberSystem(2)
+PROBE_DEPTH = 4
+
+
+def guess_sync(oracle, sample_bound=2**14, state_cap=64, *, names=("n", "y")):
     """Candidate automaton for {(n, oracle(n))}, tracks named ``names``.
 
-    States are prefix-value pairs (N, X) identified by their probe
-    signature: for every suffix length r <= probe_depth and every input
-    suffix M below sample_bound, the output suffix that would complete an
-    accepted word, if any.  Equal signatures are merged, so the result is
-    only a candidate until verify_sync accepts it.  A candidate that
-    cannot even reproduce the sample raises GuessFailedError; growing past
-    state_cap does too.
+    The input track ``names[0]`` reads n in GUESS_INPUT and the output track
+    ``names[1]`` reads oracle(n) in GUESS_OUTPUT; the result's tracks are in
+    sorted name order.  States are prefix-value pairs (N, X) identified by
+    their probe signature: for every suffix length r <= PROBE_DEPTH and
+    every input suffix M below sample_bound, the output suffix that would
+    complete an accepted word, if any.  Equal signatures are merged, so the
+    result is only a candidate until verify_sync accepts it.  A candidate
+    that cannot even reproduce the sample raises GuessFailedError; growing
+    past state_cap does too.
     """
-    if input_system is None:
-        input_system = NumberSystem(4)
-    if output_system is None:
-        output_system = NumberSystem(2)
-    b_in, b_out = input_system.base, output_system.base
+    b_in, b_out = GUESS_INPUT.base, GUESS_OUTPUT.base
 
     def signature(N, X):
         rows = []
-        for r in range(probe_depth + 1):
+        for r in range(PROBE_DEPTH + 1):
             scale_out = b_out**r
             base_in = N * b_in**r
             row = []
@@ -113,19 +111,11 @@ def guess_sync(
         q for q, (N, X) in enumerate(reps) if N < sample_bound and oracle(N) == X
     )
     in_name, out_name = names
-    tracks = sorted(
-        [Track(in_name, input_system), Track(out_name, output_system)],
-        key=lambda t: t.name,
+    # the table is built with the input track first; renamed sorts the tracks
+    tracks = (Track(in_name, GUESS_INPUT), Track(out_name, GUESS_OUTPUT))
+    candidate = minimize(
+        MultiTrackAutomaton(tracks, len(reps), 0, accepting, matrix).renamed({})
     )
-    if tracks[0].name == in_name:
-        table = matrix
-    else:
-        # alphabet order follows sorted tracks, so transpose the digit pair
-        table = [
-            [row[d_in * b_out + d_out] for d_out in range(b_out) for d_in in range(b_in)]
-            for row in matrix
-        ]
-    candidate = minimize(MultiTrackAutomaton(tracks, len(reps), 0, accepting, table))
     # the guess must at least reproduce the sample it was built from
     try:
         found = sync_table(candidate, sample_bound, input_track=in_name)
@@ -140,14 +130,42 @@ def guess_sync(
 
 
 def _track_positions(automaton, input_track, output_track):
+    """Positions of the input and output tracks of a two-track relation.
+
+    Either name defaults to the track the other one does not name; with
+    neither given, the first track is the input.
+    """
     names = [t.name for t in automaton.tracks]
     if len(names) != 2:
         raise FunctionalityError(f"expected 2 tracks, found {names}")
     if input_track is None:
-        input_track, output_track = names
-    elif output_track is None:
+        input_track = next(n for n in names if n != output_track)
+    if output_track is None:
         output_track = next(n for n in names if n != input_track)
-    return names.index(input_track), names.index(output_track)
+    if input_track == output_track:
+        raise AutomatonError(f"input and output are both track {input_track!r} of {names}")
+    return automaton.track_index(input_track), automaton.track_index(output_track)
+
+
+def _moves(automaton, pos_in, pos_out):
+    """move[q][d_in]: the (successor, d_out) pairs from q, dead ends dropped."""
+    tracks = automaton.tracks
+    d_ins = _projection_table(tracks, tracks[pos_in : pos_in + 1])
+    d_outs = _projection_table(tracks, tracks[pos_out : pos_out + 1])
+    live = coreachable(automaton.matrix, automaton.accepting)
+    move = []
+    for row in automaton.matrix:
+        rows = [[] for _ in range(tracks[pos_in].base)]
+        for dest, d_in, d_out in zip(row, d_ins, d_outs):
+            if dest in live:
+                rows[d_in].append((dest, d_out))
+        move.append(rows)
+    return move
+
+
+def _step(move, frontier, d_in, b_out):
+    """The (state, y) pairs reached from ``frontier`` on input digit d_in."""
+    return {(dest, y * b_out + d_out) for q, y in frontier for dest, d_out in move[q][d_in]}
 
 
 # Leading zero input digits fed before n, so that an output longer than the
@@ -165,35 +183,19 @@ SYNC_TABLE_PADDING = 2
 def sync_eval(automaton, n, input_track=None, output_track=None):
     """The unique y with (n, y) accepted; FunctionalityError otherwise."""
     pos_in, pos_out = _track_positions(automaton, input_track, output_track)
-    b_in = automaton.tracks[pos_in].base
+    move = _moves(automaton, pos_in, pos_out)
     b_out = automaton.tracks[pos_out].base
-    digits = to_digits(n, b_in)
+    digits = to_digits(n, automaton.tracks[pos_in].base)
     for extra in SYNC_EVAL_PADDINGS:
-        found = _run_frontier(automaton, [0] * extra + digits, pos_in, pos_out, b_in, b_out)
+        frontier = {(automaton.initial, 0)}
+        for d_in in [0] * extra + digits:
+            frontier = _step(move, frontier, d_in, b_out)
+        found = {y for q, y in frontier if q in automaton.accepting}
         if len(found) == 1:
             return found.pop()
         if len(found) > 1:
             raise FunctionalityError(f"{sorted(found)} all accepted for input {n}")
     raise FunctionalityError(f"no accepted output for input {n}")
-
-
-def _run_frontier(automaton, digits, pos_in, pos_out, b_in, b_out):
-    matrix = automaton.matrix
-    live = coreachable(matrix, automaton.accepting)
-    pair = [0, 0]
-    frontier = {(automaton.initial, 0)}
-    for d_in in digits:
-        new = set()
-        pair[pos_in] = d_in
-        for d_out in range(b_out):
-            pair[pos_out] = d_out
-            sym = automaton.symbol_index(tuple(pair))
-            for q, y in frontier:
-                dest = matrix[q][sym]
-                if dest in live:
-                    new.add((dest, y * b_out + d_out))
-        frontier = new
-    return {y for q, y in frontier if q in automaton.accepting}
 
 
 def sync_table(automaton, count, input_track=None, output_track=None):
@@ -218,22 +220,7 @@ def sync_table(automaton, count, input_track=None, output_track=None):
     width = len(to_digits(count - 1, b_in)) if count > 1 else 1
     total = width + SYNC_TABLE_PADDING
     accepting = automaton.accepting
-    live = coreachable(automaton.matrix, automaton.accepting)
-    # move: move[q][d_in] -> list of (successor, d_out), dead ends dropped
-    pair = [0, 0]
-    move = []
-    for q in range(automaton.n_states):
-        rows = []
-        for d_in in range(b_in):
-            pair[pos_in] = d_in
-            row = []
-            for d_out in range(b_out):
-                pair[pos_out] = d_out
-                dest = automaton.matrix[q][automaton.symbol_index(tuple(pair))]
-                if dest in live:
-                    row.append((dest, d_out))
-            rows.append(row)
-        move.append(rows)
+    move = _moves(automaton, pos_in, pos_out)
 
     values = [None] * count
     # key -> (first input of the block walked for it, its shift).  An entry
@@ -275,10 +262,7 @@ def sync_table(automaton, count, input_track=None, output_track=None):
             lo = (prefix * b_in + d_in) * span
             if lo >= count:
                 break
-            new = set()
-            for q, y in frontier:
-                for dest, d_out in move[q][d_in]:
-                    new.add((dest, y * b_out + d_out))
+            new = _step(move, frontier, d_in, b_out)
             if new:
                 descend(pos + 1, prefix * b_in + d_in, new)
         if key is not None:

@@ -393,6 +393,24 @@ def small_dfas(draw, initial_zero=False):
     return MultiTrackAutomaton(tracks, n, initial, draw(st.sets(state)), matrix)
 
 
+@st.composite
+def three_track_renamings(draw):
+    """A complete DFA over tracks x, y, z of one base, and a renaming of them.
+
+    Target names come from a, b, x, y, z, so a renaming may rename, swap,
+    or merge two or all three tracks.
+    """
+    base = draw(st.sampled_from([2, 3]))
+    tracks = tuple(Track(name, NumberSystem(base)) for name in "xyz")
+    n = draw(st.integers(1, 5))
+    state = st.integers(0, n - 1)
+    row = st.lists(state, min_size=base**3, max_size=base**3)
+    matrix = draw(st.lists(row, min_size=n, max_size=n))
+    a = MultiTrackAutomaton(tracks, n, draw(state), draw(st.sets(state)), matrix)
+    targets = draw(st.lists(st.sampled_from("abxyz"), min_size=3, max_size=3))
+    return a, dict(zip("xyz", targets))
+
+
 def _pairs_reached(a, p, b, q, length):
     """Pairs (state of a, state of b) that words up to ``length`` lead (p, q) to.
 
@@ -439,6 +457,27 @@ def test_minimize_has_one_state_per_residual(a):
 def test_minimize_is_idempotent(a):
     m = minimize(a)
     assert minimize(m).to_text() == m.to_text()
+
+
+@settings(max_examples=80, deadline=None)
+@given(three_track_renamings())
+def test_renamed_reads_each_source_track_from_its_new_name(case):
+    a, mapping = case
+    r = a.renamed(mapping)
+    assert [t.name for t in r.tracks] == sorted(set(mapping.values()))
+    # source track i reads the digit of the renamed track it maps to
+    where = [r.track_index(mapping[t.name]) for t in a.tracks]
+
+    def source(sym):
+        return tuple(sym[i] for i in where)
+
+    # every word up to length 4, one (state of r, state of a) pair per class
+    level = {(r.initial, a.initial)}
+    seen = set(level)
+    for _ in range(4):
+        level = {(r.step(x, sym), a.step(y, source(sym))) for x, y in level for sym in r.alphabet}
+        seen |= level
+    assert _agree(r, a, seen)
 
 
 def _exists_accepted(a, pos, word):

@@ -31,6 +31,20 @@ def test_eval_unknown_name_errors(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_eval_reads_the_query_as_one_formula(capsys):
+    # a quote in the query is formula text, not the end of a script command
+    assert main(["eval", 'An n=n": eval other "An n=n']) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+def test_def_rejects_a_name_that_is_not_an_identifier(tmp_path, capsys):
+    assert main(["def", "a b", "?msd_2 x<b", "--env-dir", str(tmp_path)]) == 2
+    assert "'a b' is not a relation name" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_def_persists_to_env_dir(tmp_path, capsys):
     env_dir = str(tmp_path / "env")
     assert main(["def", "triple", "?msd_2 y=3*x", "--env-dir", env_dir]) == 0

@@ -135,6 +135,17 @@ def test_unknown_parameter_rejected():
     aut = compile_formula(env, "i<n")
     with pytest.raises(CompileError):
         count_representation(aut, ["zz"])
+    with pytest.raises(CompileError, match="repeat"):
+        count_representation(aut, ["n", "n"])
+
+
+def test_parameters_listed_out_of_track_order():
+    # tracks sort as a, m, z; the count runs over the middle track m
+    aut = compile_formula(Environment(), "?msd_3 m+a<z")
+    rep = count_representation(aut, ["z", "a"])
+    for z in range(20):
+        for a in range(20):
+            assert eval_linrep(rep, (z, a)) == sum(1 for m in range(20) if m + a < z)
 
 
 def test_serialization_shape(env):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rslogic.automata import MultiTrackAutomaton, NumberSystem, Track
-from rslogic.errors import FunctionalityError, GuessFailedError
+from rslogic.errors import EngineError, FunctionalityError, GuessFailedError
 from rslogic.numeration import linear_atom
 from rslogic.logic import Environment
 from rslogic.sequences import (
@@ -228,13 +228,27 @@ def test_sync_table_names_the_first_missing_inputs():
 
 
 def test_guess_with_input_track_sorted_last():
-    # "a" sorts before "n", so guess_sync transposes its digit-pair table
+    # "a" sorts before "n", so the input track "n" ends up second
     machine = guess_sync(partial_sum_by_recurrence, names=("n", "a"))
     assert [t.name for t in machine.tracks] == ["a", "n"]
     assert verify_sync_s(machine, input_track="n")
     assert sync_table(machine, 2**14, input_track="n") == partial_sums(2**14)
     alternating = guess_sync(alternating_sum_by_recurrence, names=("n", "a"))
     assert verify_sync_t(alternating, input_track="n")
+
+
+def test_track_names_are_checked(rss):
+    with pytest.raises(EngineError, match="'q'"):
+        sync_eval(rss, 5, input_track="q")
+    with pytest.raises(EngineError, match="both track 'n'"):
+        verify_sync_s(rss, input_track="n", output_track="n")
+    stored = rss.renamed({"n": "p00", "x": "p01"})
+    with pytest.raises(EngineError, match="both track 'p00'"):
+        sync_table(stored, 10, input_track="p00", output_track="p00")
+    # naming only the output track makes the other one the input, even first
+    swapped = rss.renamed({"n": "z"})
+    assert sync_table(swapped, 64, output_track="x") == partial_sums(64)
+    assert sync_eval(swapped, 63, output_track="x") == partial_sums(64)[63]
 
 
 def test_sync_eval_rejects_relations_that_are_not_functions():
