@@ -16,7 +16,7 @@ import re
 import sys
 from pathlib import Path
 
-from .automata import MultiTrackAutomaton, OutputAutomaton
+from .automata import MultiTrackAutomaton, OutputAutomaton, minimize
 from .errors import EngineError, FormulaParseError
 from .parser import NAME_PATTERN, Command
 from .sequences import (
@@ -67,9 +67,9 @@ def _load_env(args):
     verified = {f"{name}.rel.txt": rel.automaton.to_text() for name, rel in env.relations.items()}
     verified.update((f"{name}.dfao.txt", dfao.to_text()) for name, dfao in env.dfaos.items())
     directory = Path(env_dir)
-    for suffix, parse, register in (
-        (".rel.txt", MultiTrackAutomaton.from_text, env.register_relation),
-        (".dfao.txt", OutputAutomaton.from_text, env.register_dfao),
+    for suffix, parse, minimal, register in (
+        (".rel.txt", MultiTrackAutomaton.from_text, minimize, env.register_relation),
+        (".dfao.txt", OutputAutomaton.from_text, OutputAutomaton.minimized, env.register_dfao),
     ):
         for path in sorted(directory.glob(f"*{suffix}")):
             try:
@@ -77,10 +77,17 @@ def _load_env(args):
             except (OSError, UnicodeDecodeError) as exc:
                 raise EngineError(f"cannot read {path}: {exc}") from None
             machine = parse(text)
-            if path.name not in verified:
-                register(path.name[: -len(suffix)], machine, overwrite=True)
-            elif machine.to_text() != verified[path.name]:
-                raise EngineError(f"{path} differs from the verified machine of that name")
+            if path.name in verified:
+                if machine.to_text() != verified[path.name]:
+                    raise EngineError(f"{path} differs from the verified machine of that name")
+                continue
+            # every number may be read behind leading zeros, so a machine
+            # they change would let one query be both TRUE and FALSE; it is
+            # padding-closed iff its minimal start state loops on symbol 0
+            machine = minimal(machine)
+            if machine.matrix[machine.initial][0] != machine.initial:
+                raise EngineError(f"{path} is not padding-closed: a leading zero changes it")
+            register(path.name[: -len(suffix)], machine, overwrite=True)
     return env
 
 

@@ -20,6 +20,8 @@ from .automata import (
     OP_IFF,
     OP_IMPLIES,
     OP_OR,
+    _alpha_size,
+    _merge_tracks,
     complement,
     decode_word,
     find_witness,
@@ -29,6 +31,7 @@ from .automata import (
     project,
 )
 from .errors import BaseMismatchError, CompileError, EngineError
+from .linrep import count_representation
 from .numeration import linear_atom
 from .parser import (
     Apply,
@@ -138,8 +141,6 @@ class Environment:
             self.register_relation(command.name, automaton)
         elif command.kind in ("def", "eval"):
             if command.params:
-                from .linrep import count_representation
-
                 node = parse_formula(command.body)
                 full = compile_formula(self, node)
                 representation = count_representation(full, command.params)
@@ -180,7 +181,9 @@ class _Compiler:
         self.fresh = 0
 
     def _fresh_name(self):
-        name = f"__a{self.fresh}"
+        # no formula can spell a name starting with '#', so a scratch track
+        # never meets a variable of the formula
+        name = f"#a{self.fresh}"
         self.fresh += 1
         return name
 
@@ -272,7 +275,7 @@ class _Compiler:
                     est = (
                         autos[i].n_states
                         * autos[j].n_states
-                        * _merged_width(autos[i], autos[j])
+                        * _alpha_size(_merge_tracks(autos[i].tracks + autos[j].tracks))
                     )
                     if best is None or est < best[0]:
                         best = (est, i, j)
@@ -287,15 +290,6 @@ class _Compiler:
 
 def _has_track(automaton, name):
     return any(t.name == name for t in automaton.tracks)
-
-
-def _merged_width(a, b):
-    bases = {t.name: t.base for t in a.tracks}
-    bases.update({t.name: t.base for t in b.tracks})
-    width = 1
-    for base in bases.values():
-        width *= base
-    return width
 
 
 def _flatten_and(node):

@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 
 from .automata import NumberSystem
-from .errors import FormulaParseError
+from .errors import BaseMismatchError, FormulaParseError
 
 __all__ = [
     "Term",
@@ -136,6 +136,10 @@ def _tokenize(text: str):
             if value is not None:
                 if kind == "annot":
                     value = value[1:]
+                    try:
+                        NumberSystem.parse(value)
+                    except BaseMismatchError as exc:
+                        raise FormulaParseError(str(exc), position=pos) from None
                 tokens.append((kind, value, pos))
                 break
         pos = m.end()

@@ -22,7 +22,7 @@ from .automata import (
     minimize,
     to_digits,
 )
-from .errors import AutomatonError, FunctionalityError, GuessFailedError
+from .errors import FunctionalityError, GuessFailedError
 from .logic import Environment, compile_formula, find_counterexample
 from .sequences import rudin_shapiro_dfao4
 
@@ -129,22 +129,13 @@ def guess_sync(oracle, sample_bound=2**14, state_cap=64, *, names=("n", "y")):
     return candidate
 
 
-def _track_positions(automaton, input_track, output_track):
-    """Positions of the input and output tracks of a two-track relation.
-
-    Either name defaults to the track the other one does not name; with
-    neither given, the first track is the input.
-    """
+def _track_positions(automaton, input_track):
+    """Positions of the input and output tracks; the input defaults to the first."""
     names = [t.name for t in automaton.tracks]
     if len(names) != 2:
         raise FunctionalityError(f"expected 2 tracks, found {names}")
-    if input_track is None:
-        input_track = next(n for n in names if n != output_track)
-    if output_track is None:
-        output_track = next(n for n in names if n != input_track)
-    if input_track == output_track:
-        raise AutomatonError(f"input and output are both track {input_track!r} of {names}")
-    return automaton.track_index(input_track), automaton.track_index(output_track)
+    pos_in = 0 if input_track is None else automaton.track_index(input_track)
+    return pos_in, 1 - pos_in
 
 
 def _moves(automaton, pos_in, pos_out):
@@ -164,48 +155,66 @@ def _moves(automaton, pos_in, pos_out):
 
 
 def _step(move, frontier, d_in, b_out):
-    """The (state, y) pairs reached from ``frontier`` on input digit d_in."""
-    return {(dest, y * b_out + d_out) for q, y in frontier for dest, d_out in move[q][d_in]}
+    """The (state, y) pairs reached from ``frontier`` on input digit d_in.
+
+    Every state reached is live, so two pairs on one state would extend by
+    one accepted suffix to one input with two outputs.  More pairs than
+    states force that, and the relation is then not a function.
+    """
+    new = {(dest, y * b_out + d_out) for q, y in frontier for dest, d_out in move[q][d_in]}
+    if len(new) > len(move):
+        raise FunctionalityError("one input reaches one state with two outputs")
+    return new
 
 
-# Leading zero input digits fed before n, so that an output longer than the
-# input still fits: sync_eval tries each padding in turn, sync_table always
-# uses one.  For rss, s(n)**2 <= 6n gives s(n) < 2**(k+2) when n < 4**k, so
-# two binary digits more than n has base-4 digits suffice.  Both are fixed
-# paddings, not yet bounds derived from the automaton.  sync_table reuses
-# blocks only past its padding, keyed by the digits left and the frontier
-# {(state, y - min y)}: there every digit is free and the output below a node
-# is its min y shifted up plus what that relative frontier produces.
-SYNC_EVAL_PADDINGS = (3, 9)
-SYNC_TABLE_PADDING = 2
+def _start(move, initial, b_out):
+    """The frontier every input is read from: the start after leading zeros.
+
+    An output may be longer than its input, and then the input is read
+    behind zeros.  Take a padding-closed function, an input n of k digits
+    and its value y of m > k digits.  Over the first m - k symbols the
+    input reads 0, and the first of them carries y's leading digit.  If two
+    of the m - k + 1 states along that stretch were equal, cutting out the
+    loop between them would accept a shorter, hence smaller, second output
+    for the same n.  So m - k < n_states, and n_states - 1 zeros are enough
+    (Shallit, "Synchronized sequences", WORDS 2021; Allouche & Shallit,
+    *Automatic Sequences*, ch. 6).  The walk stops early once a step leaves
+    the frontier as it was: from then on every zero step repeats it, so the
+    remaining zeros change nothing.
+    """
+    frontier = {(initial, 0)}
+    for _ in range(len(move) - 1):
+        new = _step(move, frontier, 0, b_out)
+        if new == frontier:
+            break
+        frontier = new
+    return frontier
 
 
-def sync_eval(automaton, n, input_track=None, output_track=None):
+def sync_eval(automaton, n, input_track=None):
     """The unique y with (n, y) accepted; FunctionalityError otherwise."""
-    pos_in, pos_out = _track_positions(automaton, input_track, output_track)
+    pos_in, pos_out = _track_positions(automaton, input_track)
     move = _moves(automaton, pos_in, pos_out)
     b_out = automaton.tracks[pos_out].base
-    digits = to_digits(n, automaton.tracks[pos_in].base)
-    for extra in SYNC_EVAL_PADDINGS:
-        frontier = {(automaton.initial, 0)}
-        for d_in in [0] * extra + digits:
-            frontier = _step(move, frontier, d_in, b_out)
-        found = {y for q, y in frontier if q in automaton.accepting}
-        if len(found) == 1:
-            return found.pop()
-        if len(found) > 1:
-            raise FunctionalityError(f"{sorted(found)} all accepted for input {n}")
-    raise FunctionalityError(f"no accepted output for input {n}")
+    frontier = _start(move, automaton.initial, b_out)
+    for d_in in to_digits(n, automaton.tracks[pos_in].base):
+        frontier = _step(move, frontier, d_in, b_out)
+    found = {y for q, y in frontier if q in automaton.accepting}
+    if len(found) > 1:
+        raise FunctionalityError(f"{sorted(found)} all accepted for input {n}")
+    if not found:
+        raise FunctionalityError(f"no accepted output for input {n}")
+    return found.pop()
 
 
-def sync_table(automaton, count, input_track=None, output_track=None):
+def sync_table(automaton, count, input_track=None):
     """Outputs for every input below count, by shared-prefix search.
 
-    The walk descends digit by digit, carrying the frontier of live
-    (state, y) pairs.  What lies below a node depends only on its digits
-    left and its frontier up to a common shift of y: with m the least y,
-    every output in the block is m * b_out**left plus what the frontier of
-    pairs (q, y - m) produces, since each later digit maps y to
+    The walk descends from ``_start`` digit by digit, carrying the frontier
+    of live (state, y) pairs.  What lies below a node depends only on its
+    digits left and its frontier up to a common shift of y: with m the
+    least y, every output in the block is m * b_out**left plus what the
+    frontier of pairs (q, y - m) produces, since each later digit maps y to
     y * b_out + d_out and acceptance looks at q alone.  This is the k-kernel
     of the table (Allouche & Shallit, *Automatic Sequences*, ch. 6).  So a
     full block, one that ends at or below count, is walked once per key
@@ -214,11 +223,10 @@ def sync_table(automaton, count, input_track=None, output_track=None):
     kept as None.  A reused block was walked once without raising, so
     errors come at the same input with the same message.
     """
-    pos_in, pos_out = _track_positions(automaton, input_track, output_track)
+    pos_in, pos_out = _track_positions(automaton, input_track)
     b_in = automaton.tracks[pos_in].base
     b_out = automaton.tracks[pos_out].base
     width = len(to_digits(count - 1, b_in)) if count > 1 else 1
-    total = width + SYNC_TABLE_PADDING
     accepting = automaton.accepting
     move = _moves(automaton, pos_in, pos_out)
 
@@ -230,7 +238,7 @@ def sync_table(automaton, count, input_track=None, output_track=None):
     memo = {}
 
     def descend(pos, prefix, frontier):
-        if pos == total:
+        if pos == width:
             found = {y for q, y in frontier if q in accepting}
             if len(found) != 1:
                 raise FunctionalityError(
@@ -238,12 +246,10 @@ def sync_table(automaton, count, input_track=None, output_track=None):
                 )
             values[prefix] = found.pop()
             return
-        left = total - pos
+        left = width - pos
         block = b_in**left
         base = prefix * block
         key = None
-        # only a full block, wholly below count, is reused; none lies in
-        # the padding, whose blocks span more than b_in**width >= count
         if base + block <= count:
             low = min(y for _, y in frontier)
             key = (left, frozenset((q, y - low) for q, y in frontier))
@@ -257,8 +263,7 @@ def sync_table(automaton, count, input_track=None, output_track=None):
                 ]
                 return
         span = block // b_in
-        digit_range = range(b_in) if pos >= SYNC_TABLE_PADDING else (0,)
-        for d_in in digit_range:
+        for d_in in range(b_in):
             lo = (prefix * b_in + d_in) * span
             if lo >= count:
                 break
@@ -268,8 +273,9 @@ def sync_table(automaton, count, input_track=None, output_track=None):
         if key is not None:
             memo[key] = (base, shift)
 
-    if count > 0:
-        descend(0, 0, {(automaton.initial, 0)})
+    start = _start(move, automaton.initial, b_out) if count > 0 else None
+    if start:
+        descend(0, 0, start)
     missing = [i for i, v in enumerate(values) if v is None]
     if missing:
         raise FunctionalityError(f"no accepted output for inputs {missing[:5]}")
@@ -302,7 +308,7 @@ class VerifyOutcome:
         return [c for c in self.checks if not c.passed]
 
 
-def verify_sync(automaton, sign_dfao, rule, base_value, input_track=None, output_track=None):
+def verify_sync(automaton, sign_dfao, rule, base_value, input_track=None):
     """Prove the candidate computes the running sum of a +/-1 sequence.
 
     Decides, as sentences: the relation is a total function, its value at 0
@@ -311,7 +317,7 @@ def verify_sync(automaton, sign_dfao, rule, base_value, input_track=None, output
     """
     if rule not in STEP_RULES:
         raise ValueError(f"rule must be one of {STEP_RULES}")
-    pos_in, pos_out = _track_positions(automaton, input_track, output_track)
+    pos_in, pos_out = _track_positions(automaton, input_track)
     in_sys = automaton.tracks[pos_in].system
     out_sys = automaton.tracks[pos_out].system
     cand = automaton.renamed(
@@ -354,23 +360,19 @@ def verify_sync(automaton, sign_dfao, rule, base_value, input_track=None, output
     return VerifyOutcome(all(c.passed for c in outcomes), outcomes)
 
 
-def verify_sync_s(candidate, input_track=None, output_track=None):
+def verify_sync_s(candidate, input_track=None):
     """Prove candidate computes the running sum of the base-4 sign table.
 
-    input_track names the argument track (default: the first) and
-    output_track the value track (default: the other one).  Falsy on
-    failure; the outcome's failures() carry concrete witnesses.
+    input_track names the argument track (default: the first); the value
+    is the other track.  Falsy on failure; the outcome's failures() carry
+    concrete witnesses.
     """
-    return verify_sync(
-        candidate, rudin_shapiro_dfao4(), "sum", 1, input_track, output_track
-    )
+    return verify_sync(candidate, rudin_shapiro_dfao4(), "sum", 1, input_track)
 
 
-def verify_sync_t(candidate, input_track=None, output_track=None):
+def verify_sync_t(candidate, input_track=None):
     """As verify_sync_s with the parity-weighted step (alternating sum)."""
-    return verify_sync(
-        candidate, rudin_shapiro_dfao4(), "alt", 1, input_track, output_track
-    )
+    return verify_sync(candidate, rudin_shapiro_dfao4(), "alt", 1, input_track)
 
 
 def define_derived_sync(env, name, formula):

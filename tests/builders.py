@@ -3,7 +3,7 @@
 A carry adder, a digitwise comparator and a doubling chain of adders
 assemble the same relations that ``rslogic.numeration.linear_atom``
 compiles in one pass.  ``plain_sync_table`` is ``sync_table`` without its
-kernel memo: it walks every input prefix.  These stay deliberately
+kernel memo: it walks every input prefix from the engine's start frontier.  These stay deliberately
 separate from the engine code they check.
 """
 
@@ -24,7 +24,7 @@ from rslogic.automata import (
 )
 from rslogic.errors import AutomatonError, CompileError, FunctionalityError
 from rslogic.numeration import RELATIONS, _trivial, linear_atom
-from rslogic.synchronized import SYNC_TABLE_PADDING, _track_positions
+from rslogic.synchronized import _start, _track_positions
 
 
 def build_compare(rel: str, system: NumberSystem, names=("x", "y")) -> MultiTrackAutomaton:
@@ -122,13 +122,12 @@ def _const_mul_chain(c: int, system: NumberSystem) -> MultiTrackAutomaton:
     return minimize(project(step, "mid"))
 
 
-def plain_sync_table(automaton, count, input_track=None, output_track=None):
+def plain_sync_table(automaton, count, input_track=None):
     """Outputs for every input below count, visiting every input prefix."""
-    pos_in, pos_out = _track_positions(automaton, input_track, output_track)
+    pos_in, pos_out = _track_positions(automaton, input_track)
     b_in = automaton.tracks[pos_in].base
     b_out = automaton.tracks[pos_out].base
     width = len(to_digits(count - 1, b_in)) if count > 1 else 1
-    total = width + SYNC_TABLE_PADDING
     accepting = automaton.accepting
     live = coreachable(automaton.matrix, automaton.accepting)
     # move: move[q][d_in] -> list of (successor, d_out), dead ends dropped
@@ -150,7 +149,7 @@ def plain_sync_table(automaton, count, input_track=None, output_track=None):
     values = [None] * count
 
     def descend(pos, prefix, frontier):
-        if pos == total:
+        if pos == width:
             found = {y for q, y in frontier if q in accepting}
             if len(found) != 1:
                 raise FunctionalityError(
@@ -158,10 +157,8 @@ def plain_sync_table(automaton, count, input_track=None, output_track=None):
                 )
             values[prefix] = found.pop()
             return
-        remaining = total - pos - 1
-        span = b_in**remaining
-        digit_range = range(b_in) if pos >= SYNC_TABLE_PADDING else (0,)
-        for d_in in digit_range:
+        span = b_in ** (width - pos - 1)
+        for d_in in range(b_in):
             lo = (prefix * b_in + d_in) * span
             if lo >= count:
                 break
@@ -169,11 +166,13 @@ def plain_sync_table(automaton, count, input_track=None, output_track=None):
             for q, y in frontier:
                 for dest, d_out in move[q][d_in]:
                     new.add((dest, y * b_out + d_out))
+            if len(new) > automaton.n_states:
+                raise FunctionalityError("one input reaches one state with two outputs")
             if new:
                 descend(pos + 1, prefix * b_in + d_in, new)
 
     if count > 0:
-        descend(0, 0, {(automaton.initial, 0)})
+        descend(0, 0, _start(move, automaton.initial, b_out))
     missing = [i for i, v in enumerate(values) if v is None]
     if missing:
         raise FunctionalityError(f"no accepted output for inputs {missing[:5]}")

@@ -2,6 +2,7 @@
 
 import json
 
+from rslogic.automata import MultiTrackAutomaton, NumberSystem, OutputAutomaton, Track
 from rslogic.cli import main
 
 
@@ -88,6 +89,29 @@ def test_env_dir_rejects_edited_verified_machine(tmp_path, capsys):
         assert f"{name} differs from the verified machine" in captured.err
         assert "Traceback" not in captured.err
         path.write_text(original)
+
+
+def test_env_dir_rejects_machines_that_are_not_padding_closed(tmp_path, capsys):
+    env_dir = tmp_path / "env"
+    env_dir.mkdir()
+    # foo accepts the word 1 but not 01: $foo(1) and Ex ~$foo(x) & x=1
+    # were both TRUE
+    m2 = Track("t0", NumberSystem(2))
+    foo = MultiTrackAutomaton((m2,), 3, 0, {1}, [[2, 1], [2, 2], [2, 2]])
+    # T[0] is 1 on the empty word and -1 on the word 0: T[0]=@1 and
+    # T[0]=@-1 were both TRUE
+    dfao = OutputAutomaton(m2, 2, 0, [1, -1], [[1, 1], [1, 1]])
+    for name, text, query in (
+        ("foo.rel.txt", foo.to_text(), "$foo(1)"),
+        ("T.dfao.txt", dfao.to_text(), "T[0]=@1"),
+    ):
+        (env_dir / name).write_text(text)
+        assert main(["eval", query, "--env-dir", str(env_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{name} is not padding-closed" in captured.err
+        assert "Traceback" not in captured.err
+        (env_dir / name).unlink()
 
 
 def test_env_dir_rejects_unreadable_file(tmp_path, capsys):

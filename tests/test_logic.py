@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rslogic.automata import NumberSystem, from_regex
 from rslogic.errors import BaseMismatchError, CompileError, FormulaParseError
@@ -113,6 +115,32 @@ def test_linear_terms():
 def test_parse_error_position():
     with pytest.raises(FormulaParseError):
         parse_formula("x=1 &")
+
+
+# every token kind of the formula language, some misspelled or misplaced
+FORMULA_TOKENS = [
+    "x", "y", "Ax", "Ey", "A", "E", "T", "0", "1", "23",
+    "?msd_0", "?msd_1", "?msd_2", "?msd_4", "<=>", "=>", "<=", ">=", "!=",
+    "-", "+", "*", "=", "<", ">", "(", ")", "[", "]", ",", "@", "$", "~",
+    "&", "|", " ", "#", "?",
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(FORMULA_TOKENS), max_size=16).map("".join))
+def test_token_text_parses_or_raises_a_parse_error(text):
+    try:
+        parse_formula(text)
+    except FormulaParseError as exc:
+        assert exc.position is not None
+
+
+@pytest.mark.parametrize(
+    "text, offset", [("x=1 & ?msd_0 x=2", 6), ("x=1 & $f(?msd_1 x)", 9)]
+)
+def test_base_below_two_is_a_parse_error_at_the_marker(text, offset):
+    with pytest.raises(FormulaParseError, match=rf"at least 2, got \d \(at offset {offset}\)$"):
+        parse_formula(text)
 
 
 def test_script_splitting():
@@ -246,6 +274,15 @@ def test_apply_subtraction_is_composition():
     env = make_env()
     aut = compile_formula(env, "$double(n-1, m)")
     sweep(aut, lambda n, m: n >= 1 and m == 2 * (n - 1), bound=24)
+
+
+def test_scratch_tracks_never_meet_a_variable():
+    # x+1 is passed through a scratch track; a variable spelled like the
+    # compiler's scratch names used to be merged with it
+    env = Environment()
+    env.run_script('def lt "x<y":')
+    assert decide(env, "Ex,b $lt(x+1,b) & b=5")
+    assert decide(env, "Ex,__a0 $lt(x+1,__a0) & __a0=5")
 
 
 def test_apply_arity_error():

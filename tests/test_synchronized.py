@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rslogic.automata import MultiTrackAutomaton, NumberSystem, Track
+from rslogic.automata import MultiTrackAutomaton, NumberSystem, Track, to_digits
 from rslogic.errors import EngineError, FunctionalityError, GuessFailedError
 from rslogic.numeration import linear_atom
-from rslogic.logic import Environment
+from rslogic.logic import Environment, compile_formula, decide
 from rslogic.sequences import (
     alternating_sum_by_recurrence,
     double_zero_alternating_sum_by_recurrence,
@@ -108,10 +108,14 @@ def _two_track(b_in, b_out, input_first, n_states, initial, accepting, move):
 
 @st.composite
 def two_track_dfas(draw):
-    """Complete two-track DFAs: input base 2-4, output base 2-3, <= 8 states.
+    """Complete two-track DFAs: input base 2-4, output base 2-3.
 
-    A third are unconstrained and mostly end in FunctionalityError.  The
-    rest compute y from n, so that tables exist and blocks are reused:
+    A quarter are unconstrained, with at most 8 states, and mostly end in
+    FunctionalityError.  The rest compute y from n, so that tables exist
+    and blocks are reused:
+
+    - constant: y is one number c whatever n is, up to 12 digits, so the
+      output may be much longer than the input.
 
     - lookahead: a Mealy machine on states 0..k-1 emits out(q, d) for input
       digit d, and y's digit at each position is what it emits at the next
@@ -126,7 +130,7 @@ def two_track_dfas(draw):
     b_in = draw(st.integers(2, 4))
     b_out = draw(st.integers(2, 3))
     input_first = draw(st.booleans())
-    family = draw(st.sampled_from(["free", "lookahead", "branches"]))
+    family = draw(st.sampled_from(["free", "constant", "lookahead", "branches"]))
     if family == "free":
         n = draw(st.integers(1, 7))
         size = n * b_in * b_out
@@ -138,6 +142,19 @@ def two_track_dfas(draw):
 
         initial = draw(st.integers(0, n))
         return _two_track(b_in, b_out, input_first, n + 1, initial, accepting, move)
+    if family == "constant":
+        length = draw(st.integers(0, 12))
+        c = draw(st.integers(b_out**length // b_out, b_out**length - 1))
+        digits = to_digits(c, b_out)
+        sink = len(digits) + 1
+
+        def move(q, d_in, d_out):
+            # q digits of c read so far; leading zeros keep q at 0
+            if q < len(digits) and d_out == digits[q]:
+                return q + 1
+            return 0 if q == 0 and d_out == 0 else sink
+
+        return _two_track(b_in, b_out, input_first, sink + 1, 0, {len(digits)}, move)
     digit_out = st.integers(0, b_out - 1)
     if family == "lookahead":
         k = draw(st.integers(1, 7 // b_out))
@@ -237,24 +254,46 @@ def test_guess_with_input_track_sorted_last():
     assert verify_sync_t(alternating, input_track="n")
 
 
+@settings(max_examples=150, deadline=None)
+@given(two_track_dfas().filter(lambda a: a.is_padding_closed()), st.integers(0, 300))
+def test_sync_eval_agrees_with_sync_table(automaton, count):
+    # both read every input from one start frontier, so wherever the table
+    # exists, reading one input alone finds the same value
+    try:
+        table = sync_table(automaton, count, input_track="n")
+    except FunctionalityError:
+        return
+    assert [sync_eval(automaton, n, input_track="n") for n in range(count)] == table
+
+
+@pytest.mark.parametrize("y", [1024, 2**20])
+def test_outputs_longer_than_any_fixed_padding(y):
+    # y has far more binary digits than n; decide proves the relation a
+    # total function, and both readers must find y behind enough zeros
+    env = Environment()
+    env.register_relation("f", compile_formula(env, f"?msd_2 y={y} & n>=0"))
+    assert decide(env, "?msd_2 An Ey $f(n,y)")
+    assert decide(env, "?msd_2 An,x,y ($f(n,x) & $f(n,y)) => x=y")
+    machine = env.relation("f").automaton
+    assert sync_eval(machine, 0, input_track="p00") == y
+    assert sync_eval(machine, 5, input_track="p00") == y
+    assert sync_table(machine, 4, input_track="p00") == [y] * 4
+
+
 def test_track_names_are_checked(rss):
     with pytest.raises(EngineError, match="'q'"):
         sync_eval(rss, 5, input_track="q")
-    with pytest.raises(EngineError, match="both track 'n'"):
-        verify_sync_s(rss, input_track="n", output_track="n")
-    stored = rss.renamed({"n": "p00", "x": "p01"})
-    with pytest.raises(EngineError, match="both track 'p00'"):
-        sync_table(stored, 10, input_track="p00", output_track="p00")
-    # naming only the output track makes the other one the input, even first
-    swapped = rss.renamed({"n": "z"})
-    assert sync_table(swapped, 64, output_track="x") == partial_sums(64)
-    assert sync_eval(swapped, 63, output_track="x") == partial_sums(64)[63]
 
 
 def test_sync_eval_rejects_relations_that_are_not_functions():
-    many = linear_atom({"n": 1, "y": -1}, "<=", 0, M2)  # y >= n
-    with pytest.raises(FunctionalityError):
+    # y >= n: the leading zeros of n already allow more outputs than there
+    # are states, so some state carries two of them
+    many = linear_atom({"n": 1, "y": -1}, "<=", 0, M2)
+    message = "^one input reaches one state with two outputs$"
+    with pytest.raises(FunctionalityError, match=message):
         sync_eval(many, 5, input_track="n")
+    with pytest.raises(FunctionalityError, match=message):
+        sync_table(many, 300, input_track="n")
     none = linear_atom({"n": 1, "y": 1}, "<", 0, M2)  # empty
     with pytest.raises(FunctionalityError):
         sync_eval(none, 5, input_track="n")
