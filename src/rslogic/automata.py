@@ -334,7 +334,10 @@ def _symbol_index(bases, sym) -> int:
 
 
 class Nfa:
-    """Nondeterministic counterpart used internally by projection and regex.
+    """Nondeterministic automaton, the input of ``determinize``.
+
+    Three builders make one: ``project`` (one state per state of its input),
+    ``reverse`` (edges flipped) and ``from_regex`` (the pattern's positions).
 
     ``trans`` holds one row per state and one frozenset of successors per
     symbol index in that row, so ``trans[q][j]`` is the set reached from q on
@@ -662,45 +665,34 @@ def find_witness(a: MultiTrackAutomaton):
 
 # --- regex over digit tuples ---------------------------------------------
 
-_EPS = None
 
+def _positions(text: str, bases):
+    """Glushkov's position automaton of a pattern, built while parsing it.
 
-class _Frag:
-    __slots__ = ("start", "outs")
-
-    def __init__(self, start, outs):
-        self.start = start
-        self.outs = outs
-
-
-class _RegexBuilder:
-    def __init__(self):
-        self.n = 0
-        self.edges: dict[int, list[tuple[int | None, int]]] = {}
-
-    def new_state(self):
-        q = self.n
-        self.n += 1
-        self.edges[q] = []
-        return q
-
-    def add_edge(self, src, sym, dst):
-        self.edges[src].append((sym, dst))
-
-
-def _parse_regex(text: str, bases):
-    """Parse into an AST of ('sym', index) / ('cat'|'alt', l, r) / ('star', x) / ('eps',).
-
-    A tuple literal is read as its symbol index over ``bases``.
+    Each tuple literal is a position, numbered 1, 2, ... from the left;
+    position 0 stands for the start.  Every parse function returns
+    (nullable, first, last) for the text it read: whether it matches the
+    empty word, and the positions that can begin and end a match.  ``cat``
+    and ``star`` record which positions may follow a last one in ``follow``.
+    Returns the symbol index over ``bases`` of each position, the successors
+    of each position with ``first`` as those of 0, and the accepting
+    positions: ``last``, and 0 if the pattern matches the empty word
+    (Glushkov 1961; Berry & Sethi, "From regular expressions to
+    deterministic automata", TCS 1986).
     """
     pos = 0
     n_tracks = len(bases)
+    symbols = [None]
+    follow = [set()]
 
     def symbol(digits):
         try:
-            return ("sym", _symbol_index(bases, digits))
+            symbols.append(_symbol_index(bases, digits))
         except AutomatonError:
             raise RegexError(f"digit tuple {digits} out of range for bases {bases}") from None
+        follow.append(set())
+        p = len(follow) - 1
+        return False, {p}, {p}
 
     def peek():
         nonlocal pos
@@ -710,34 +702,35 @@ def _parse_regex(text: str, bases):
 
     def parse_alt():
         nonlocal pos
-        node = parse_cat()
+        nullable, first, last = parse_cat()
         while peek() == "|":
             pos += 1
-            node = ("alt", node, parse_cat())
-        return node
+            n2, f2, l2 = parse_cat()
+            nullable, first, last = nullable or n2, first | f2, last | l2
+        return nullable, first, last
 
     def parse_cat():
-        nonlocal pos
-        parts = []
-        while True:
-            c = peek()
-            if c in ("", ")", "|"):
-                break
-            parts.append(parse_star())
-        if not parts:
-            return ("eps",)
-        node = parts[0]
-        for p in parts[1:]:
-            node = ("cat", node, p)
-        return node
+        # the empty concatenation, as in "()", matches only the empty word
+        nullable, first, last = True, set(), set()
+        while peek() not in ("", ")", "|"):
+            n2, f2, l2 = parse_star()
+            for p in last:
+                follow[p] |= f2
+            if nullable:
+                first = first | f2
+            last = last | l2 if n2 else l2
+            nullable = nullable and n2
+        return nullable, first, last
 
     def parse_star():
         nonlocal pos
-        node = parse_atom()
+        nullable, first, last = parse_atom()
         while peek() == "*":
             pos += 1
-            node = ("star", node)
-        return node
+            for p in last:
+                follow[p] |= first
+            nullable = True
+        return nullable, first, last
 
     def parse_atom():
         nonlocal pos
@@ -779,42 +772,10 @@ def _parse_regex(text: str, bases):
             return symbol((int(c),))
         raise RegexError(f"unexpected character {c!r} in pattern {text!r}")
 
-    node = parse_alt()
+    nullable, follow[0], last = parse_alt()
     if peek():
         raise RegexError(f"trailing input in pattern {text!r}")
-    return node
-
-
-def _thompson(builder: _RegexBuilder, node) -> _Frag:
-    kind = node[0]
-    if kind == "eps":
-        q = builder.new_state()
-        return _Frag(q, [q])
-    if kind == "sym":
-        q1, q2 = builder.new_state(), builder.new_state()
-        builder.add_edge(q1, node[1], q2)
-        return _Frag(q1, [q2])
-    if kind == "cat":
-        left = _thompson(builder, node[1])
-        right = _thompson(builder, node[2])
-        for out in left.outs:
-            builder.add_edge(out, _EPS, right.start)
-        return _Frag(left.start, right.outs)
-    if kind == "alt":
-        left = _thompson(builder, node[1])
-        right = _thompson(builder, node[2])
-        q = builder.new_state()
-        builder.add_edge(q, _EPS, left.start)
-        builder.add_edge(q, _EPS, right.start)
-        return _Frag(q, left.outs + right.outs)
-    if kind == "star":
-        inner = _thompson(builder, node[1])
-        q = builder.new_state()
-        builder.add_edge(q, _EPS, inner.start)
-        for out in inner.outs:
-            builder.add_edge(out, _EPS, q)
-        return _Frag(q, [q])
-    raise RegexError(f"unknown regex node {kind}")
+    return symbols, follow, last | {0} if nullable else last
 
 
 def from_regex(systems, pattern: str, names=None) -> MultiTrackAutomaton:
@@ -833,39 +794,22 @@ def from_regex(systems, pattern: str, names=None) -> MultiTrackAutomaton:
     if names is None:
         names = [f"t{i}" for i in range(len(parsed))]
     tracks = [Track(n, s) for n, s in zip(names, parsed)]
-    builder = _RegexBuilder()
-    frag = _thompson(builder, _parse_regex(pattern, [t.base for t in tracks]))
-    final = builder.new_state()
-    for out in frag.outs:
-        builder.add_edge(out, _EPS, final)
-
-    edges = [builder.edges[q] for q in range(builder.n)]
-    eps = [[dst for sym, dst in e if sym is _EPS] for e in edges]
-    eps_closure = [reachable(eps, q) for q in range(builder.n)]
-    # states reachable from the start via epsilon moves and leading zero
-    # tuples (symbol index 0 is the all-zero tuple)
-    padding = [[dst for sym, dst in e if sym is _EPS or sym == 0] for e in edges]
-    closure = reachable(padding, frag.start)
-
-    # NFA without epsilon edges, with a fresh start absorbing leading zeros
-    width = _alpha_size(tracks)
-    fresh = builder.n
-    trans = [[set() for _ in range(width)] for _ in range(fresh + 1)]
-    for q in range(builder.n):
-        for p in eps_closure[q]:
-            for sym, dst in edges[p]:
-                if sym is not _EPS:
-                    trans[q][sym].update(eps_closure[dst])
-    for q in closure:
-        for sym, dst in edges[q]:
-            if sym is not _EPS:
-                trans[fresh][sym].update(eps_closure[dst])
-    trans[fresh][0].add(fresh)
-    accepting = {final}
-    if final in closure:
-        accepting.add(fresh)
-    rows = [[frozenset(cell) for cell in row] for row in trans]
-    return minimize(determinize(Nfa(tracks, fresh + 1, {fresh}, accepting, rows)))
+    symbols, follow, accepting = _positions(pattern, [t.base for t in tracks])
+    # state 0 is the start and state p is position p, entered on its symbol
+    rows = [[set() for _ in range(_alpha_size(tracks))] for _ in follow]
+    for row, succ in zip(rows, follow):
+        for p in succ:
+            row[symbols[p]].add(p)
+    # close the start under leading zero tuples (symbol index 0), as project
+    # does: it takes the rows of every state reached from it on zeros and
+    # loops on zero, which needs no fresh start because no edge enters 0
+    skipped = reachable([row[0] for row in rows], 0)
+    rows[0] = [set().union(*col) for col in zip(*[rows[q] for q in skipped])]
+    rows[0][0].add(0)
+    if not accepting.isdisjoint(skipped):
+        accepting.add(0)
+    trans = [[frozenset(cell) for cell in row] for row in rows]
+    return minimize(determinize(Nfa(tracks, len(rows), {0}, accepting, trans)))
 
 
 # --- automata with output ------------------------------------------------

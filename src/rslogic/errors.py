@@ -32,7 +32,12 @@ class CompileError(EngineError):
 
 
 class GuessFailedError(EngineError):
-    """The residual-merging learner exceeded its state cap."""
+    """A synthesized machine cannot be trusted.
+
+    guess_sync raises it when its candidate exceeds the state cap or
+    disagrees with the sample it was built from, and standard_environment
+    when a shipped rss or rst machine fails verification.
+    """
 
 
 class FunctionalityError(EngineError):

@@ -14,7 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .automata import _alpha_size, _projection_table, coreachable, reachable, to_digits
+from .automata import (
+    _alpha_size, _projection_table, _symbol_index, coreachable, reachable, to_digits
+)
 from .errors import CompileError, DivergenceError
 
 
@@ -28,12 +30,6 @@ class LinearRepresentation:
     @property
     def rank(self):
         return len(self.initial)
-
-    def symbol_index(self, digits):
-        idx = 0
-        for d, system in zip(digits, self.systems):
-            idx = idx * system.base + d
-        return idx
 
     def to_text(self):
         """Serialize: rank, systems, initial, final, one matrix per digit."""
@@ -105,14 +101,15 @@ def eval_linrep(rep, values):
         values = (values,)
     if len(values) != len(rep.systems):
         raise CompileError(f"expected {len(rep.systems)} values, got {len(values)}")
-    digit_rows = [to_digits(v, s.base) for v, s in zip(values, rep.systems)]
+    bases = [s.base for s in rep.systems]
+    digit_rows = [to_digits(v, b) for v, b in zip(values, bases)]
     length = max(len(row) for row in digit_rows)
     digit_rows = [[0] * (length - len(row)) + row for row in digit_rows]
 
     # suffix product gammas(word) * w once, then prepend zero symbols
     tail = rep.final
     for column in reversed(list(zip(*digit_rows))):
-        tail = _mat_vec(rep.gammas[rep.symbol_index(column)], tail)
+        tail = _mat_vec(rep.gammas[_symbol_index(bases, column)], tail)
     zero = rep.gammas[0]
     needed = rep.rank + 1
     # The padded values are u_k = v Z^k t with Z = gammas[0], r x r for

@@ -327,10 +327,7 @@ def find_counterexample(env: Environment, source):
         prefix.extend(node.variables)
         node = node.body
     if not prefix:
-        truth = _Compiler(env).compile(node)
-        if truth.tracks:
-            raise CompileError("formula has free variables and no universal prefix")
-        return None if truth.accepts([]) else {}
+        return None if decide(env, node) else {}
     negated = _Compiler(env).compile(Not(node))
     word = find_witness(negated)
     if word is None:

@@ -17,6 +17,7 @@ from .automata import (
     NumberSystem,
     Track,
     _alpha_size,
+    _number_row,
     complement,
     determinize,
     minimize,
@@ -84,32 +85,18 @@ def _lsd_residual(tracks, coeffs, mode, start):
         sum(c * d for c, d in zip(coeffs, sym))
         for sym in itertools.product(range(base), repeat=len(coeffs))
     ]
-    width = len(digit_sums)
     dead = "dead"
     ids = {start: 0}
     order = [start]
     matrix = []
-    i = 0
-    while i < len(order):
-        s = order[i]
-        i += 1
+    for s in order:
         if s is dead:
-            matrix.append([ids[dead]] * width)
-            continue
-        row = []
-        for contrib in digit_sums:
-            c = s - contrib
-            if mode == "eq" and c % base:
-                nxt = dead
-            else:
-                nxt = c // base  # floor division keeps "le" exact
-            t = ids.get(nxt)
-            if t is None:
-                t = len(order)
-                ids[nxt] = t
-                order.append(nxt)
-            row.append(t)
-        matrix.append(row)
+            nxt = [dead] * len(digit_sums)
+        elif mode == "eq":
+            nxt = [dead if (s - c) % base else (s - c) // base for c in digit_sums]
+        else:
+            nxt = [(s - c) // base for c in digit_sums]  # floor keeps "le" exact
+        matrix.append(_number_row(nxt, ids, order))
     accepting = {
         idx
         for idx, s in enumerate(order)

@@ -17,6 +17,7 @@ from .automata import (
     MultiTrackAutomaton,
     NumberSystem,
     Track,
+    _number_row,
     _projection_table,
     coreachable,
     minimize,
@@ -78,43 +79,33 @@ def guess_sync(oracle, sample_bound=2**14, state_cap=64, *, names=("n", "y")):
             rows.append(tuple(row))
         return tuple(rows)
 
-    index = {}
-    reps = []
-    matrix = []
     start = signature(0, 0)
-    index[start] = 0
-    reps.append((0, 0))
-    matrix.append(None)
-    queue = [0]
-    while queue:
-        state = queue.pop(0)
-        N, X = reps[state]
+    reps = {start: (0, 0)}  # each signature's first prefix pair
+    ids, order, matrix = {start: 0}, [start], []
+    for key in order:
+        N, X = reps[key]
         row = []
         for d_in in range(b_in):
             for d_out in range(b_out):
                 child = (N * b_in + d_in, X * b_out + d_out)
                 sig = signature(*child)
-                if sig not in index:
-                    if len(reps) >= state_cap:
-                        raise GuessFailedError(
-                            f"more than {state_cap} candidate states; "
-                            "raise sample_bound or state_cap"
-                        )
-                    index[sig] = len(reps)
-                    reps.append(child)
-                    matrix.append(None)
-                    queue.append(index[sig])
-                row.append(index[sig])
-        matrix[state] = row
-
+                reps.setdefault(sig, child)
+                row.append(sig)
+        matrix.append(_number_row(row, ids, order))
+        if len(order) > state_cap:
+            raise GuessFailedError(
+                f"more than {state_cap} candidate states; "
+                "raise sample_bound or state_cap"
+            )
     accepting = frozenset(
-        q for q, (N, X) in enumerate(reps) if N < sample_bound and oracle(N) == X
+        q for q, (N, X) in enumerate(map(reps.get, order))
+        if N < sample_bound and oracle(N) == X
     )
     in_name, out_name = names
     # the table is built with the input track first; renamed sorts the tracks
     tracks = (Track(in_name, GUESS_INPUT), Track(out_name, GUESS_OUTPUT))
     candidate = minimize(
-        MultiTrackAutomaton(tracks, len(reps), 0, accepting, matrix).renamed({})
+        MultiTrackAutomaton(tracks, len(order), 0, accepting, matrix).renamed({})
     )
     # the guess must at least reproduce the sample it was built from
     try:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from importlib.resources import files
 
 from .automata import MultiTrackAutomaton, language_equal
@@ -148,45 +149,35 @@ def run_suite(env=None):
             ok = error is None
         rows.append(SuiteRow(check.name, check.kind, expected, actual, ok, seconds))
 
-    start = time.perf_counter()
-    rep = env.representations.get("satz22")
-    ok = rep is not None and rep.rank <= 7
-    rows.append(
-        SuiteRow(
-            "satz22_rank",
-            "counting",
-            "raw rank at most 7",
-            "missing" if rep is None else f"rank {rep.rank}",
-            ok,
-            time.perf_counter() - start,
-        )
-    )
-    for left, right in COUNT_EQUAL:
-        start = time.perf_counter()
+    def satz22_rank():
+        rep = env.representations.get("satz22")
+        return rep is not None and rep.rank <= 7, "missing" if rep is None else f"rank {rep.rank}"
+
+    def difference_is_zero(left, right):
         try:
-            zero = is_zero(
-                subtract(env.representations[left], env.representations[right])
-            )
+            zero = is_zero(subtract(env.representations[left], env.representations[right]))
         except (KeyError, EngineError):
             zero = False
+        return zero, "rank 0" if zero else "nonzero"
+
+    rows.append(_timed_row("satz22_rank", "raw rank at most 7", satz22_rank, "counting"))
+    for left, right in COUNT_EQUAL:
         rows.append(
-            SuiteRow(
+            _timed_row(
                 f"{left}_matches_{right}",
-                "counting",
                 "difference is the zero function",
-                "rank 0" if zero else "nonzero",
-                zero,
-                time.perf_counter() - start,
+                partial(difference_is_zero, left, right),
+                "counting",
             )
         )
     return SuiteReport(rows)
 
 
-def _timed_row(name, expected, check):
-    """A bound row from check(), which returns (ok, actual) and is timed."""
+def _timed_row(name, expected, check, kind):
+    """A report row from check(), which returns (ok, actual) and is timed."""
     start = time.perf_counter()
     ok, actual = check()
-    return SuiteRow(name, "bound", expected, actual, ok, time.perf_counter() - start)
+    return SuiteRow(name, kind, expected, actual, ok, time.perf_counter() - start)
 
 
 def verify_bounds(N=2**16):
@@ -225,7 +216,7 @@ def verify_bounds(N=2**16):
         ("pseudo_square_of_alternating", clean, never(lambda n: pseudo_square(t[n]) > n + 1, first=0)),
         ("alternating_zeros", "value 0 recurs, first at 1, 7, 9", zeros),
     )
-    return SuiteReport([_timed_row(*row) for row in rows])
+    return SuiteReport([_timed_row(*row, "bound") for row in rows])
 
 
 @dataclass(frozen=True)

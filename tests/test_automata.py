@@ -551,3 +551,49 @@ def test_reachability_helpers_match_brute_force(a):
         if not a.accepting.isdisjoint(x for x, _ in _pairs_reached(a, q, a, q, a.n_states))
     }
     assert coreachable(a.matrix, a.accepting) == live
+
+
+@st.composite
+def regex_cases(draw):
+    """Bases, pattern text, the same pattern as a Python regex, and its literal count.
+
+    Patterns are trees of literals, (), concatenation, alternation and star,
+    at most 4 levels deep.  In the Python regex, symbol index j is chr(97 + j).
+    """
+    bases = draw(st.sampled_from([(2,), (3,), (4,), (2, 2)]))
+    alphabet = list(itertools.product(*(range(b) for b in bases)))
+
+    def tree(depth):
+        kind = draw(st.sampled_from(["sym", "eps"] + (["cat", "alt", "star"] if depth < 4 else [])))
+        if kind == "sym":
+            j = draw(st.integers(0, len(alphabet) - 1))
+            return "[" + ",".join(map(str, alphabet[j])) + "]", chr(97 + j), 1
+        if kind == "eps":
+            return "()", "(?:)", 0
+        if kind == "star":
+            text, py, m = tree(depth + 1)
+            return f"({text})*", f"(?:{py})*", m
+        (lt, lp, lm), (rt, rp, rm) = tree(depth + 1), tree(depth + 1)
+        if kind == "cat":
+            return f"({lt} {rt})", f"(?:{lp}{rp})", lm + rm
+        return f"({lt}|{rt})", f"(?:{lp}|{rp})", lm + rm
+
+    return (bases, *tree(0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(regex_cases())
+def test_from_regex_matches_python_re_under_padding(case):
+    bases, text, py, m = case
+    a = from_regex([f"msd_{b}" for b in bases], text)
+    for length in range(4):
+        for word in itertools.product(a.alphabet, repeat=length):
+            letters = "".join(chr(97 + a.symbol_index(sym)) for sym in word)
+            stripped = letters.lstrip("a")
+            # the closure accepts a word iff its digits behind some number z
+            # of zero tuples match.  A least z is at most m: the pattern's
+            # position automaton has m + 1 states, so reading more than m
+            # zeros from its start repeats a state, and cutting that loop
+            # out leaves a shorter padding that still matches.
+            expected = any(re.fullmatch(py, "a" * z + stripped) for z in range(m + 1))
+            assert a.accepts(word) == expected, (text, word)
