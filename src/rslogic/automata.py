@@ -138,7 +138,7 @@ class MultiTrackAutomaton:
     Instances are treated as immutable once constructed.
     """
 
-    __slots__ = ("tracks", "n_states", "initial", "accepting", "matrix", "_alphabet")
+    __slots__ = ("tracks", "n_states", "initial", "accepting", "matrix", "_alphabet", "_readers")
 
     def __init__(self, tracks, n_states, initial, accepting, matrix):
         tracks = tuple(tracks)
@@ -149,6 +149,7 @@ class MultiTrackAutomaton:
         self.accepting = frozenset(accepting)
         self.matrix = matrix
         self._alphabet = None
+        self._readers = None  # synchronized._reader's cache, by input position
         if not 0 <= initial < n_states:
             raise AutomatonError("initial state out of range")
         if len(matrix) != n_states:
@@ -852,6 +853,10 @@ class OutputAutomaton:
         return MultiTrackAutomaton(
             (track,), self.n_states, self.initial, acc, [list(r) for r in self.matrix]
         )
+
+    def is_padding_closed(self) -> bool:
+        """True iff prepending a zero never changes the output."""
+        return all(self.where(v).is_padding_closed() for v in set(self.outputs))
 
     def minimized(self) -> "OutputAutomaton":
         """Minimal automaton with the same outputs, renumbered canonically.

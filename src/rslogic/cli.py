@@ -82,10 +82,9 @@ def _load_env(args):
                     raise EngineError(f"{path} differs from the verified machine of that name")
                 continue
             # every number may be read behind leading zeros, so a machine
-            # they change would let one query be both TRUE and FALSE; it is
-            # padding-closed iff its minimal start state loops on symbol 0
+            # they change would let one query be both TRUE and FALSE
             machine = minimal(machine)
-            if machine.matrix[machine.initial][0] != machine.initial:
+            if not machine.is_padding_closed():
                 raise EngineError(f"{path} is not padding-closed: a leading zero changes it")
             register(path.name[: -len(suffix)], machine, overwrite=True)
     return env

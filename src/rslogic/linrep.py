@@ -4,28 +4,39 @@ A representation (v, gammas, w) computes v * gammas(d1) * ... * gammas(dk) * w
 over the digit tuples of its listed parameters.  Built from a relation
 automaton, the result counts, for each valuation of the listed parameters,
 how many valuations of the remaining tracks are accepted alongside it.
-Raw and subtracted representations hold Python ints, so evaluating them is
-plain integer arithmetic; minimization works over exact rationals, and only
-a minimal representation can carry non-integer entries.
+Raw and subtracted representations hold Python ints; minimization works
+over exact rationals, and only a minimal representation can carry
+non-integer entries.  Evaluation reduces once per representation: the
+first eval_linrep caches the Schützenberger-minimal form, in ints when all
+its entries are integral, and every later call multiplies at that rank.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .automata import (
-    _alpha_size, _projection_table, _symbol_index, coreachable, reachable, to_digits
+    _alpha_size, _projection_table, coreachable, reachable, to_digits
 )
 from .errors import CompileError, DivergenceError
 
 
 @dataclass
 class LinearRepresentation:
+    """v * gammas(d1) * ... * gammas(dk) * w over the listed parameters' digits.
+
+    An instance is treated as immutable once evaluated: the first
+    eval_linrep caches the form it reads the entries through.
+    """
+
     initial: list  # 1 x r
     gammas: list  # one r x r matrix per digit tuple, mixed-radix order
     final: list  # r x 1
     systems: list  # number system per listed parameter
+    # (form, settled start vector or None), built by the first eval_linrep
+    _reader: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def rank(self):
@@ -82,7 +93,7 @@ def count_representation(automaton, params):
 
 
 def _mat_vec(matrix, vec):
-    return [sum(x * v for x, v in zip(row, vec) if x) for row in matrix]
+    return [sum(map(mul, row, vec)) for row in matrix]
 
 
 def _vec_mat(vec, matrix):
@@ -90,26 +101,76 @@ def _vec_mat(vec, matrix):
     return [sum(x * row[j] for x, row in zip(vec, matrix) if x) for j in range(n)]
 
 
-def eval_linrep(rep, values):
-    """Value at the given parameter values, padding until the count settles.
+def _entries(rep):
+    return [*rep.initial, *rep.final, *(x for g in rep.gammas for row in g for x in row)]
 
-    Extra leading zero tuples can only reveal more completions, and the
-    padded values obey a linear recurrence of order at most the rank, so
-    rank+1 equal consecutive values certify convergence.
+
+def _make_reader(rep):
+    """(form, settled): what eval_linrep multiplies in place of rep.
+
+    form is minimize_schutzenberger(rep) converted to ints when every entry
+    is integral (rank 0 when the series is identically 0), else rep itself.
+    settled is form's start vector behind r+1 zeros when more zeros no longer
+    move it, else None.
+    """
+    minimal = minimize_schutzenberger(rep)
+    if all(x.denominator == 1 for x in _entries(minimal)):
+        form = LinearRepresentation(
+            [int(x) for x in minimal.initial],
+            [[[int(x) for x in row] for row in g] for g in minimal.gammas],
+            [int(x) for x in minimal.final],
+            rep.systems,
+        )
+    else:
+        form = rep
+    zero = form.gammas[0]
+    start = form.initial
+    for _ in range(form.rank + 1):
+        start = _vec_mat(start, zero)
+    # A word's count behind k zeros is v_k * gammas(word) * w with
+    # v_k = initial * Z^k.  If v_{r+1} Z = v_{r+1}, then v_k = v_{r+1} for
+    # every k > r, so every count has settled by r+1 leading zeros and equals
+    # v_{r+1} * gammas(word) * w: no padding loop is needed for any input.
+    settled = start if _vec_mat(start, zero) == start else None
+    return form, settled
+
+
+def eval_linrep(rep, values):
+    """Value at the given parameter values, once padding no longer changes it.
+
+    The first call caches the reduced form and its settled start vector
+    (see _make_reader); the value is then one product at the reduced rank.
+    When the start vector still moves after r+1 zeros, each input runs the
+    padding loop of _padded_value on the reduced form instead.
     """
     if isinstance(values, int):
         values = (values,)
     if len(values) != len(rep.systems):
         raise CompileError(f"expected {len(rep.systems)} values, got {len(values)}")
-    bases = [s.base for s in rep.systems]
-    digit_rows = [to_digits(v, b) for v, b in zip(values, bases)]
+    digit_rows = [to_digits(v, s.base) for v, s in zip(values, rep.systems)]
     length = max(len(row) for row in digit_rows)
-    digit_rows = [[0] * (length - len(row)) + row for row in digit_rows]
+    # the word's symbol indices, mixed radix with the first track most significant
+    word = [0] * length
+    for row, s in zip(digit_rows, rep.systems):
+        word = [g * s.base + d for g, d in zip(word, [0] * (length - len(row)) + row)]
 
+    if rep._reader is None:
+        rep._reader = _make_reader(rep)
+    form, settled = rep._reader
     # suffix product gammas(word) * w once, then prepend zero symbols
-    tail = rep.final
-    for column in reversed(list(zip(*digit_rows))):
-        tail = _mat_vec(rep.gammas[_symbol_index(bases, column)], tail)
+    tail = form.final
+    for g in reversed(word):
+        tail = _mat_vec(form.gammas[g], tail)
+    if settled is not None:
+        value = sum(map(mul, settled, tail))
+    else:
+        value = _padded_value(form, tail, values)
+    if value.denominator != 1:
+        raise DivergenceError(f"non-integer count {value} at {values}")
+    return int(value)
+
+
+def _padded_value(rep, tail, values):
     zero = rep.gammas[0]
     needed = rep.rank + 1
     # The padded values are u_k = v Z^k t with Z = gammas[0], r x r for
@@ -119,7 +180,8 @@ def eval_linrep(rep, values):
     # with m <= r+1: u_k = c for all k >= m.  The run of r+1 equal values
     # u_m..u_{m+r} is then complete by u_{2r+1}; the run is checked at the
     # top of each iteration, so 2r+2 iterations decide, and a count still
-    # moving then never settles.
+    # moving then never settles.  The reduced form computes the same u, so
+    # it decides as the raw one would.
     run = 1
     value = sum(a * b for a, b in zip(rep.initial, tail) if a)
     for _ in range(2 * rep.rank + 2):
@@ -131,9 +193,7 @@ def eval_linrep(rep, values):
         value = nxt
     else:
         raise DivergenceError(f"count at {values} does not settle under padding")
-    if value.denominator != 1:
-        raise DivergenceError(f"non-integer count {value} at {values}")
-    return int(value)
+    return value
 
 
 def subtract(rep1, rep2):

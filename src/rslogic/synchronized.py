@@ -182,12 +182,28 @@ def _start(move, initial, b_out):
     return frontier
 
 
+def _reader(automaton, pos_in):
+    """(move, start, b_out) for reading the track at pos_in as the input.
+
+    Built once per machine and input position and kept on the machine, which
+    is immutable; a start walk that raises is not kept, so it raises again.
+    """
+    if automaton._readers is None:
+        automaton._readers = {}
+    reader = automaton._readers.get(pos_in)
+    if reader is None:
+        pos_out = 1 - pos_in
+        move = _moves(automaton, pos_in, pos_out)
+        b_out = automaton.tracks[pos_out].base
+        reader = (move, _start(move, automaton.initial, b_out), b_out)
+        automaton._readers[pos_in] = reader
+    return reader
+
+
 def sync_eval(automaton, n, input_track=None):
     """The unique y with (n, y) accepted; FunctionalityError otherwise."""
-    pos_in, pos_out = _track_positions(automaton, input_track)
-    move = _moves(automaton, pos_in, pos_out)
-    b_out = automaton.tracks[pos_out].base
-    frontier = _start(move, automaton.initial, b_out)
+    pos_in, _ = _track_positions(automaton, input_track)
+    move, frontier, b_out = _reader(automaton, pos_in)
     for d_in in to_digits(n, automaton.tracks[pos_in].base):
         frontier = _step(move, frontier, d_in, b_out)
     found = {y for q, y in frontier if q in automaton.accepting}
@@ -214,12 +230,13 @@ def sync_table(automaton, count, input_track=None):
     kept as None.  A reused block was walked once without raising, so
     errors come at the same input with the same message.
     """
-    pos_in, pos_out = _track_positions(automaton, input_track)
+    pos_in, _ = _track_positions(automaton, input_track)
+    if count <= 0:
+        return []
+    move, start, b_out = _reader(automaton, pos_in)
     b_in = automaton.tracks[pos_in].base
-    b_out = automaton.tracks[pos_out].base
     width = len(to_digits(count - 1, b_in)) if count > 1 else 1
     accepting = automaton.accepting
-    move = _moves(automaton, pos_in, pos_out)
 
     values = [None] * count
     # key -> (first input of the block walked for it, its shift).  An entry
@@ -264,7 +281,6 @@ def sync_table(automaton, count, input_track=None):
         if key is not None:
             memo[key] = (base, shift)
 
-    start = _start(move, automaton.initial, b_out) if count > 0 else None
     if start:
         descend(0, 0, start)
     missing = [i for i, v in enumerate(values) if v is None]

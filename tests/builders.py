@@ -3,8 +3,10 @@
 A carry adder, a digitwise comparator and a doubling chain of adders
 assemble the same relations that ``rslogic.numeration.linear_atom``
 compiles in one pass.  ``plain_sync_table`` is ``sync_table`` without its
-kernel memo: it walks every input prefix from the engine's start frontier.  These stay deliberately
-separate from the engine code they check.
+kernel memo: it walks every input prefix from the engine's start frontier.
+``plain_eval_linrep`` is ``eval_linrep`` without its cached reduced form: it
+multiplies at the raw rank and pads every input until the count settles.
+These stay deliberately separate from the engine code they check.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from rslogic.automata import (
     NumberSystem,
     OP_AND,
     Track,
+    _symbol_index,
     coreachable,
     determinize,
     minimize,
@@ -22,7 +25,7 @@ from rslogic.automata import (
     reverse,
     to_digits,
 )
-from rslogic.errors import AutomatonError, CompileError, FunctionalityError
+from rslogic.errors import AutomatonError, CompileError, DivergenceError, FunctionalityError
 from rslogic.numeration import RELATIONS, _trivial, linear_atom
 from rslogic.synchronized import _start, _track_positions
 
@@ -177,3 +180,53 @@ def plain_sync_table(automaton, count, input_track=None):
     if missing:
         raise FunctionalityError(f"no accepted output for inputs {missing[:5]}")
     return values
+
+
+def _plain_mat_vec(matrix, vec):
+    return [sum(x * v for x, v in zip(row, vec) if x) for row in matrix]
+
+
+def plain_eval_linrep(rep, values):
+    """Value at the given parameter values, padding until the count settles.
+
+    Extra leading zero tuples can only reveal more completions, and the
+    padded values obey a linear recurrence of order at most the rank, so
+    rank+1 equal consecutive values certify convergence.
+    """
+    if isinstance(values, int):
+        values = (values,)
+    if len(values) != len(rep.systems):
+        raise CompileError(f"expected {len(rep.systems)} values, got {len(values)}")
+    bases = [s.base for s in rep.systems]
+    digit_rows = [to_digits(v, b) for v, b in zip(values, bases)]
+    length = max(len(row) for row in digit_rows)
+    digit_rows = [[0] * (length - len(row)) + row for row in digit_rows]
+
+    # suffix product gammas(word) * w once, then prepend zero symbols
+    tail = rep.final
+    for column in reversed(list(zip(*digit_rows))):
+        tail = _plain_mat_vec(rep.gammas[_symbol_index(bases, column)], tail)
+    zero = rep.gammas[0]
+    needed = rep.rank + 1
+    # The padded values are u_k = v Z^k t with Z = gammas[0], r x r for
+    # r = rep.rank, so its characteristic polynomial p (degree r) annihilates
+    # u.  If u settles at c, then w = u - c is annihilated by (x-1)p(x) of
+    # degree r+1, and as w is eventually zero its minimal polynomial is x^m
+    # with m <= r+1: u_k = c for all k >= m.  The run of r+1 equal values
+    # u_m..u_{m+r} is then complete by u_{2r+1}; the run is checked at the
+    # top of each iteration, so 2r+2 iterations decide, and a count still
+    # moving then never settles.
+    run = 1
+    value = sum(a * b for a, b in zip(rep.initial, tail) if a)
+    for _ in range(2 * rep.rank + 2):
+        if run >= needed:
+            break
+        tail = _plain_mat_vec(zero, tail)
+        nxt = sum(a * b for a, b in zip(rep.initial, tail) if a)
+        run = run + 1 if nxt == value else 1
+        value = nxt
+    else:
+        raise DivergenceError(f"count at {values} does not settle under padding")
+    if value.denominator != 1:
+        raise DivergenceError(f"non-integer count {value} at {values}")
+    return int(value)

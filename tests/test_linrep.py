@@ -1,11 +1,15 @@
 """Counting representations: construction, arithmetic, minimization."""
 
+import math
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rslogic import linrep
 from rslogic.automata import NumberSystem
-from rslogic.errors import CompileError, DivergenceError
+from rslogic.errors import CompileError, DivergenceError, EngineError
 from rslogic.linrep import (
     LinearRepresentation,
     count_representation,
@@ -17,6 +21,8 @@ from rslogic.linrep import (
 from rslogic.logic import Environment, compile_formula
 from rslogic.sequences import alternating_sum_by_recurrence, partial_sum_by_recurrence
 from rslogic.synchronized import guess_sync
+
+from builders import plain_eval_linrep
 
 M4 = NumberSystem(4)
 M2 = NumberSystem(2)
@@ -256,3 +262,80 @@ def test_minimization_preserves_every_short_word(rep):
     assert minimal.rank <= rep.rank
     assert _word_values(minimal, 6) == _word_values(rep, 6)
     assert is_zero(subtract(rep, rep))
+
+
+def _outcome(evaluate, rep, values):
+    try:
+        return evaluate(rep, values)
+    except EngineError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def integer_representations(draw):
+    """Integer representations of rank <= 5 over one or two tracks in bases 2, 3.
+
+    Fully random ones mostly never settle and about half of them reduce to a
+    non-integral minimal form.  "settling" zero matrices send each coordinate
+    to one at or below it, as leading zeros do on an automaton, so the start
+    vector stops moving; "doubling" ones give the start vector eigenvalue 2,
+    so a count settles only where the word's tail clears that coordinate.
+    """
+    rank = draw(st.integers(1, 5))
+    bases = draw(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=2))
+    entry = st.integers(-2, 2)
+    vector = st.lists(entry, min_size=rank, max_size=rank)
+    matrix = st.lists(vector, min_size=rank, max_size=rank)
+    gammas = [draw(matrix) for _ in range(math.prod(bases))]
+    initial = draw(vector)
+    kind = draw(st.sampled_from(["random", "settling", "doubling"]))
+    if kind == "settling":
+        targets = [draw(st.integers(0, i)) for i in range(rank)]
+        gammas[0] = [[int(j == t) for j in range(rank)] for t in targets]
+    elif kind == "doubling":
+        gammas[0][0] = [2] + [0] * (rank - 1)
+        initial = [1] + [0] * (rank - 1)
+    systems = [NumberSystem(b) for b in bases]
+    return LinearRepresentation(initial, gammas, draw(vector), systems)
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_representations(), st.data())
+def test_cached_evaluator_matches_plain_evaluator(rep, data):
+    point = st.tuples(*[st.integers(0, 200)] * len(rep.systems))
+    for values in data.draw(st.lists(point, min_size=1, max_size=8)):
+        assert _outcome(eval_linrep, rep, values) == _outcome(plain_eval_linrep, rep, values)
+
+
+def test_reduction_runs_once_per_representation(monkeypatch):
+    calls = []
+
+    def counted(rep):
+        calls.append(rep.rank)
+        return minimize_schutzenberger(rep)
+
+    monkeypatch.setattr(linrep, "minimize_schutzenberger", counted)
+    rep = count_representation(compile_formula(Environment(), "k<=n"), ["n"])
+    assert [eval_linrep(rep, n) for n in (5, 9, 0)] == [6, 10, 1]
+    assert calls == [rep.rank]
+
+
+def test_evaluation_leaves_text_and_equality_alone(env):
+    rep = env.representations["howmany"]
+    twin = LinearRepresentation(
+        list(rep.initial), list(rep.gammas), list(rep.final), list(rep.systems)
+    )
+    text = twin.to_text()
+    assert twin == rep
+    eval_linrep(twin, 77)
+    assert twin._reader is not None
+    assert twin.to_text() == text
+    assert twin == rep and repr(twin) == repr(rep)
+
+
+def test_non_integer_count_message_unchanged():
+    # the count is 1/2 at every word, so both evaluators reject it
+    half = LinearRepresentation([Fraction(1, 2)], [[[1]], [[1]]], [1], [M2])
+    outcome = _outcome(eval_linrep, half, 6)
+    assert outcome == _outcome(plain_eval_linrep, half, 6)
+    assert outcome == (DivergenceError, "non-integer count 1/2 at (6,)")

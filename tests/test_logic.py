@@ -176,6 +176,13 @@ def test_compare_compiles_to_linear_atom():
     sweep(aut, lambda n, y: 3 * n + 7 <= 5 * y)
 
 
+def test_integer_factor_multiplies_into_the_constant():
+    env = Environment()
+    aut = compile_formula(env, "?msd_4 x=2*3")
+    assert [t.system for t in aut.tracks] == [MSD4]
+    sweep(aut, lambda x: x == 6)
+
+
 def test_connectives_against_brute_force():
     env = Environment()
     cases = [

@@ -4,6 +4,8 @@ from hypothesis import strategies as st
 from rslogic.sequences import (
     alternating_sum_by_recurrence,
     alternating_sums,
+    double_zero_alternating_sum_by_recurrence,
+    double_zero_partial_sum_by_recurrence,
     double_zero_sign,
     double_zero_sign_dfao4,
     pair_count,
@@ -93,6 +95,15 @@ def test_double_zero_halving_recurrences():
         assert alts[2 * n + 1] == -alts[n] - sums[n] + 2
 
 
+def test_double_zero_recurrence_route_agrees_with_running_sums():
+    sums = running_sums(double_zero_sign, 2 ** 10)
+    alts = running_sums(double_zero_sign, 2 ** 10, alternating=True)
+    # the documented empty sum: the partial sum before 0 is 0
+    assert double_zero_partial_sum_by_recurrence(-1) == 0
+    assert [double_zero_partial_sum_by_recurrence(n) for n in range(2 ** 10)] == sums
+    assert [double_zero_alternating_sum_by_recurrence(n) for n in range(2 ** 10)] == alts
+
+
 def test_double_zero_quartering_recurrences():
     # the correction term riding along is the threaded sign itself
     sums = running_sums(double_zero_sign, 2 ** 14)
@@ -167,5 +178,6 @@ def test_base4_double_zero_automaton():
 
 def test_output_automata_recognizers_are_padding_closed():
     for dfao in (rudin_shapiro_dfao2(), rudin_shapiro_dfao4(), double_zero_sign_dfao4()):
+        assert dfao.is_padding_closed()
         for v in (1, -1):
             assert dfao.where(v).is_padding_closed()

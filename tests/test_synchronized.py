@@ -18,6 +18,7 @@ from rslogic.sequences import (
     pseudo_square,
     rudin_shapiro_dfao4,
 )
+from rslogic import synchronized
 from rslogic.synchronized import (
     accepting_bit_mutations,
     define_derived_sync,
@@ -280,6 +281,27 @@ def test_outputs_longer_than_any_fixed_padding(y):
     assert sync_table(machine, 4, input_track="p00") == [y] * 4
 
 
+def test_one_reader_per_machine_and_input(rss, monkeypatch):
+    built = []
+    plain_moves = synchronized._moves
+
+    def counted(automaton, pos_in, pos_out):
+        built.append(pos_in)
+        return plain_moves(automaton, pos_in, pos_out)
+
+    monkeypatch.setattr(synchronized, "_moves", counted)
+    machine = rss.renamed({})  # a fresh instance, so nothing is cached yet
+    values = [sync_eval(machine, n) for n in range(64)]
+    assert values == partial_sums(64)
+    assert sync_table(machine, 64, input_track="n") == values
+    assert built == [0]
+    # reading x as the input is a second reader; (x, n) is no function
+    with pytest.raises(FunctionalityError):
+        sync_eval(machine, 3, input_track="x")
+    sync_eval(machine, 5)
+    assert built == [0, 1]
+
+
 def test_track_names_are_checked(rss):
     with pytest.raises(EngineError, match="'q'"):
         sync_eval(rss, 5, input_track="q")
@@ -290,10 +312,12 @@ def test_sync_eval_rejects_relations_that_are_not_functions():
     # are states, so some state carries two of them
     many = linear_atom({"n": 1, "y": -1}, "<=", 0, M2)
     message = "^one input reaches one state with two outputs$"
-    with pytest.raises(FunctionalityError, match=message):
-        sync_eval(many, 5, input_track="n")
-    with pytest.raises(FunctionalityError, match=message):
-        sync_table(many, 300, input_track="n")
+    # the start walk raises, so no reader is kept and each call raises again
+    for _ in range(2):
+        with pytest.raises(FunctionalityError, match=message):
+            sync_eval(many, 5, input_track="n")
+        with pytest.raises(FunctionalityError, match=message):
+            sync_table(many, 300, input_track="n")
     none = linear_atom({"n": 1, "y": 1}, "<", 0, M2)  # empty
     with pytest.raises(FunctionalityError):
         sync_eval(none, 5, input_track="n")

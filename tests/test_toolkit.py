@@ -137,6 +137,17 @@ def test_check_curve_catches_planted_repeat(monkeypatch):
     assert not toolkit.check_curve(9)
 
 
+def test_check_curve_catches_planted_third_hit(monkeypatch):
+    # a walk that meets (2, 2) a third time along segments all new
+    import rslogic.toolkit as toolkit
+
+    path = [(2, 2), (3, 3), (4, 2), (3, 1), (2, 2), (1, 3), (0, 2), (1, 1), (2, 2)]
+    bad = [toolkit.CurvePoint(n, x, y) for n, (x, y) in enumerate(path)]
+    monkeypatch.setattr(toolkit, "curve_points", lambda n: bad[:n])
+    assert toolkit.check_curve(len(path) - 1)
+    assert not toolkit.check_curve(len(path))
+
+
 def test_every_nearby_lattice_point_is_hit():
     bound = 4 * (32 + 32 + 2) ** 2
     first = {}
