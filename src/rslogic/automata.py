@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .errors import AutomatonError, BaseMismatchError, RegexError
+from .errors import AutomatonError, BaseMismatchError, CompileError, RegexError
 
 __all__ = [
     "NumberSystem",
@@ -84,8 +84,8 @@ class Track:
 
 def to_digits(n: int, base: int) -> list[int]:
     """Canonical msd-first digits of n; 0 is the empty string."""
-    if n < 0:
-        raise ValueError("only natural numbers have digit strings")
+    if not isinstance(n, int) or n < 0:
+        raise CompileError(f"only natural numbers have digit strings, got {n!r}")
     out = []
     while n:
         n, d = divmod(n, base)
@@ -179,20 +179,11 @@ class MultiTrackAutomaton:
     def step(self, state: int, sym) -> int:
         return self.matrix[state][self.symbol_index(sym)]
 
-    def walk(self, word, start: int | None = None) -> int:
-        q = self.initial if start is None else start
+    def accepts(self, word) -> bool:
+        q = self.initial
         for sym in word:
             q = self.matrix[q][self.symbol_index(sym)]
-        return q
-
-    def accepts(self, word) -> bool:
-        return self.walk(word) in self.accepting
-
-    def accepts_values(self, values, extra_padding: int = 0) -> bool:
-        word = encode_values(self.tracks, values)
-        if extra_padding:
-            word = [tuple([0] * len(self.tracks))] * extra_padding + word
-        return self.accepts(word)
+        return q in self.accepting
 
     def track_index(self, name: str) -> int:
         for i, t in enumerate(self.tracks):
@@ -838,12 +829,6 @@ class OutputAutomaton:
         q = self.initial
         for d in to_digits(n, self.base):
             q = self.matrix[q][d]
-        return self.outputs[q]
-
-    def value_of_word(self, word) -> int:
-        q = self.initial
-        for d in word:
-            q = self.matrix[q][d if isinstance(d, int) else d[0]]
         return self.outputs[q]
 
     def where(self, value: int, name: str | None = None) -> MultiTrackAutomaton:

@@ -109,9 +109,7 @@ def _describe(result):
         return "TRUE" if result.truth else "FALSE"
     if result.automaton is not None:
         return f"automaton with {result.automaton.n_states} states"
-    if result.representation is not None:
-        return f"linear representation of rank {result.representation.rank}"
-    return "ok"
+    return f"linear representation of rank {result.representation.rank}"
 
 
 def cmd_suite(args):

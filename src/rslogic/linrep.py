@@ -5,16 +5,18 @@ over the digit tuples of its listed parameters.  Built from a relation
 automaton, the result counts, for each valuation of the listed parameters,
 how many valuations of the remaining tracks are accepted alongside it.
 Raw and subtracted representations hold Python ints; minimization works
-over exact rationals, and only a minimal representation can carry
-non-integer entries.  Evaluation reduces once per representation: the
-first eval_linrep caches the Schützenberger-minimal form, in ints when all
-its entries are integral, and every later call multiplies at that rank.
+over exact rationals.  Evaluation reads every representation through one
+reduced form, cached by the first eval_linrep: the Schützenberger-minimal
+form with its integral entries as ints, and its start vector behind r+1
+leading zeros.  One exact test decides whether a count settles under
+padding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 
 from .automata import (
@@ -35,8 +37,28 @@ class LinearRepresentation:
     gammas: list  # one r x r matrix per digit tuple, mixed-radix order
     final: list  # r x 1
     systems: list  # number system per listed parameter
-    # (form, settled start vector or None), built by the first eval_linrep
-    _reader: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    @cached_property
+    def _reader(self):
+        """(form, start, settled): what eval_linrep reads in place of self.
+
+        form is minimize_schutzenberger(self) with each integral entry as an
+        int (rank 0 when the series is identically 0).  With Z the zero
+        digit's matrix of form and r its rank, start is v_{r+1} =
+        initial * Z^{r+1} and settled says whether start * Z == start.
+        """
+        minimal = minimize_schutzenberger(self)
+        form = LinearRepresentation(
+            _ints(minimal.initial),
+            [[_ints(row) for row in g] for g in minimal.gammas],
+            _ints(minimal.final),
+            self.systems,
+        )
+        zero = form.gammas[0]
+        start = form.initial
+        for _ in range(form.rank + 1):
+            start = _vec_mat(start, zero)
+        return form, start, _vec_mat(start, zero) == start
 
     @property
     def rank(self):
@@ -101,49 +123,20 @@ def _vec_mat(vec, matrix):
     return [sum(x * row[j] for x, row in zip(vec, matrix) if x) for j in range(n)]
 
 
-def _entries(rep):
-    return [*rep.initial, *rep.final, *(x for g in rep.gammas for row in g for x in row)]
-
-
-def _make_reader(rep):
-    """(form, settled): what eval_linrep multiplies in place of rep.
-
-    form is minimize_schutzenberger(rep) converted to ints when every entry
-    is integral (rank 0 when the series is identically 0), else rep itself.
-    settled is form's start vector behind r+1 zeros when more zeros no longer
-    move it, else None.
-    """
-    minimal = minimize_schutzenberger(rep)
-    if all(x.denominator == 1 for x in _entries(minimal)):
-        form = LinearRepresentation(
-            [int(x) for x in minimal.initial],
-            [[[int(x) for x in row] for row in g] for g in minimal.gammas],
-            [int(x) for x in minimal.final],
-            rep.systems,
-        )
-    else:
-        form = rep
-    zero = form.gammas[0]
-    start = form.initial
-    for _ in range(form.rank + 1):
-        start = _vec_mat(start, zero)
-    # A word's count behind k zeros is v_k * gammas(word) * w with
-    # v_k = initial * Z^k.  If v_{r+1} Z = v_{r+1}, then v_k = v_{r+1} for
-    # every k > r, so every count has settled by r+1 leading zeros and equals
-    # v_{r+1} * gammas(word) * w: no padding loop is needed for any input.
-    settled = start if _vec_mat(start, zero) == start else None
-    return form, settled
+def _ints(vec):
+    return [int(x) if x.denominator == 1 else x for x in vec]
 
 
 def eval_linrep(rep, values):
     """Value at the given parameter values, once padding no longer changes it.
 
-    The first call caches the reduced form and its settled start vector
-    (see _make_reader); the value is then one product at the reduced rank.
-    When the start vector still moves after r+1 zeros, each input runs the
-    padding loop of _padded_value on the reduced form instead.
+    Every value is read through the representation's one cached reduced
+    form (LinearRepresentation._reader): t = gammas(word) * w at the reduced
+    rank r, and the count behind r+1 leading zeros is start * t.  A settled
+    form stops there; any other form takes r more zero steps, one exact test
+    of whether the count settles.
     """
-    if isinstance(values, int):
+    if not isinstance(values, (tuple, list)):
         values = (values,)
     if len(values) != len(rep.systems):
         raise CompileError(f"expected {len(rep.systems)} values, got {len(values)}")
@@ -154,46 +147,28 @@ def eval_linrep(rep, values):
     for row, s in zip(digit_rows, rep.systems):
         word = [g * s.base + d for g, d in zip(word, [0] * (length - len(row)) + row)]
 
-    if rep._reader is None:
-        rep._reader = _make_reader(rep)
-    form, settled = rep._reader
+    form, start, settled = rep._reader
     # suffix product gammas(word) * w once, then prepend zero symbols
     tail = form.final
     for g in reversed(word):
         tail = _mat_vec(form.gammas[g], tail)
-    if settled is not None:
-        value = sum(map(mul, settled, tail))
-    else:
-        value = _padded_value(form, tail, values)
+    value = sum(map(mul, start, tail))
+    if not settled:
+        # The count behind k zeros is u_k = v Z^k t, and Z's characteristic
+        # polynomial p (degree r) annihilates u.  If u settles at c, then
+        # u - c is annihilated by (x-1)p(x) and is eventually zero, so its
+        # minimal polynomial x^m divides (x-1)p(x): x^m | p, so m <= r and
+        # u_{r+1} = ... = u_{2r+1} = c.  Conversely, r+1 equal values from
+        # index r+1 on give u - c r+1 zeros in a row under a recurrence of
+        # order r+1, so u - c = 0 from there on.  start * Z^j * t = u_{r+1+j}.
+        zero = form.gammas[0]
+        for _ in range(form.rank):
+            tail = _mat_vec(zero, tail)
+            if sum(map(mul, start, tail)) != value:
+                raise DivergenceError(f"count at {values} does not settle under padding")
     if value.denominator != 1:
         raise DivergenceError(f"non-integer count {value} at {values}")
     return int(value)
-
-
-def _padded_value(rep, tail, values):
-    zero = rep.gammas[0]
-    needed = rep.rank + 1
-    # The padded values are u_k = v Z^k t with Z = gammas[0], r x r for
-    # r = rep.rank, so its characteristic polynomial p (degree r) annihilates
-    # u.  If u settles at c, then w = u - c is annihilated by (x-1)p(x) of
-    # degree r+1, and as w is eventually zero its minimal polynomial is x^m
-    # with m <= r+1: u_k = c for all k >= m.  The run of r+1 equal values
-    # u_m..u_{m+r} is then complete by u_{2r+1}; the run is checked at the
-    # top of each iteration, so 2r+2 iterations decide, and a count still
-    # moving then never settles.  The reduced form computes the same u, so
-    # it decides as the raw one would.
-    run = 1
-    value = sum(a * b for a, b in zip(rep.initial, tail) if a)
-    for _ in range(2 * rep.rank + 2):
-        if run >= needed:
-            break
-        tail = _mat_vec(zero, tail)
-        nxt = sum(a * b for a, b in zip(rep.initial, tail) if a)
-        run = run + 1 if nxt == value else 1
-        value = nxt
-    else:
-        raise DivergenceError(f"count at {values} does not settle under padding")
-    return value
 
 
 def subtract(rep1, rep2):
@@ -219,18 +194,17 @@ class _RowSpace:
         self.rows = []  # echelon rows
         self.coords = []  # coords[i]: echelon row i in terms of inserted basis
         self.pivots = []
-        self.size = 0  # inserted independent vectors
 
     def _reduce(self, vec):
         # Fractions, because x / scale on two ints would give a float
         vec = [Fraction(x) for x in vec]
-        combo = [Fraction(0)] * self.size
+        combo = [Fraction(0)] * len(self.rows)
         for row, coord, pivot in zip(self.rows, self.coords, self.pivots):
             factor = vec[pivot]
             if factor:
                 for j in range(self.width):
                     vec[j] -= factor * row[j]
-                for j in range(self.size):
+                for j in range(len(combo)):
                     combo[j] += factor * coord[j]
         return vec, combo
 
@@ -247,7 +221,6 @@ class _RowSpace:
             coord.append(Fraction(0))
         self.coords.append(combo)
         self.pivots.append(pivot)
-        self.size += 1
         return True
 
     def express(self, vec):

@@ -104,7 +104,6 @@ class Command:
     name: str
     params: list  # listed variables (def/eval) or number systems (reg)
     body: str  # quoted formula or pattern text
-    source: str = ""
 
 
 # a variable, relation or command name
@@ -148,11 +147,11 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, text: str, ambient: NumberSystem):
+    def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
-        self.ambient = ambient
+        self.ambient = DEFAULT_SYSTEM
 
     def peek(self, offset=0):
         return self.tokens[min(self.i + offset, len(self.tokens) - 1)]
@@ -344,10 +343,9 @@ class _Parser:
                 return Term({k: v for k, v in coeffs.items() if v}, const)
 
 
-def parse_formula(text: str, ambient: NumberSystem | None = None):
+def parse_formula(text: str):
     """Parse one formula; a leading ?msd_k marker sets the ambient system."""
-    parser = _Parser(text, ambient or DEFAULT_SYSTEM)
-    return parser.parse()
+    return _Parser(text).parse()
 
 
 def _strip_comments(text: str) -> str:
@@ -390,7 +388,6 @@ def parse_script(text: str) -> list[Command]:
                 name=m.group("name"),
                 params=params,
                 body=m.group("body"),
-                source=m.group(0),
             )
         )
         pos = m.end()

@@ -23,7 +23,6 @@ __all__ = [
     "double_zero_sign",
     "double_zero_partial_sum_by_recurrence",
     "double_zero_alternating_sum_by_recurrence",
-    "rudin_shapiro_dfao2",
     "rudin_shapiro_dfao4",
     "double_zero_sign_dfao4",
 ]
@@ -136,27 +135,6 @@ def double_zero_alternating_sum_by_recurrence(n: int) -> int:
         - double_zero_partial_sum_by_recurrence(half)
         + 2
     )
-
-
-def rudin_shapiro_dfao2() -> OutputAutomaton:
-    """Base-2 output automaton computing rudin_shapiro(n).
-
-    States are (parity of 1-pairs so far, previous bit); leading zeros are
-    harmless because a zero bit never extends a 1-pair.
-    """
-    track = Track("n", NumberSystem(2))
-    # state = 2 * parity + last_bit
-    matrix = []
-    outputs = []
-    for q in range(4):
-        parity, last = divmod(q, 2)
-        row = []
-        for bit in (0, 1):
-            p2 = parity ^ (last & bit)
-            row.append(2 * p2 + bit)
-        matrix.append(row)
-        outputs.append(-1 if parity else 1)
-    return OutputAutomaton(track, 4, 0, outputs, matrix)
 
 
 def rudin_shapiro_dfao4() -> OutputAutomaton:

@@ -23,7 +23,7 @@ from .automata import (
     minimize,
     to_digits,
 )
-from .errors import FunctionalityError, GuessFailedError
+from .errors import CompileError, FunctionalityError, GuessFailedError
 from .logic import Environment, compile_formula, find_counterexample
 from .sequences import rudin_shapiro_dfao4
 
@@ -34,7 +34,6 @@ __all__ = [
     "verify_sync",
     "verify_sync_s",
     "verify_sync_t",
-    "define_derived_sync",
     "accepting_bit_mutations",
     "VerifyOutcome",
     "CheckOutcome",
@@ -231,6 +230,8 @@ def sync_table(automaton, count, input_track=None):
     errors come at the same input with the same message.
     """
     pos_in, _ = _track_positions(automaton, input_track)
+    if not isinstance(count, int):
+        raise CompileError(f"count must be an int, got {count!r}")
     if count <= 0:
         return []
     move, start, b_out = _reader(automaton, pos_in)
@@ -380,32 +381,6 @@ def verify_sync_s(candidate, input_track=None):
 def verify_sync_t(candidate, input_track=None):
     """As verify_sync_s with the parity-weighted step (alternating sum)."""
     return verify_sync(candidate, rudin_shapiro_dfao4(), "alt", 1, input_track)
-
-
-def define_derived_sync(env, name, formula):
-    """Compile and register a two-track relation, then prove it functional.
-
-    The first track is the argument, the second the value.  A relation
-    mapping some argument to two values is dropped again and rejected with
-    a witness.  Totality is not required: derived relations may be partial.
-    """
-    automaton = compile_formula(env, formula)
-    if len(automaton.tracks) != 2:
-        raise FunctionalityError(
-            f"expected 2 free variables, found {[t.name for t in automaton.tracks]}"
-        )
-    env.register_relation(name, automaton)
-    relation = env.relation(name)
-    in_sys = relation.automaton.tracks[0].system
-    out_sys = relation.automaton.tracks[1].system
-    witness = find_counterexample(
-        env,
-        f"?{in_sys} An,x,y (${name}(n,x) & ${name}(n,y)) => (?{out_sys} x=y)",
-    )
-    if witness is not None:
-        del env.relations[name]
-        raise FunctionalityError(f"{name} maps an argument to two values: {witness}")
-    return relation
 
 
 def accepting_bit_mutations(automaton):

@@ -1,4 +1,4 @@
-"""Independent routes the tests compare the engine against.
+"""Independent routes the tests compare the engine against, and test-only helpers.
 
 A carry adder, a digitwise comparator and a doubling chain of adders
 assemble the same relations that ``rslogic.numeration.linear_atom``
@@ -6,7 +6,9 @@ compiles in one pass.  ``plain_sync_table`` is ``sync_table`` without its
 kernel memo: it walks every input prefix from the engine's start frontier.
 ``plain_eval_linrep`` is ``eval_linrep`` without its cached reduced form: it
 multiplies at the raw rank and pads every input until the count settles.
-These stay deliberately separate from the engine code they check.
+These stay deliberately separate from the engine code they check.  The
+readers ``accepts_values`` and ``value_of_word``, the base-2 sign table
+``rudin_shapiro_dfao2`` and ``define_derived_sync`` serve only the tests.
 """
 
 from __future__ import annotations
@@ -15,10 +17,12 @@ from rslogic.automata import (
     MultiTrackAutomaton,
     NumberSystem,
     OP_AND,
+    OutputAutomaton,
     Track,
     _symbol_index,
     coreachable,
     determinize,
+    encode_values,
     minimize,
     product,
     project,
@@ -26,6 +30,7 @@ from rslogic.automata import (
     to_digits,
 )
 from rslogic.errors import AutomatonError, CompileError, DivergenceError, FunctionalityError
+from rslogic.logic import compile_formula, find_counterexample
 from rslogic.numeration import RELATIONS, _trivial, linear_atom
 from rslogic.synchronized import _start, _track_positions
 
@@ -230,3 +235,66 @@ def plain_eval_linrep(rep, values):
     if value.denominator != 1:
         raise DivergenceError(f"non-integer count {value} at {values}")
     return int(value)
+
+
+def accepts_values(automaton, values, extra_padding=0):
+    """Whether the automaton accepts the values, behind extra_padding zero tuples."""
+    word = encode_values(automaton.tracks, values)
+    if extra_padding:
+        word = [tuple([0] * len(automaton.tracks))] * extra_padding + word
+    return automaton.accepts(word)
+
+
+def value_of_word(dfao, word):
+    """Output after reading word, digits or one-digit tuples, padding kept."""
+    q = dfao.initial
+    for d in word:
+        q = dfao.matrix[q][d if isinstance(d, int) else d[0]]
+    return dfao.outputs[q]
+
+
+def rudin_shapiro_dfao2():
+    """Base-2 output automaton computing rudin_shapiro(n).
+
+    States are (parity of 1-pairs so far, previous bit); leading zeros are
+    harmless because a zero bit never extends a 1-pair.
+    """
+    track = Track("n", NumberSystem(2))
+    # state = 2 * parity + last_bit
+    matrix = []
+    outputs = []
+    for q in range(4):
+        parity, last = divmod(q, 2)
+        row = []
+        for bit in (0, 1):
+            p2 = parity ^ (last & bit)
+            row.append(2 * p2 + bit)
+        matrix.append(row)
+        outputs.append(-1 if parity else 1)
+    return OutputAutomaton(track, 4, 0, outputs, matrix)
+
+
+def define_derived_sync(env, name, formula):
+    """Compile and register a two-track relation, then prove it functional.
+
+    The first track is the argument, the second the value.  A relation
+    mapping some argument to two values is dropped again and rejected with
+    a witness.  Totality is not required: derived relations may be partial.
+    """
+    automaton = compile_formula(env, formula)
+    if len(automaton.tracks) != 2:
+        raise FunctionalityError(
+            f"expected 2 free variables, found {[t.name for t in automaton.tracks]}"
+        )
+    env.register_relation(name, automaton)
+    relation = env.relation(name)
+    in_sys = relation.automaton.tracks[0].system
+    out_sys = relation.automaton.tracks[1].system
+    witness = find_counterexample(
+        env,
+        f"?{in_sys} An,x,y (${name}(n,x) & ${name}(n,y)) => (?{out_sys} x=y)",
+    )
+    if witness is not None:
+        del env.relations[name]
+        raise FunctionalityError(f"{name} maps an argument to two values: {witness}")
+    return relation

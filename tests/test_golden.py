@@ -1,0 +1,51 @@
+"""Byte-identity gate: the corpus replay and its machines hash to recorded digests.
+
+A change that means to keep every output byte for byte (a speed-up or a
+simplification) must leave all four digests alone.  A change that means to
+alter an output updates the digest of its category, and says why.
+"""
+
+import hashlib
+
+from rslogic.catalog import CHECKS
+from rslogic.linrep import minimize_schutzenberger
+
+GOLDEN = {
+    "suite rows": "535037e566ef8520a8146634fbd431b45bf25f4781939d7a706b2fa6bcf29f8f",
+    "machine texts": "e3719a1a862bc7944af185d4ee29e8a3d3ccfd2582f5597726be4b4e4144d839",
+    "representation texts": "e64c71ef8504145d1ce33c374733795d8f08c25f25d36346545cb8aa9070941a",
+    "minimal representation texts": "9189d956037c1c3cbdfd6db20137771626e233e9bef7f87f7004a46980177e8f",
+}
+
+
+def _digest(parts):
+    return hashlib.sha256("\x00".join(parts).encode()).hexdigest()
+
+
+def _digests(env, report):
+    names = [check.name for check in CHECKS]
+    relations = ["rss", "rst", *(n for n in names if n in env.relations)]
+    reps = [n for n in names if n in env.representations]
+    return {
+        "suite rows": _digest(
+            repr((row.name, row.kind, row.expected, row.actual, row.ok))
+            for row in report.rows
+        ),
+        "machine texts": _digest(
+            [f"{n}\n{env.relations[n].automaton.to_text()}" for n in relations]
+            + [f"RS4\n{env.dfaos['RS4'].to_text()}"]
+        ),
+        "representation texts": _digest(
+            f"{n}\n{env.representations[n].to_text()}" for n in reps
+        ),
+        "minimal representation texts": _digest(
+            f"{n}\n{minimize_schutzenberger(env.representations[n]).to_text()}"
+            for n in reps
+        ),
+    }
+
+
+def test_corpus_outputs_are_byte_identical(corpus):
+    actual = _digests(*corpus)
+    changed = [category for category, digest in GOLDEN.items() if actual[category] != digest]
+    assert not changed, f"outputs changed in: {', '.join(changed)}"

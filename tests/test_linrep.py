@@ -125,6 +125,29 @@ def test_divergent_count_detected():
     rep = count_representation(aut, ["n"])
     with pytest.raises(DivergenceError):
         eval_linrep(rep, 3)
+    # padding flips the sign of the count, 2 * (-1)^k * (-2): no run of
+    # equal values ever starts, although two late values agree in size
+    alternating = LinearRepresentation([2], [[[-1]], [[-2]], [[0]]], [-2], [NumberSystem(3)])
+    with pytest.raises(DivergenceError, match="does not settle"):
+        eval_linrep(alternating, 0)
+
+
+def test_non_integral_minimal_form_that_settles():
+    rep = LinearRepresentation([-1, 2], [[[1, 0], [1, 0]], [[0, 2], [1, 0]]], [-1, 2], [M2])
+    assert [eval_linrep(rep, n) for n in range(6)] == [-1, 4, -2, -2, -2, 8]
+    for n in range(64):
+        assert eval_linrep(rep, n) == plain_eval_linrep(rep, n)
+    form, _, _ = rep._reader
+    assert form.rank == minimize_schutzenberger(rep).rank == 2
+    assert any(type(x) is Fraction for x in _entries(form))
+
+
+@pytest.mark.parametrize("value", [-1, 2.5])
+def test_eval_rejects_values_that_are_not_natural(env, value):
+    with pytest.raises(CompileError, match=f"got {value}"):
+        eval_linrep(env.representations["ident"], value)
+    with pytest.raises(CompileError, match=f"got {value}"):
+        eval_linrep(env.representations["full_block"], (1, value))
 
 
 def test_empty_relation_counts_zero():
@@ -328,7 +351,7 @@ def test_evaluation_leaves_text_and_equality_alone(env):
     text = twin.to_text()
     assert twin == rep
     eval_linrep(twin, 77)
-    assert twin._reader is not None
+    assert "_reader" in vars(twin)
     assert twin.to_text() == text
     assert twin == rep and repr(twin) == repr(rep)
 

@@ -19,7 +19,7 @@ from rslogic.parser import (
 )
 from rslogic.sequences import rudin_shapiro, rudin_shapiro_dfao4
 
-from builders import build_compare, build_const_mul
+from builders import accepts_values, build_compare, build_const_mul
 
 MSD2 = NumberSystem(2)
 MSD4 = NumberSystem(4)
@@ -29,7 +29,7 @@ def sweep(automaton, oracle, bound=24):
     names = [t.name for t in automaton.tracks]
     for values in itertools.product(range(bound), repeat=len(names)):
         env = dict(zip(names, values))
-        assert automaton.accepts_values(values) == bool(oracle(**env)), env
+        assert accepts_values(automaton, values) == bool(oracle(**env)), env
 
 
 # -- parsing ----------------------------------------------------------------

@@ -13,10 +13,11 @@ from rslogic.sequences import (
     partial_sums,
     pseudo_square,
     rudin_shapiro,
-    rudin_shapiro_dfao2,
     rudin_shapiro_dfao4,
     running_sums,
 )
+
+from builders import rudin_shapiro_dfao2, value_of_word
 
 # published reference values for the two partial sums, n = 0..20
 SUM_TABLE = [1, 2, 3, 2, 3, 4, 3, 4, 5, 6, 7, 6, 5, 4, 5, 4, 5, 6, 7, 6, 7]
@@ -162,7 +163,7 @@ def test_base4_output_automaton():
 
     for n in range(500):
         word = [0, 0] + to_digits(n, 4)
-        assert dfao.value_of_word(word) == rudin_shapiro(n)
+        assert value_of_word(dfao, word) == rudin_shapiro(n)
 
 
 def test_base4_double_zero_automaton():
@@ -173,7 +174,7 @@ def test_base4_double_zero_automaton():
 
     for n in range(500):
         word = [0, 0, 0] + to_digits(n, 4)
-        assert dfao.value_of_word(word) == double_zero_sign(n)
+        assert value_of_word(dfao, word) == double_zero_sign(n)
 
 
 def test_output_automata_recognizers_are_padding_closed():

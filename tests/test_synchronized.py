@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rslogic.automata import MultiTrackAutomaton, NumberSystem, Track, to_digits
-from rslogic.errors import EngineError, FunctionalityError, GuessFailedError
+from rslogic.errors import CompileError, EngineError, FunctionalityError, GuessFailedError
 from rslogic.numeration import linear_atom
 from rslogic.logic import Environment, compile_formula, decide
 from rslogic.sequences import (
@@ -21,7 +21,6 @@ from rslogic.sequences import (
 from rslogic import synchronized
 from rslogic.synchronized import (
     accepting_bit_mutations,
-    define_derived_sync,
     guess_sync,
     sync_eval,
     sync_table,
@@ -31,7 +30,7 @@ from rslogic.synchronized import (
 )
 from rslogic.toolkit import _shipped_text
 
-from builders import plain_sync_table
+from builders import define_derived_sync, plain_sync_table
 
 M4 = NumberSystem(4)
 M2 = NumberSystem(2)
@@ -305,6 +304,17 @@ def test_one_reader_per_machine_and_input(rss, monkeypatch):
 def test_track_names_are_checked(rss):
     with pytest.raises(EngineError, match="'q'"):
         sync_eval(rss, 5, input_track="q")
+
+
+@pytest.mark.parametrize("value", [-1, 2.5])
+def test_sync_eval_rejects_inputs_that_are_not_natural(rss, value):
+    with pytest.raises(CompileError, match=f"got {value}"):
+        sync_eval(rss, value)
+
+
+def test_sync_table_rejects_a_count_that_is_not_an_int(rss):
+    with pytest.raises(CompileError, match="got 2.5"):
+        sync_table(rss, 2.5)
 
 
 def test_sync_eval_rejects_relations_that_are_not_functions():
