@@ -7,6 +7,14 @@ the number 0 is the empty string.  All automata built here are kept complete
 (every state has a successor on every tuple) and, once minimized, padding
 closed: prepending the all-zero tuple never changes membership, so any
 sufficiently long common padding encodes the same tuple of values.
+
+Automata are stored as Walnut-style text (Mousavi, "Automatic Theorem
+Proving in Walnut", arXiv:1603.06017): a header naming each track's number
+system, then for each state a line "q output" and its "digits -> q"
+transitions.  One reader and one writer serve both kinds: a relation's
+output is its acceptance, 0 or 1, and a transition it leaves out goes to a
+rejecting sink; an automaton with output reads one track and must give
+every transition.
 """
 
 from __future__ import annotations
@@ -44,7 +52,6 @@ __all__ = [
     "from_regex",
     "to_digits",
     "from_digits",
-    "encode_values",
     "decode_word",
 ]
 
@@ -98,27 +105,16 @@ def from_digits(digits, base: int) -> int:
     n = 0
     for d in digits:
         if not 0 <= d < base:
-            raise ValueError(f"digit {d} out of range for base {base}")
+            raise AutomatonError(f"digit {d} out of range for base {base}")
         n = n * base + d
     return n
 
 
-def encode_values(tracks, values, length: int | None = None) -> list[tuple]:
-    """Zero-padded tuple word encoding the given values, one per track."""
-    if len(values) != len(tracks):
-        raise ValueError("one value per track required")
-    per = [to_digits(v, t.base) for v, t in zip(values, tracks)]
-    need = max((len(p) for p in per), default=0)
-    if length is None:
-        length = need
-    elif length < need:
-        raise ValueError(f"length {length} too short, need {need}")
-    padded = [[0] * (length - len(p)) + p for p in per]
-    return [tuple(col) for col in zip(*padded)] if length else []
-
-
 def decode_word(tracks, word) -> tuple[int, ...]:
     """Per-track values encoded by a tuple word."""
+    for sym in word:
+        if len(sym) != len(tracks):
+            raise AutomatonError(f"digit tuple {sym} does not have {len(tracks)} digits")
     return tuple(
         from_digits((sym[i] for sym in word), t.base) for i, t in enumerate(tracks)
     )
@@ -209,55 +205,27 @@ class MultiTrackAutomaton:
 
     def is_padding_closed(self) -> bool:
         """True iff prepending the all-zero tuple never changes membership."""
-        m = minimize(self)
-        zero = m.matrix[m.initial][0]
-        return zero == m.initial
+        return minimize(self).matrix[0][0] == 0
 
     def to_text(self) -> str:
         """Serialize; track names are not stored, only their number systems."""
-        lines = [" ".join(str(t.system) for t in self.tracks)]
-        alpha = self.alphabet
-        for q in range(self.n_states):
-            lines.append(f"{q} {1 if q in self.accepting else 0}")
-            row = self.matrix[q]
-            for j, sym in enumerate(alpha):
-                digits = " ".join(str(d) for d in sym) if sym else "-"
-                lines.append(f"{digits} -> {row[j]}")
-        return "\n".join(lines) + "\n"
+        return _write_text(
+            self.tracks, [int(q in self.accepting) for q in range(self.n_states)], self.matrix
+        )
 
     @classmethod
     def from_text(cls, text: str, names=None) -> "MultiTrackAutomaton":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise AutomatonError("empty automaton file")
-        systems = [NumberSystem.parse(tok) for tok in lines[0].split()]
-        if names is None:
-            names = [f"t{i}" for i in range(len(systems))]
-        tracks = tuple(Track(n, s) for n, s in zip(names, systems))
-        bases = tuple(s.base for s in systems)
-
-        def symbol_of(digits):
-            sym = () if digits == ["-"] else tuple(int(d) for d in digits)
-            if len(sym) != len(tracks):
-                raise AutomatonError(f"expected {len(tracks)} digits")
-            return _symbol_index(bases, sym)
-
-        outputs, trans, _ = _parse_state_lines(lines[1:], symbol_of)
-        n = len(outputs)
-        width = _alpha_size(tracks)
-        matrix = [[None] * width for _ in range(n)]
-        for (q, j), q2 in trans.items():
-            matrix[q][j] = q2
-        if any(cell is None for row in matrix for cell in row):
-            # complete with a fresh rejecting sink
-            sink = n
-            matrix.append([sink] * width)
-            for row in matrix:
-                for j, cell in enumerate(row):
-                    if cell is None:
-                        row[j] = sink
+        """Read ``to_text()``; a missing transition goes to a fresh rejecting sink."""
+        tracks, outputs, matrix, headers = _read_text(text, names)
+        for out, line in zip(outputs, headers):
+            if out not in (0, 1):
+                raise AutomatonError(f"bad automaton line {line!r}: acceptance must be 0 or 1")
+        n = len(matrix)
+        if any(None in row for row in matrix):
+            matrix = [[n if t is None else t for t in row] for row in matrix]
+            matrix.append([n] * len(matrix[0]))
             n += 1
-        accepting = frozenset(q for q, out in outputs.items() if out)
+        accepting = frozenset(q for q, out in enumerate(outputs) if out)
         return cls(tracks, n, 0, accepting, matrix)
 
     def __repr__(self):
@@ -265,46 +233,83 @@ class MultiTrackAutomaton:
         return f"<MultiTrackAutomaton [{sig}] {self.n_states} states>"
 
 
-def _parse_state_lines(lines, symbol_of):
-    """Read the "q output" and "digits -> q" lines of an automaton text.
+def _write_text(tracks, outputs, matrix) -> str:
+    """The text of an automaton, as ``_read_text`` reads it back.
 
-    ``symbol_of`` maps the digit tokens of a transition to its symbol index.
-    Returns (outputs, transitions, header line of each state).  States must
-    be numbered 0..n-1 and every transition must lead to one of them; each
-    error names the offending line.
+    A header line names the number system of each track.  Each state q
+    follows with the line "q output" and one line "digits -> target" per
+    digit tuple, in symbol order; the empty tuple is written "-".
     """
-    outputs: dict[int, int] = {}
-    trans: dict[tuple[int, int], int] = {}
-    headers: dict[int, str] = {}
+    symbols = [
+        " ".join(map(str, sym)) if sym else "-"
+        for sym in itertools.product(*(range(t.base) for t in tracks))
+    ]
+    lines = [" ".join(str(t.system) for t in tracks)]
+    for q, (out, row) in enumerate(zip(outputs, matrix)):
+        lines.append(f"{q} {out}")
+        lines.extend(f"{digits} -> {t}" for digits, t in zip(symbols, row))
+    return "\n".join(lines) + "\n"
+
+
+def _read_text(text: str, names=None):
+    """Tracks, outputs, transition rows and header line of each state.
+
+    Reads what ``_write_text`` writes, skipping blank lines.  States come in
+    any order but must be numbered 0..n-1; each transition leads to one of
+    them, and no state has two on one digit tuple.  ``rows[q][j]`` is q's
+    target on symbol index j, or None where the text gives none.  ``names``
+    gives one track name per header system (default t0, t1, ...).  Each
+    error about a line names it.
+    """
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise AutomatonError("empty automaton file")
+    systems = [NumberSystem.parse(tok) for tok in lines[0].split()]
+    if names is None:
+        names = [f"t{i}" for i in range(len(systems))]
+    elif len(names) != len(systems):
+        raise AutomatonError(
+            f"{len(names)} track names for the {len(systems)} number systems of {lines[0]!r}"
+        )
+    tracks = tuple(Track(n, s) for n, s in zip(names, systems))
+    bases = tuple(s.base for s in systems)
+    width = _alpha_size(tracks)
+    states: dict[int, tuple] = {}  # state -> (output, row, header line)
     targets = []
-    state = None
-    for ln in lines:
+    row = None
+    for ln in lines[1:]:
         try:
             if "->" in ln:
-                if state is None:
+                if row is None:
                     raise AutomatonError("transition before any state")
                 left, right = ln.split("->")
                 dest = int(right)
-                trans[(state, symbol_of(left.split()))] = dest
+                sym = () if left.strip() == "-" else tuple(map(int, left.split()))
+                if len(sym) != len(tracks):
+                    raise AutomatonError(f"expected {len(tracks)} digits")
+                j = _symbol_index(bases, sym)
+                if row[j] is not None:
+                    raise AutomatonError(f"a second transition on digits {sym}")
+                row[j] = dest
                 targets.append((dest, ln))
             else:
-                q, out = ln.split()
-                state = int(q)
-                if state < 0 or state in outputs:
+                state, out = map(int, ln.split())
+                if state < 0 or state in states:
                     raise AutomatonError(f"state {state} is negative or repeated")
-                outputs[state] = int(out)
-                headers[state] = ln
+                row = [None] * width
+                states[state] = (out, row, ln)
         except (ValueError, AutomatonError) as exc:
             raise AutomatonError(f"bad automaton line {ln!r}: {exc}") from None
-    if not outputs:
+    if not states:
         raise AutomatonError("automaton text declares no states")
-    for q in range(max(outputs) + 1):
-        if q not in outputs:
+    for q in range(max(states) + 1):
+        if q not in states:
             raise AutomatonError(f"state {q} is never declared")
     for dest, ln in targets:
-        if dest not in outputs:
+        if dest not in states:
             raise AutomatonError(f"bad automaton line {ln!r}: state {dest} is never declared")
-    return outputs, trans, headers
+    outputs, rows, headers = zip(*(states[q] for q in range(len(states))))
+    return tracks, list(outputs), list(rows), headers
 
 
 def _alpha_size(tracks) -> int:
@@ -840,8 +845,13 @@ class OutputAutomaton:
         )
 
     def is_padding_closed(self) -> bool:
-        """True iff prepending a zero never changes the output."""
-        return all(self.where(v).is_padding_closed() for v in set(self.outputs))
+        """True iff prepending a zero never changes the output.
+
+        Two states of the minimal form are equal exactly when they give equal
+        outputs after every suffix, so a leading zero changes no output iff
+        the minimal form's initial state 0 stays put on digit 0.
+        """
+        return self.minimized().matrix[0][0] == 0
 
     def minimized(self) -> "OutputAutomaton":
         """Minimal automaton with the same outputs, renumbered canonically.
@@ -853,37 +863,22 @@ class OutputAutomaton:
         return OutputAutomaton(self.track, len(matrix), 0, outputs, matrix)
 
     def to_text(self) -> str:
-        lines = [str(self.track.system)]
-        for q in range(self.n_states):
-            lines.append(f"{q} {self.outputs[q]}")
-            for d in range(self.base):
-                lines.append(f"{d} -> {self.matrix[q][d]}")
-        return "\n".join(lines) + "\n"
+        return _write_text((self.track,), self.outputs, self.matrix)
 
     @classmethod
-    def from_text(cls, text: str, name: str = "t0") -> "OutputAutomaton":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise AutomatonError("empty automaton file")
-        system = NumberSystem.parse(lines[0])
-        track = Track(name, system)
-
-        def symbol_of(digits):
-            (d,) = map(int, digits)
-            if not 0 <= d < system.base:
-                raise AutomatonError(f"digit {d} out of range for {system}")
-            return d
-
-        outputs, trans, headers = _parse_state_lines(lines[1:], symbol_of)
-        n = len(outputs)
-        for q in range(n):
-            for d in range(system.base):
-                if (q, d) not in trans:
-                    raise AutomatonError(
-                        f"bad automaton line {headers[q]!r}: no transition on digit {d}"
-                    )
-        matrix = [[trans[(q, d)] for d in range(system.base)] for q in range(n)]
-        return cls(track, n, 0, [outputs[q] for q in range(n)], matrix)
+    def from_text(cls, text: str) -> "OutputAutomaton":
+        """Read ``to_text()``; every state needs a transition on every digit."""
+        tracks, outputs, matrix, headers = _read_text(text)
+        if len(tracks) != 1:
+            raise AutomatonError(
+                f"an automaton with output reads one number system, not {len(tracks)}"
+            )
+        for row, line in zip(matrix, headers):
+            if None in row:
+                raise AutomatonError(
+                    f"bad automaton line {line!r}: no transition on digit {row.index(None)}"
+                )
+        return cls(tracks[0], len(matrix), 0, outputs, matrix)
 
     def __repr__(self):
         return f"<OutputAutomaton {self.track.system} {self.n_states} states>"

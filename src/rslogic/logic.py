@@ -140,13 +140,12 @@ class Environment:
             automaton = from_regex(systems, command.body)
             self.register_relation(command.name, automaton)
         elif command.kind in ("def", "eval"):
+            node = parse_formula(command.body)
             if command.params:
-                node = parse_formula(command.body)
                 full = compile_formula(self, node)
                 representation = count_representation(full, command.params)
                 self.representations[command.name] = representation
             else:
-                node = parse_formula(command.body)
                 automaton = compile_formula(self, node)
                 if automaton.tracks:
                     self.register_relation(command.name, automaton)
@@ -253,19 +252,16 @@ class _Compiler:
         pending = set(variables)
 
         def project_single_holders():
-            changed = True
-            while changed:
-                changed = False
-                for v in sorted(pending):
-                    holders = [k for k, a in enumerate(autos) if _has_track(a, v)]
-                    if not holders:
-                        pending.discard(v)
-                        changed = True
-                    elif len(holders) == 1:
-                        k = holders[0]
-                        autos[k] = minimize(project(autos[k], v))
-                        pending.discard(v)
-                        changed = True
+            # projecting v removes only v's track, so no other variable
+            # loses a holder and one pass suffices
+            for v in sorted(pending):
+                holders = [k for k, a in enumerate(autos) if _has_track(a, v)]
+                if not holders:
+                    pending.discard(v)
+                elif len(holders) == 1:
+                    k = holders[0]
+                    autos[k] = minimize(project(autos[k], v))
+                    pending.discard(v)
 
         project_single_holders()
         while len(autos) > 1:

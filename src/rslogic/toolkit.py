@@ -269,12 +269,15 @@ def emit_csv(N, path):
     return data
 
 
-def emit_svg(N, path, scale=8):
+SVG_SCALE = 8  # SVG user units per unit step of the curve
+
+
+def emit_svg(N, path):
     """Write the curve as a polyline with rounded joins."""
     points = curve_points(N)
     max_x = max(p.x for p in points)
     max_y = max(p.y for p in points)
-    pad = scale
+    scale = pad = SVG_SCALE
     width = max_x * scale + 2 * pad
     height = max_y * scale + 2 * pad
     coords = " ".join(f"{p.x * scale},{(max_y - p.y) * scale}" for p in points)

@@ -7,8 +7,9 @@ kernel memo: it walks every input prefix from the engine's start frontier.
 ``plain_eval_linrep`` is ``eval_linrep`` without its cached reduced form: it
 multiplies at the raw rank and pads every input until the count settles.
 These stay deliberately separate from the engine code they check.  The
-readers ``accepts_values`` and ``value_of_word``, the base-2 sign table
-``rudin_shapiro_dfao2`` and ``define_derived_sync`` serve only the tests.
+encoder ``encode_values``, the readers ``accepts_values`` and
+``value_of_word``, the base-2 sign table ``rudin_shapiro_dfao2`` and
+``define_derived_sync`` serve only the tests.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from rslogic.automata import (
     _symbol_index,
     coreachable,
     determinize,
-    encode_values,
     minimize,
     product,
     project,
@@ -235,6 +235,20 @@ def plain_eval_linrep(rep, values):
     if value.denominator != 1:
         raise DivergenceError(f"non-integer count {value} at {values}")
     return int(value)
+
+
+def encode_values(tracks, values, length: int | None = None) -> list[tuple]:
+    """Zero-padded tuple word encoding the given values, one per track."""
+    if len(values) != len(tracks):
+        raise ValueError("one value per track required")
+    per = [to_digits(v, t.base) for v, t in zip(values, tracks)]
+    need = max((len(p) for p in per), default=0)
+    if length is None:
+        length = need
+    elif length < need:
+        raise ValueError(f"length {length} too short, need {need}")
+    padded = [[0] * (length - len(p)) + p for p in per]
+    return [tuple(col) for col in zip(*padded)] if length else []
 
 
 def accepts_values(automaton, values, extra_padding=0):

@@ -18,7 +18,6 @@ from rslogic.automata import (
     complement,
     coreachable,
     decode_word,
-    encode_values,
     find_witness,
     from_digits,
     from_regex,
@@ -32,7 +31,7 @@ from rslogic.automata import (
 )
 from rslogic.errors import AutomatonError, BaseMismatchError, RegexError
 
-from builders import accepts_values, value_of_word
+from builders import accepts_values, encode_values, value_of_word
 
 
 def t2(name):
@@ -90,6 +89,19 @@ def test_encode_decode_roundtrip():
 def test_encode_rejects_short_length():
     with pytest.raises(ValueError):
         encode_values((t2("x"),), (9,), length=2)
+
+
+def test_decode_rejects_bad_digit_tuples():
+    x = t2("x")
+    for word, message in (
+        ([(5,)], "digit 5 out of range for base 2"),
+        ([()], "digit tuple () does not have 1 digits"),
+        ([(0, 1)], "digit tuple (0, 1) does not have 1 digits"),
+    ):
+        with pytest.raises(AutomatonError, match=re.escape(message)):
+            decode_word((x,), word)
+    with pytest.raises(AutomatonError, match="digit 5 out of range for base 2"):
+        from_digits([5], 2)
 
 
 def test_equality_automaton_semantics():
@@ -359,6 +371,9 @@ def test_multitrack_from_text_rejects_malformed_lines():
             MultiTrackAutomaton.from_text(bad)
     with pytest.raises(AutomatonError, match="state 1 is never declared"):
         MultiTrackAutomaton.from_text("msd_2\n0 1\n2 0\n")
+    for names in (["x"], ["x", "y", "z"]):
+        with pytest.raises(AutomatonError, match="track names for the 2 number systems"):
+            MultiTrackAutomaton.from_text(text, names=names)
 
 
 def test_output_from_text_rejects_malformed_lines():
@@ -377,6 +392,8 @@ def test_output_from_text_rejects_malformed_lines():
             OutputAutomaton.from_text(bad)
     with pytest.raises(AutomatonError):
         OutputAutomaton.from_text("")
+    with pytest.raises(AutomatonError, match="reads one number system, not 2"):
+        OutputAutomaton.from_text(minimize(equality_automaton()).to_text())
 
 
 # --- properties of the kernel on random small automata ----------------------
@@ -541,6 +558,47 @@ def test_text_round_trip(a):
     back = MultiTrackAutomaton.from_text(a.to_text(), names=[t.name for t in a.tracks])
     assert back.tracks == a.tracks
     assert back.to_text() == a.to_text()
+
+
+def _retargeted_copy(text, n_states, data):
+    """The text with a copy of one transition line that leads to the next state."""
+    lines = text.splitlines()
+    i = data.draw(st.sampled_from([i for i, ln in enumerate(lines) if "->" in ln]))
+    left, right = lines[i].split("->")
+    lines.insert(i + 1, f"{left}-> {(int(right) + 1) % n_states}")
+    return "\n".join(lines) + "\n"
+
+
+def _with_output(text, state, value):
+    """The text with state's output (a relation's acceptance) set to value."""
+    lines = text.splitlines()
+    headers = [i for i, ln in enumerate(lines) if i and "->" not in ln]
+    lines[headers[state]] = f"{state} {value}"
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_dfas(initial_zero=True), st.data())
+def test_text_reader_is_strict(a, data):
+    names = [t.name for t in a.tracks]
+    with pytest.raises(AutomatonError, match="a second transition on digits"):
+        MultiTrackAutomaton.from_text(_retargeted_copy(a.to_text(), a.n_states, data), names=names)
+    q = data.draw(st.integers(0, a.n_states - 1))
+    for value in (2, -1):
+        with pytest.raises(AutomatonError, match="acceptance must be 0 or 1"):
+            MultiTrackAutomaton.from_text(_with_output(a.to_text(), q, value), names=names)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_dfaos(), st.data())
+def test_output_text_reader_is_strict(dfao, data):
+    with pytest.raises(AutomatonError, match="a second transition on digits"):
+        OutputAutomaton.from_text(_retargeted_copy(dfao.to_text(), dfao.n_states, data))
+    q = data.draw(st.integers(0, dfao.n_states - 1))
+    for value in (2, -1):
+        back = OutputAutomaton.from_text(_with_output(dfao.to_text(), q, value))
+        assert back.outputs[q] == value
+        assert back.matrix == dfao.matrix
 
 
 @settings(max_examples=80, deadline=None)

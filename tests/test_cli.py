@@ -114,6 +114,29 @@ def test_env_dir_rejects_machines_that_are_not_padding_closed(tmp_path, capsys):
         (env_dir / name).unlink()
 
 
+def test_env_dir_rejects_malformed_relation_text(tmp_path, capsys):
+    env_dir = tmp_path / "env"
+    env_dir.mkdir()
+    # an acceptance of -1 was read as accepting ($neg(0) TRUE), and a second
+    # transition on digit 1 overwrote the first ($dup(1) FALSE)
+    for name, text, query, line in (
+        ("neg.rel.txt", "msd_2\n0 -1\n0 -> 0\n1 -> 0\n", "$neg(0)", "'0 -1'"),
+        (
+            "dup.rel.txt",
+            "msd_2\n0 0\n0 -> 0\n1 -> 1\n1 -> 0\n1 1\n0 -> 1\n1 -> 1\n",
+            "$dup(1)",
+            "'1 -> 0'",
+        ),
+    ):
+        (env_dir / name).write_text(text)
+        assert main(["eval", query, "--env-dir", str(env_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and line in captured.err
+        assert "Traceback" not in captured.err
+        (env_dir / name).unlink()
+
+
 def test_env_dir_rejects_unreadable_file(tmp_path, capsys):
     env_dir = tmp_path / "env"
     env_dir.mkdir()
