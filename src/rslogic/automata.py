@@ -209,9 +209,8 @@ class MultiTrackAutomaton:
 
     def to_text(self) -> str:
         """Serialize; track names are not stored, only their number systems."""
-        return _write_text(
-            self.tracks, [int(q in self.accepting) for q in range(self.n_states)], self.matrix
-        )
+        accepting = [int(q in self.accepting) for q in range(self.n_states)]
+        return _write_text(self.tracks, accepting, self.matrix, self.initial)
 
     @classmethod
     def from_text(cls, text: str, names=None) -> "MultiTrackAutomaton":
@@ -233,43 +232,47 @@ class MultiTrackAutomaton:
         return f"<MultiTrackAutomaton [{sig}] {self.n_states} states>"
 
 
-def _write_text(tracks, outputs, matrix) -> str:
+def _write_text(tracks, outputs, matrix, initial) -> str:
     """The text of an automaton, as ``_read_text`` reads it back.
 
     A header line names the number system of each track.  Each state q
     follows with the line "q output" and one line "digits -> target" per
-    digit tuple, in symbol order; the empty tuple is written "-".
+    digit tuple, in symbol order; the empty tuple is written "-".  The
+    reader starts in state 0, so states 0 and ``initial`` swap numbers.
     """
     symbols = [
         " ".join(map(str, sym)) if sym else "-"
         for sym in itertools.product(*(range(t.base) for t in tracks))
     ]
+    number = list(range(len(matrix)))
+    number[0], number[initial] = initial, 0  # its own inverse
     lines = [" ".join(str(t.system) for t in tracks)]
-    for q, (out, row) in enumerate(zip(outputs, matrix)):
-        lines.append(f"{q} {out}")
-        lines.extend(f"{digits} -> {t}" for digits, t in zip(symbols, row))
+    for q, old in enumerate(number):
+        lines.append(f"{q} {outputs[old]}")
+        lines.extend(f"{digits} -> {number[t]}" for digits, t in zip(symbols, matrix[old]))
     return "\n".join(lines) + "\n"
 
 
 def _read_text(text: str, names=None):
     """Tracks, outputs, transition rows and header line of each state.
 
-    Reads what ``_write_text`` writes, skipping blank lines.  States come in
+    Reads what ``_write_text`` writes: the first line is the header even when
+    blank (no tracks), and later blank lines are skipped.  States come in
     any order but must be numbered 0..n-1; each transition leads to one of
     them, and no state has two on one digit tuple.  ``rows[q][j]`` is q's
     target on symbol index j, or None where the text gives none.  ``names``
     gives one track name per header system (default t0, t1, ...).  Each
     error about a line names it.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    if not text.strip():
         raise AutomatonError("empty automaton file")
-    systems = [NumberSystem.parse(tok) for tok in lines[0].split()]
+    header, *lines = text.splitlines()
+    systems = [NumberSystem.parse(tok) for tok in header.split()]
     if names is None:
         names = [f"t{i}" for i in range(len(systems))]
     elif len(names) != len(systems):
         raise AutomatonError(
-            f"{len(names)} track names for the {len(systems)} number systems of {lines[0]!r}"
+            f"{len(names)} track names for the {len(systems)} number systems of {header!r}"
         )
     tracks = tuple(Track(n, s) for n, s in zip(names, systems))
     bases = tuple(s.base for s in systems)
@@ -277,7 +280,7 @@ def _read_text(text: str, names=None):
     states: dict[int, tuple] = {}  # state -> (output, row, header line)
     targets = []
     row = None
-    for ln in lines[1:]:
+    for ln in filter(str.strip, lines):
         try:
             if "->" in ln:
                 if row is None:
@@ -863,7 +866,7 @@ class OutputAutomaton:
         return OutputAutomaton(self.track, len(matrix), 0, outputs, matrix)
 
     def to_text(self) -> str:
-        return _write_text((self.track,), self.outputs, self.matrix)
+        return _write_text((self.track,), self.outputs, self.matrix, self.initial)
 
     @classmethod
     def from_text(cls, text: str) -> "OutputAutomaton":

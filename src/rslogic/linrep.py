@@ -4,8 +4,10 @@ A representation (v, gammas, w) computes v * gammas(d1) * ... * gammas(dk) * w
 over the digit tuples of its listed parameters.  Built from a relation
 automaton, the result counts, for each valuation of the listed parameters,
 how many valuations of the remaining tracks are accepted alongside it.
-Raw and subtracted representations hold Python ints; minimization works
-over exact rationals.  Evaluation reads every representation through one
+Raw and subtracted representations hold Python ints.  Minimization
+eliminates in integers: each echelon row of its row space is an integer
+combination of the inserted basis, and only the coordinates it returns
+are rationals.  Evaluation reads every representation through one
 reduced form, cached by the first eval_linrep: the Schützenberger-minimal
 form with its integral entries as ints, and its start vector behind r+1
 leading zeros.  One exact test decides whether a count settles under
@@ -17,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import zip_longest
+from math import gcd, lcm
 from operator import mul
 
 from .automata import (
@@ -54,11 +58,11 @@ class LinearRepresentation:
             _ints(minimal.final),
             self.systems,
         )
-        zero = form.gammas[0]
+        zero = _transpose(form.gammas[0])  # start * Z = _mat_vec(zero, start)
         start = form.initial
         for _ in range(form.rank + 1):
-            start = _vec_mat(start, zero)
-        return form, start, _vec_mat(start, zero) == start
+            start = _mat_vec(zero, start)
+        return form, start, _mat_vec(zero, start) == start
 
     @property
     def rank(self):
@@ -116,11 +120,6 @@ def count_representation(automaton, params):
 
 def _mat_vec(matrix, vec):
     return [sum(map(mul, row, vec)) for row in matrix]
-
-
-def _vec_mat(vec, matrix):
-    n = len(matrix[0]) if matrix else 0
-    return [sum(x * row[j] for x, row in zip(vec, matrix) if x) for j in range(n)]
 
 
 def _ints(vec):
@@ -187,88 +186,85 @@ def subtract(rep1, rep2):
 
 
 class _RowSpace:
-    """Echelon row space that can express members in the inserted basis."""
+    """Integer echelon space over an inserted basis B, answering in B's coordinates.
 
-    def __init__(self, width):
-        self.width = width
-        self.rows = []  # echelon rows
-        self.coords = []  # coords[i]: echelon row i in terms of inserted basis
-        self.pivots = []
+    Invariant: each echelon row is an integer vector E = K * B, where B is the
+    inserted basis and K is an integer vector.  A candidate c is scaled once
+    by the lcm of its denominators; each elimination step v <- a*v - f*E,
+    k <- a*k + f*K, s <- a*s then keeps v = s*c - k*B in integers.
+    """
 
-    def _reduce(self, vec):
-        # Fractions, because x / scale on two ints would give a float
-        vec = [Fraction(x) for x in vec]
-        combo = [Fraction(0)] * len(self.rows)
-        for row, coord, pivot in zip(self.rows, self.coords, self.pivots):
-            factor = vec[pivot]
-            if factor:
-                for j in range(self.width):
-                    vec[j] -= factor * row[j]
-                for j in range(len(combo)):
-                    combo[j] += factor * coord[j]
-        return vec, combo
+    def __init__(self):
+        self.rows = []  # (E, K, pivot of E), in insertion order
 
     def insert(self, vec):
-        """Add vec if independent; returns True when the space grew."""
-        reduced, combo = self._reduce(vec)
-        pivot = next((j for j, x in enumerate(reduced) if x), None)
+        """vec's coordinates in B if it depends on B; else vec joins B, None."""
+        s = lcm(*(x.denominator for x in vec))
+        v = [x.numerator * (s // x.denominator) for x in vec]
+        k = [0] * len(self.rows)
+        for row, combo, pivot in self.rows:
+            f = v[pivot]
+            if f:
+                g = gcd(row[pivot], f)
+                a, f = row[pivot] // g, f // g
+                v = [a * x - f * e for x, e in zip(v, row)]
+                k = [a * x + f * c for x, c in zip_longest(k, combo, fillvalue=0)]
+                s *= a
+        pivot = next((j for j, x in enumerate(v) if x), None)
         if pivot is None:
-            return False
-        scale = reduced[pivot]
-        self.rows.append([x / scale for x in reduced])
-        combo = [-c / scale for c in combo] + [Fraction(1) / scale]
-        for coord in self.coords:
-            coord.append(Fraction(0))
-        self.coords.append(combo)
-        self.pivots.append(pivot)
-        return True
-
-    def express(self, vec):
-        """Coordinates of vec in the inserted basis (vec must lie inside)."""
-        reduced, combo = self._reduce(vec)
-        if any(reduced):
-            raise ValueError("vector outside the spanned space")
-        return combo
+            # integral coordinates stay ints, so later products skip Fraction
+            return [Fraction(x, s) if x % s else x // s for x in k]
+        combo = [-x for x in k] + [s]
+        g = gcd(*v, *combo)
+        self.rows.append(([x // g for x in v], [x // g for x in combo], pivot))
+        return None
 
 
-def _left_reduce(rep):
-    # basis of span{initial * gammas(word)}; empty when initial is zero
-    space = _RowSpace(rep.rank)
+def _left_reduce(initial, columns, final, systems):
+    """Representation on a basis of span{initial * gammas(word)}, found breadth first.
+
+    columns[g] is gamma g transposed, so row * gamma = _mat_vec(columns[g], row).
+    Row i of the result's gamma g holds the coordinates of basis[i] * gamma;
+    the basis is empty when initial is zero.
+    """
+    space = _RowSpace()
     basis = []
-    if space.insert(rep.initial):
-        basis.append(list(rep.initial))
-    head = 0
-    while head < len(basis):
-        row = basis[head]
-        head += 1
-        for gamma in rep.gammas:
-            candidate = _vec_mat(row, gamma)
-            if space.insert(candidate):
+    if space.insert(initial) is None:
+        basis.append(initial)
+    gammas = [[] for _ in columns]
+    for row in basis:  # grows while it is walked
+        for column, gamma in zip(columns, gammas):
+            candidate = _mat_vec(column, row)
+            coords = space.insert(candidate)
+            if coords is None:
+                coords = [0] * len(basis) + [1]
                 basis.append(candidate)
-    if not basis:
-        zero_sys = rep.systems
-        return LinearRepresentation([], [[] for _ in rep.gammas], [], zero_sys)
-    gammas = []
-    for gamma in rep.gammas:
-        gammas.append([space.express(_vec_mat(row, gamma)) for row in basis])
-    initial = space.express(rep.initial)
-    final = [sum(row[j] * rep.final[j] for j in range(rep.rank)) for row in basis]
-    return LinearRepresentation(initial, gammas, final, rep.systems)
+            gamma.append(coords)
+    rank = len(basis)
+    gammas = [[coords + [0] * (rank - len(coords)) for coords in gamma] for gamma in gammas]
+    initial = [int(i == 0) for i in range(rank)]
+    return LinearRepresentation(initial, gammas, _mat_vec(basis, final), systems)
 
 
-def _transposed(rep):
-    gammas = [list(map(list, zip(*g))) if g else [] for g in rep.gammas]
-    return LinearRepresentation(list(rep.final), gammas, list(rep.initial), rep.systems)
+def _transpose(matrix):
+    return [list(column) for column in zip(*matrix)]
 
 
 def minimize_schutzenberger(rep):
-    """Minimal-rank equivalent representation (exact two-sided reduction)."""
-    rep = _left_reduce(rep)
-    if rep.rank == 0:
-        return rep
-    rep = _transposed(_left_reduce(_transposed(rep)))
-    return rep
+    """Minimal-rank equivalent representation (exact two-sided reduction).
+
+    The left reduction of the transpose reads the left-reduced gammas as
+    its columns, and its result is transposed back.
+    """
+    left = _left_reduce(rep.initial, [_transpose(g) for g in rep.gammas], rep.final, rep.systems)
+    if left.rank == 0:
+        return left
+    right = _left_reduce(left.final, left.gammas, left.initial, rep.systems)
+    return LinearRepresentation(
+        right.final, [_transpose(g) for g in right.gammas], right.initial, rep.systems
+    )
 
 
 def is_zero(rep):
+    """Whether rep's series is identically 0: its minimal form has rank 0."""
     return minimize_schutzenberger(rep).rank == 0

@@ -6,6 +6,9 @@ compiles in one pass.  ``plain_sync_table`` is ``sync_table`` without its
 kernel memo: it walks every input prefix from the engine's start frontier.
 ``plain_eval_linrep`` is ``eval_linrep`` without its cached reduced form: it
 multiplies at the raw rank and pads every input until the count settles.
+``plain_minimize_schutzenberger`` is the Schützenberger reduction over
+Fractions: it reduces every candidate once to insert it and again to
+express it in the inserted basis.
 These stay deliberately separate from the engine code they check.  The
 encoder ``encode_values``, the readers ``accepts_values`` and
 ``value_of_word``, the base-2 sign table ``rudin_shapiro_dfao2`` and
@@ -13,6 +16,8 @@ encoder ``encode_values``, the readers ``accepts_values`` and
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from rslogic.automata import (
     MultiTrackAutomaton,
@@ -30,6 +35,7 @@ from rslogic.automata import (
     to_digits,
 )
 from rslogic.errors import AutomatonError, CompileError, DivergenceError, FunctionalityError
+from rslogic.linrep import LinearRepresentation
 from rslogic.logic import compile_formula, find_counterexample
 from rslogic.numeration import RELATIONS, _trivial, linear_atom
 from rslogic.synchronized import _start, _track_positions
@@ -235,6 +241,95 @@ def plain_eval_linrep(rep, values):
     if value.denominator != 1:
         raise DivergenceError(f"non-integer count {value} at {values}")
     return int(value)
+
+
+def _plain_vec_mat(vec, matrix):
+    n = len(matrix[0]) if matrix else 0
+    return [sum(x * row[j] for x, row in zip(vec, matrix) if x) for j in range(n)]
+
+
+class _PlainRowSpace:
+    """Echelon row space that can express members in the inserted basis."""
+
+    def __init__(self, width):
+        self.width = width
+        self.rows = []  # echelon rows
+        self.coords = []  # coords[i]: echelon row i in terms of inserted basis
+        self.pivots = []
+
+    def _reduce(self, vec):
+        # Fractions, because x / scale on two ints would give a float
+        vec = [Fraction(x) for x in vec]
+        combo = [Fraction(0)] * len(self.rows)
+        for row, coord, pivot in zip(self.rows, self.coords, self.pivots):
+            factor = vec[pivot]
+            if factor:
+                for j in range(self.width):
+                    vec[j] -= factor * row[j]
+                for j in range(len(combo)):
+                    combo[j] += factor * coord[j]
+        return vec, combo
+
+    def insert(self, vec):
+        """Add vec if independent; returns True when the space grew."""
+        reduced, combo = self._reduce(vec)
+        pivot = next((j for j, x in enumerate(reduced) if x), None)
+        if pivot is None:
+            return False
+        scale = reduced[pivot]
+        self.rows.append([x / scale for x in reduced])
+        combo = [-c / scale for c in combo] + [Fraction(1) / scale]
+        for coord in self.coords:
+            coord.append(Fraction(0))
+        self.coords.append(combo)
+        self.pivots.append(pivot)
+        return True
+
+    def express(self, vec):
+        """Coordinates of vec in the inserted basis (vec must lie inside)."""
+        reduced, combo = self._reduce(vec)
+        if any(reduced):
+            raise ValueError("vector outside the spanned space")
+        return combo
+
+
+def _plain_left_reduce(rep):
+    # basis of span{initial * gammas(word)}; empty when initial is zero
+    space = _PlainRowSpace(rep.rank)
+    basis = []
+    if space.insert(rep.initial):
+        basis.append(list(rep.initial))
+    head = 0
+    while head < len(basis):
+        row = basis[head]
+        head += 1
+        for gamma in rep.gammas:
+            candidate = _plain_vec_mat(row, gamma)
+            if space.insert(candidate):
+                basis.append(candidate)
+    if not basis:
+        zero_sys = rep.systems
+        return LinearRepresentation([], [[] for _ in rep.gammas], [], zero_sys)
+    gammas = []
+    for gamma in rep.gammas:
+        gammas.append([space.express(_plain_vec_mat(row, gamma)) for row in basis])
+    initial = space.express(rep.initial)
+    final = [sum(row[j] * rep.final[j] for j in range(rep.rank)) for row in basis]
+    return LinearRepresentation(initial, gammas, final, rep.systems)
+
+
+def _plain_transposed(rep):
+    gammas = [list(map(list, zip(*g))) if g else [] for g in rep.gammas]
+    return LinearRepresentation(list(rep.final), gammas, list(rep.initial), rep.systems)
+
+
+def plain_minimize_schutzenberger(rep):
+    """Minimal-rank equivalent representation (exact two-sided reduction)."""
+    rep = _plain_left_reduce(rep)
+    if rep.rank == 0:
+        return rep
+    rep = _plain_transposed(_plain_left_reduce(_plain_transposed(rep)))
+    return rep
 
 
 def encode_values(tracks, values, length: int | None = None) -> list[tuple]:

@@ -290,6 +290,16 @@ def test_serialization_roundtrip():
         assert back.to_text() == m.to_text()
 
 
+def test_text_keeps_an_initial_state_other_than_0():
+    # state 1 starts and accepts; state 0 is a rejecting sink
+    x = Track("x", NumberSystem(2))
+    relation = MultiTrackAutomaton((x,), 2, 1, {1}, [[0, 0], [1, 1]])
+    back = MultiTrackAutomaton.from_text(relation.to_text(), names=["x"])
+    assert back.accepts([]) and language_equal(back, relation)
+    dfao = OutputAutomaton(x, 2, 1, [0, 1], [[0, 0], [1, 1]])
+    assert dfao.value(0) == OutputAutomaton.from_text(dfao.to_text()).value(0) == 1
+
+
 def test_from_text_completes_missing_transitions_with_a_sink():
     # leave out every transition into the dead state 1: a fresh rejecting
     # sink takes their place and the language stays the same
@@ -400,7 +410,7 @@ def test_output_from_text_rejects_malformed_lines():
 
 
 @st.composite
-def small_dfas(draw, initial_zero=False):
+def small_dfas(draw):
     """Complete DFAs with 1-2 tracks, bases 2-3 and at most 8 states."""
     bases = draw(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=2))
     tracks = tuple(Track(name, NumberSystem(b)) for name, b in zip("xy", bases))
@@ -408,8 +418,7 @@ def small_dfas(draw, initial_zero=False):
     state = st.integers(0, n - 1)
     width = math.prod(bases)
     matrix = draw(st.lists(st.lists(state, min_size=width, max_size=width), min_size=n, max_size=n))
-    initial = 0 if initial_zero else draw(state)
-    return MultiTrackAutomaton(tracks, n, initial, draw(st.sets(state)), matrix)
+    return MultiTrackAutomaton(tracks, n, draw(state), draw(st.sets(state)), matrix)
 
 
 @st.composite
@@ -553,11 +562,12 @@ def test_output_minimized_keeps_every_short_word(dfao):
 
 
 @settings(max_examples=80, deadline=None)
-@given(small_dfas(initial_zero=True))
+@given(small_dfas())
 def test_text_round_trip(a):
     back = MultiTrackAutomaton.from_text(a.to_text(), names=[t.name for t in a.tracks])
     assert back.tracks == a.tracks
     assert back.to_text() == a.to_text()
+    assert language_equal(back, a)
 
 
 def _retargeted_copy(text, n_states, data):
@@ -578,7 +588,7 @@ def _with_output(text, state, value):
 
 
 @settings(max_examples=80, deadline=None)
-@given(small_dfas(initial_zero=True), st.data())
+@given(small_dfas(), st.data())
 def test_text_reader_is_strict(a, data):
     names = [t.name for t in a.tracks]
     with pytest.raises(AutomatonError, match="a second transition on digits"):
@@ -595,10 +605,11 @@ def test_output_text_reader_is_strict(dfao, data):
     with pytest.raises(AutomatonError, match="a second transition on digits"):
         OutputAutomaton.from_text(_retargeted_copy(dfao.to_text(), dfao.n_states, data))
     q = data.draw(st.integers(0, dfao.n_states - 1))
+    text = dfao.to_text()
     for value in (2, -1):
-        back = OutputAutomaton.from_text(_with_output(dfao.to_text(), q, value))
+        back = OutputAutomaton.from_text(_with_output(text, q, value))
         assert back.outputs[q] == value
-        assert back.matrix == dfao.matrix
+        assert back.matrix == OutputAutomaton.from_text(text).matrix
 
 
 @settings(max_examples=80, deadline=None)

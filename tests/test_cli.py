@@ -159,6 +159,20 @@ def test_run_script(tmp_path, capsys):
     assert "gfunc: linear representation of rank 2" in out
 
 
+def test_relation_without_tracks_reads_back_from_env_dir(tmp_path, capsys):
+    # its text starts with a blank header line: no number systems
+    script = tmp_path / "script.txt"
+    script.write_text('reg z "()":\n')
+    env_dir = str(tmp_path / "env")
+    assert main(["run", str(script), "--env-dir", env_dir]) == 0
+    assert (tmp_path / "env" / "z.rel.txt").read_text().startswith("\n0 1\n")
+    capsys.readouterr()
+    assert main(["eval", "$z()", "--env-dir", env_dir]) == 0
+    assert capsys.readouterr().out.strip() == "TRUE"
+    assert main(["eval", "~$z()", "--env-dir", env_dir]) == 0
+    assert capsys.readouterr().out.strip() == "FALSE"
+
+
 def test_run_script_error_paths(tmp_path, capsys):
     script = tmp_path / "script.txt"
     script.write_text('eval broken "An $missing(n)":\neval fine "An n<=n":\n')

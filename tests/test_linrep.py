@@ -1,5 +1,6 @@
 """Counting representations: construction, arithmetic, minimization."""
 
+import copy
 import math
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from rslogic.logic import Environment, compile_formula
 from rslogic.sequences import alternating_sum_by_recurrence, partial_sum_by_recurrence
 from rslogic.synchronized import guess_sync
 
-from builders import plain_eval_linrep
+from builders import plain_eval_linrep, plain_minimize_schutzenberger
 
 M4 = NumberSystem(4)
 M2 = NumberSystem(2)
@@ -362,3 +363,41 @@ def test_non_integer_count_message_unchanged():
     outcome = _outcome(eval_linrep, half, 6)
     assert outcome == _outcome(plain_eval_linrep, half, 6)
     assert outcome == (DivergenceError, "non-integer count 1/2 at (6,)")
+
+
+@st.composite
+def reducible_representations(draw):
+    """A representation of rank <= 7 over one base 2-4, or its difference with a copy or another.
+
+    Entries are small integers, or in half the cases also small fractions,
+    as in the transposed pass of the reduction.  About half of them are 0,
+    as in the sparse representations automata give, so that ranks drop.
+    """
+    base = draw(st.sampled_from([2, 3, 4]))
+    entry = st.integers(-2, 2)
+    if draw(st.booleans()):
+        entry = st.one_of(entry, st.fractions(-2, 2, max_denominator=4))
+    entry = st.one_of(st.just(0), entry)
+
+    def representation():
+        rank = draw(st.integers(1, 7))
+        vector = st.lists(entry, min_size=rank, max_size=rank)
+        matrix = st.lists(vector, min_size=rank, max_size=rank)
+        gammas = [draw(matrix) for _ in range(base)]
+        return LinearRepresentation(draw(vector), gammas, draw(vector), [NumberSystem(base)])
+
+    rep = representation()
+    kind = draw(st.sampled_from(["alone", "copy", "other"]))
+    if kind == "copy":
+        return subtract(rep, copy.deepcopy(rep))
+    if kind == "other":
+        return subtract(rep, representation())
+    return rep
+
+
+@settings(max_examples=40, deadline=None)
+@given(reducible_representations())
+def test_integer_reduction_matches_fraction_reduction(rep):
+    plain = plain_minimize_schutzenberger(rep)
+    assert minimize_schutzenberger(rep).to_text() == plain.to_text()
+    assert is_zero(rep) == (plain.rank == 0)
