@@ -1,7 +1,7 @@
 """Byte-identity gate: the corpus replay and its machines hash to recorded digests.
 
 A change that means to keep every output byte for byte (a speed-up or a
-simplification) must leave all four digests alone.  A change that means to
+simplification) must leave all five digests alone.  A change that means to
 alter an output updates the digest of its category, and says why.
 """
 
@@ -9,12 +9,15 @@ import hashlib
 
 from rslogic.catalog import CHECKS
 from rslogic.linrep import minimize_schutzenberger
+from rslogic.sequences import rudin_shapiro_dfao4
+from rslogic.synchronized import accepting_bit_mutations, verify_sync
 
 GOLDEN = {
     "suite rows": "535037e566ef8520a8146634fbd431b45bf25f4781939d7a706b2fa6bcf29f8f",
     "machine texts": "e3719a1a862bc7944af185d4ee29e8a3d3ccfd2582f5597726be4b4e4144d839",
     "representation texts": "e64c71ef8504145d1ce33c374733795d8f08c25f25d36346545cb8aa9070941a",
     "minimal representation texts": "9189d956037c1c3cbdfd6db20137771626e233e9bef7f87f7004a46980177e8f",
+    "mutant witnesses": "9dded03c06ad0b61f89c2ec003da2041cfe4ba1adbcce4bc8f7ea86db8d85cc0",
 }
 
 
@@ -42,7 +45,20 @@ def _digests(env, report):
             f"{n}\n{minimize_schutzenberger(env.representations[n]).to_text()}"
             for n in reps
         ),
+        "mutant witnesses": _digest(_mutant_witnesses(env)),
     }
+
+
+def _mutant_witnesses(env):
+    # every one-bit acceptance mutant of rss and rst fails verify_sync;
+    # its per-check verdicts and counterexamples are outputs too
+    dfao = rudin_shapiro_dfao4()
+    for name, rule in (("rss", "sum"), ("rst", "alt")):
+        for state, mutant in accepting_bit_mutations(env.relations[name].automaton):
+            outcome = verify_sync(mutant, dfao, rule, 1)
+            yield repr(
+                (name, state, [(c.name, c.passed, c.witness) for c in outcome.checks])
+            )
 
 
 def test_corpus_outputs_are_byte_identical(corpus):

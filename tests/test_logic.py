@@ -283,6 +283,34 @@ def test_apply_subtraction_is_composition():
     sweep(aut, lambda n, m: n >= 1 and m == 2 * (n - 1), bound=24)
 
 
+@pytest.mark.parametrize(
+    "applied, explicit, oracle",
+    [
+        (
+            "$double(2*n+1, m+3)",
+            "Ea,b $double(a,b) & a=2*n+1 & b=m+3",
+            lambda n, m: m + 3 == 2 * (2 * n + 1),
+        ),
+        (
+            "$less(n+1, 2*m)",
+            "Ea,b $less(a,b) & a=n+1 & b=2*m",
+            lambda n, m: n + 1 < 2 * m,
+        ),
+        (
+            "$less(n+m, m-1)",
+            "Ea,b $less(a,b) & a=n+m & b=m-1",
+            lambda n, m: m >= 1 and n + m < m - 1,
+        ),
+    ],
+)
+def test_apply_several_compound_arguments(applied, explicit, oracle):
+    # an application is the existential closure of its argument equations
+    env = make_env()
+    aut = compile_formula(env, applied)
+    sweep(aut, oracle)
+    assert aut.to_text() == compile_formula(env, explicit).to_text()
+
+
 def test_scratch_tracks_never_meet_a_variable():
     # x+1 is passed through a scratch track; a variable spelled like the
     # compiler's scratch names used to be merged with it
