@@ -2,14 +2,17 @@
 
 Every compiled subformula is a complete, minimal, padding-closed automaton
 whose tracks are exactly its free variables.  Connectives become synchronous
-products, existential quantifiers become track projections, and universal
-quantifiers are rewritten through double complement.  Registered relations
-are stored with positional parameter tracks so applications simply rename
-tracks onto the caller's variables.
+products.  An existential quantifier conjoins the compiled conjuncts of its
+body and projects its variables away; a universal quantifier is the
+complement of that over the conjuncts refuting its body.  Registered
+relations are stored with positional parameter tracks, and an application
+is the existential closure of the renamed relation and one equation per
+compound argument.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -41,6 +44,7 @@ from .parser import (
     Not,
     OutputTest,
     Quantified,
+    Term,
     parse_formula,
     parse_script,
 )
@@ -177,14 +181,7 @@ _BINOPS = {"&": OP_AND, "|": OP_OR, "=>": OP_IMPLIES, "<=>": OP_IFF}
 class _Compiler:
     def __init__(self, env: Environment):
         self.env = env
-        self.fresh = 0
-
-    def _fresh_name(self):
-        # no formula can spell a name starting with '#', so a scratch track
-        # never meets a variable of the formula
-        name = f"#a{self.fresh}"
-        self.fresh += 1
-        return name
+        self.fresh = itertools.count()
 
     def compile(self, node) -> MultiTrackAutomaton:
         if isinstance(node, Compare):
@@ -212,19 +209,21 @@ class _Compiler:
             return minimize(product(left, right, _BINOPS[node.op]))
         if isinstance(node, Quantified):
             if node.kind == "E":
-                return self._exists(node.variables, _flatten_and(node.body))
-            body = node.body
-            if isinstance(body, BinOp) and body.op == "=>":
-                conjuncts = _flatten_and(body.left) + [Not(body.right)]
-            else:
-                conjuncts = [Not(body)]
-            return complement(self._exists(node.variables, conjuncts))
+                conjuncts = [self.compile(c) for c in _flatten_and(node.body)]
+                return self._exists(node.variables, conjuncts)
+            return complement(self._exists(node.variables, self._refutation(node.body)))
         raise CompileError(f"cannot compile node {type(node).__name__}")
+
+    def _refutation(self, body):
+        """Compiled conjuncts of ~body: those of L and ~R when body is L => R."""
+        nodes = [Not(body)]
+        if isinstance(body, BinOp) and body.op == "=>":
+            nodes = _flatten_and(body.left) + [Not(body.right)]
+        return [self.compile(n) for n in nodes]
 
     def _apply(self, automaton, systems, args):
         mapping = {}
-        equations = []
-        scratch = []
+        equations = {}  # scratch track -> its argument equation
         for i, (term, system) in enumerate(zip(args, systems)):
             if term.system is not None and term.system != system:
                 raise BaseMismatchError(
@@ -233,29 +232,26 @@ class _Compiler:
             if term.is_variable():
                 mapping[_param(i)] = term.variable()
                 continue
-            name = self._fresh_name()
+            # no formula can spell a name starting with '#', so a scratch
+            # track never meets a variable of the formula
+            name = f"#a{next(self.fresh)}"
             mapping[_param(i)] = name
-            scratch.append(name)
-            coeffs = {name: 1}
-            for v, c in term.coeffs.items():
-                coeffs[v] = coeffs.get(v, 0) - c
-            equations.append(linear_atom(coeffs, "=", term.const, system))
-        out = automaton.renamed(mapping)
-        for eq in equations:
-            out = minimize(product(out, eq, OP_AND))
-        for name in scratch:
-            out = minimize(project(out, name))
-        return out
+            equations[name] = self.compile(Compare(Term({name: 1}), "=", term, system))
+        return self._exists(equations, [automaton.renamed(mapping), *equations.values()])
 
-    def _exists(self, variables, conjunct_nodes):
-        autos = [self.compile(c) for c in conjunct_nodes]
+    def _exists(self, variables, autos):
+        """Conjoin the automata, cheapest pair (states x states x merged
+        alphabet) first, and project each variable once a single conjunct
+        holds it."""
         pending = set(variables)
 
         def project_single_holders():
             # projecting v removes only v's track, so no other variable
             # loses a holder and one pass suffices
             for v in sorted(pending):
-                holders = [k for k, a in enumerate(autos) if _has_track(a, v)]
+                holders = [
+                    k for k, a in enumerate(autos) if any(t.name == v for t in a.tracks)
+                ]
                 if not holders:
                     pending.discard(v)
                 elif len(holders) == 1:
@@ -263,29 +259,19 @@ class _Compiler:
                     autos[k] = minimize(project(autos[k], v))
                     pending.discard(v)
 
+        def cost(pair):
+            a, b = (autos[k] for k in pair)
+            return a.n_states * b.n_states * _alpha_size(_merge_tracks(a.tracks + b.tracks))
+
         project_single_holders()
         while len(autos) > 1:
-            best = None
-            for i in range(len(autos)):
-                for j in range(i + 1, len(autos)):
-                    est = (
-                        autos[i].n_states
-                        * autos[j].n_states
-                        * _alpha_size(_merge_tracks(autos[i].tracks + autos[j].tracks))
-                    )
-                    if best is None or est < best[0]:
-                        best = (est, i, j)
-            _, i, j = best
+            i, j = min(itertools.combinations(range(len(autos)), 2), key=cost)
             merged = minimize(product(autos[i], autos[j], OP_AND))
             autos = [a for k, a in enumerate(autos) if k not in (i, j)]
             autos.append(merged)
             project_single_holders()
         # one automaton left: project_single_holders has emptied pending
         return autos[0]
-
-
-def _has_track(automaton, name):
-    return any(t.name == name for t in automaton.tracks)
 
 
 def _flatten_and(node):
@@ -312,10 +298,12 @@ def decide(env: Environment, source) -> bool:
 def find_counterexample(env: Environment, source):
     """Assignment falsifying a universally quantified formula, or None.
 
-    The leading block of universal quantifiers is stripped and the negated
-    body is searched for its shortest accepted valuation.  Variables the
-    negation does not constrain are reported as 0.  For a sentence without
-    a universal prefix the result is {} when it is false, None when true.
+    The leading block of universal quantifiers is stripped, and the shortest
+    valuation accepted by the conjunction of the body's refuting conjuncts
+    (those the compiled universal quantifier would project) is decoded.
+    Variables those conjuncts do not constrain are reported as 0.  For a
+    sentence without a universal prefix the result is {} when it is false,
+    None when true.
     """
     node = parse_formula(source) if isinstance(source, str) else source
     prefix = []
@@ -324,7 +312,8 @@ def find_counterexample(env: Environment, source):
         node = node.body
     if not prefix:
         return None if decide(env, node) else {}
-    negated = _Compiler(env).compile(Not(node))
+    compiler = _Compiler(env)
+    negated = compiler._exists((), compiler._refutation(node))
     word = find_witness(negated)
     if word is None:
         return None

@@ -130,17 +130,15 @@ def _tokenize(text: str):
         m = _TOKEN.match(text, pos)
         if not m:
             raise FormulaParseError(f"cannot read {text[pos:pos + 12]!r}", position=pos)
-        for kind in ("annot", "name", "int", "op"):
-            value = m.group(kind)
-            if value is not None:
-                if kind == "annot":
-                    value = value[1:]
-                    try:
-                        NumberSystem.parse(value)
-                    except BaseMismatchError as exc:
-                        raise FormulaParseError(str(exc), position=pos) from None
-                tokens.append((kind, value, pos))
-                break
+        kind = m.lastgroup
+        value = m.group(kind)
+        if kind == "annot":
+            value = value[1:]
+            try:
+                NumberSystem.parse(value)
+            except BaseMismatchError as exc:
+                raise FormulaParseError(str(exc), position=pos) from None
+        tokens.append((kind, value, pos))
         pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens

@@ -324,7 +324,7 @@ def verify_sync(automaton, sign_dfao, rule, base_value, input_track=None):
     Together these pin down the function for all n by induction.
     """
     if rule not in STEP_RULES:
-        raise ValueError(f"rule must be one of {STEP_RULES}")
+        raise CompileError(f"rule must be one of {STEP_RULES}")
     pos_in, pos_out = _track_positions(automaton, input_track)
     in_sys = automaton.tracks[pos_in].system
     out_sys = automaton.tracks[pos_out].system

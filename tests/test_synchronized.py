@@ -362,7 +362,7 @@ def test_verify_double_zero_family():
 def test_verify_wrong_rule_fails(rss):
     assert not verify_sync(rss, rudin_shapiro_dfao4(), "alt", 1).ok
     assert not verify_sync(rss, rudin_shapiro_dfao4(), "sum", 0).ok
-    with pytest.raises(ValueError):
+    with pytest.raises(CompileError):
         verify_sync(rss, rudin_shapiro_dfao4(), "bogus", 1)
 
 
