@@ -172,9 +172,6 @@ class MultiTrackAutomaton:
     def symbol_index(self, sym) -> int:
         return _symbol_index(self.bases, sym)
 
-    def step(self, state: int, sym) -> int:
-        return self.matrix[state][self.symbol_index(sym)]
-
     def accepts(self, word) -> bool:
         q = self.initial
         for sym in word:
@@ -801,15 +798,12 @@ def from_regex(systems, pattern: str, names=None) -> MultiTrackAutomaton:
         for p in succ:
             row[symbols[p]].add(p)
     # close the start under leading zero tuples (symbol index 0), as project
-    # does: it takes the rows of every state reached from it on zeros and
-    # loops on zero, which needs no fresh start because no edge enters 0
-    skipped = reachable([row[0] for row in rows], 0)
-    rows[0] = [set().union(*col) for col in zip(*[rows[q] for q in skipped])]
+    # does: the start loops on zero, and every state reached from it on
+    # zeros starts too
     rows[0][0].add(0)
-    if not accepting.isdisjoint(skipped):
-        accepting.add(0)
+    initial = reachable([row[0] for row in rows], 0)
     trans = [[frozenset(cell) for cell in row] for row in rows]
-    return minimize(determinize(Nfa(tracks, len(rows), {0}, accepting, trans)))
+    return minimize(determinize(Nfa(tracks, len(rows), initial, accepting, trans)))
 
 
 # --- automata with output ------------------------------------------------

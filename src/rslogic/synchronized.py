@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .automata import (
     MultiTrackAutomaton,
     NumberSystem,
+    OutputAutomaton,
     Track,
     _number_row,
     _projection_table,
@@ -24,7 +25,7 @@ from .automata import (
     to_digits,
 )
 from .errors import CompileError, FunctionalityError, GuessFailedError
-from .logic import Environment, compile_formula, find_counterexample
+from .logic import Environment, find_counterexample
 from .sequences import rudin_shapiro_dfao4
 
 __all__ = [
@@ -292,9 +293,33 @@ def sync_table(automaton, count, input_track=None):
 
 # -- inductive verification ---------------------------------------------------
 
-# how the running value moves at step m: the sign automaton's value A(m),
-# the alternating weight (-1)^m * A(m), or its negation
-STEP_RULES = ("sum", "alt", "neg_alt")
+# the weight of the step at m, by the parity of m: the sign A(m) itself,
+# the alternating (-1)^m * A(m), or its negation
+STEP_WEIGHTS = {"sum": (1, 1), "alt": (1, -1), "neg_alt": (-1, 1)}
+
+
+def _signed_step(sign, rule):
+    """The step at m as one automaton with output: A(m) times its rule weight.
+
+    (-1)^m * A(m) is the product of the sign automaton with a parity
+    automaton (Allouche & Shallit, *Automatic Sequences*, ch. 5).  State
+    2q+p is sign state q after reading a number of parity p; digit d leads
+    to (matrix[q][d], (p*b + d) % 2), the parity in any base b.  The result
+    is minimal, so a step outside +1/-1 on a reachable state is refused.
+    """
+    if rule not in STEP_WEIGHTS:
+        raise CompileError(f"rule must be one of {tuple(STEP_WEIGHTS)}")
+    weight, b = STEP_WEIGHTS[rule], sign.base
+    matrix, outputs = [], []
+    for q, row in enumerate(sign.matrix):
+        for p in (0, 1):
+            matrix.append([2 * row[d] + (p * b + d) % 2 for d in range(b)])
+            outputs.append(sign.outputs[q] * weight[p])
+    step = OutputAutomaton(sign.track, len(matrix), 2 * sign.initial, outputs, matrix).minimized()
+    bad = sorted(set(step.outputs) - {1, -1})
+    if bad:
+        raise CompileError(f"the sign automaton outputs {bad[0]}, not +1 or -1")
+    return step
 
 
 @dataclass
@@ -321,43 +346,22 @@ def verify_sync(automaton, sign_dfao, rule, base_value, input_track=None):
 
     Decides, as sentences: the relation is a total function, its value at 0
     is base_value, and it moves by exactly the signed step at every n -> n+1.
-    Together these pin down the function for all n by induction.
+    Together these pin down the function for all n by induction.  The signed
+    step is one automaton with output: the sign times the rule's parity weight.
     """
-    if rule not in STEP_RULES:
-        raise CompileError(f"rule must be one of {STEP_RULES}")
-    pos_in, pos_out = _track_positions(automaton, input_track)
-    in_sys = automaton.tracks[pos_in].system
-    out_sys = automaton.tracks[pos_out].system
-    cand = automaton.renamed(
-        {automaton.tracks[pos_in].name: "n", automaton.tracks[pos_out].name: "y"}
-    )
-
     env = Environment()
-    env.register_relation("cand", cand, ["n", "y"])
-    env.register_dfao("SIGN", sign_dfao)
-    if rule != "sum":
-        env.register_relation(
-            "even", compile_formula(env, f"?{in_sys} Ek n=2*k"), ["n"]
-        )
-        env.register_relation(
-            "odd", compile_formula(env, f"?{in_sys} Ek n=2*k+1"), ["n"]
-        )
-
-    plus = "SIGN[n+1]=@1"
-    minus = "SIGN[n+1]=@-1"
-    if rule == "sum":
-        up, down = plus, minus
-    else:
-        weighted = f"(({plus} & $even(n+1)) | ({minus} & $odd(n+1)))"
-        opposite = f"(({minus} & $even(n+1)) | ({plus} & $odd(n+1)))"
-        up, down = (weighted, opposite) if rule == "alt" else (opposite, weighted)
+    env.register_dfao("STEP", _signed_step(sign_dfao, rule))
+    pos_in, pos_out = _track_positions(automaton, input_track)
+    arg, value = automaton.tracks[pos_in], automaton.tracks[pos_out]
+    env.register_relation("cand", automaton, [arg.name, value.name])
+    in_sys, out_sys = arg.system, value.system
 
     checks = [
         ("total", f"?{in_sys} An Ey $cand(n,y)"),
         ("function", f"?{in_sys} An,x,y ($cand(n,x) & $cand(n,y)) => (?{out_sys} x=y)"),
         ("base", f"?{in_sys} $cand(0, {base_value})"),
-        ("step_up", f"?{in_sys} An,y ($cand(n,y) & {up}) => $cand(n+1, ?{out_sys} y+1)"),
-        ("step_down", f"?{in_sys} An,y ($cand(n,y) & {down}) => $cand(n+1, ?{out_sys} y-1)"),
+        ("step_up", f"?{in_sys} An,y ($cand(n,y) & STEP[n+1]=@1) => $cand(n+1, ?{out_sys} y+1)"),
+        ("step_down", f"?{in_sys} An,y ($cand(n,y) & STEP[n+1]=@-1) => $cand(n+1, ?{out_sys} y-1)"),
     ]
     outcomes = []
     for name, formula in checks:

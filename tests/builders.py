@@ -10,7 +10,7 @@ multiplies at the raw rank and pads every input until the count settles.
 Fractions: it reduces every candidate once to insert it and again to
 express it in the inserted basis.
 These stay deliberately separate from the engine code they check.  The
-encoder ``encode_values``, the readers ``accepts_values`` and
+encoder ``encode_values``, the readers ``step``, ``accepts_values`` and
 ``value_of_word``, the base-2 sign table ``rudin_shapiro_dfao2`` and
 ``define_derived_sync`` serve only the tests.
 """
@@ -344,6 +344,11 @@ def encode_values(tracks, values, length: int | None = None) -> list[tuple]:
         raise ValueError(f"length {length} too short, need {need}")
     padded = [[0] * (length - len(p)) + p for p in per]
     return [tuple(col) for col in zip(*padded)] if length else []
+
+
+def step(automaton, state, sym):
+    """The state ``automaton`` moves to from ``state`` on the digit tuple ``sym``."""
+    return automaton.matrix[state][automaton.symbol_index(sym)]
 
 
 def accepts_values(automaton, values, extra_padding=0):

@@ -31,7 +31,7 @@ from rslogic.automata import (
 )
 from rslogic.errors import AutomatonError, BaseMismatchError, RegexError
 
-from builders import accepts_values, encode_values, value_of_word
+from builders import accepts_values, encode_values, step, value_of_word
 
 
 def t2(name):
@@ -326,7 +326,7 @@ def test_determinize_subset_construction():
 def test_walk_rejects_bad_digits():
     eq = equality_automaton()
     with pytest.raises(AutomatonError):
-        eq.step(0, (2, 0))
+        step(eq, 0, (2, 0))
 
 
 def test_duplicate_track_names_rejected():
@@ -448,7 +448,7 @@ def _pairs_reached(a, p, b, q, length):
     level = {(p, q)}
     seen = set(level)
     for _ in range(length):
-        level = {(a.step(x, sym), b.step(y, sym)) for x, y in level for sym in a.alphabet}
+        level = {(step(a, x, sym), step(b, y, sym)) for x, y in level for sym in a.alphabet}
         seen |= level
     return seen
 
@@ -503,7 +503,7 @@ def test_renamed_reads_each_source_track_from_its_new_name(case):
     level = {(r.initial, a.initial)}
     seen = set(level)
     for _ in range(4):
-        level = {(r.step(x, sym), a.step(y, source(sym))) for x, y in level for sym in r.alphabet}
+        level = {(step(r, x, sym), step(a, y, source(sym))) for x, y in level for sym in r.alphabet}
         seen |= level
     assert _agree(r, a, seen)
 
@@ -520,10 +520,10 @@ def _exists_accepted(a, pos, word):
     states = set(level)
     # a zero-padding path longer than n states repeats a state
     for _ in range(a.n_states):
-        level = {a.step(q, full(zero, d)) for q in level for d in digits}
+        level = {step(a, q, full(zero, d)) for q in level for d in digits}
         states |= level
     for sym in word:
-        states = {a.step(q, full(sym, d)) for q in states for d in digits}
+        states = {step(a, q, full(sym, d)) for q in states for d in digits}
     return not states.isdisjoint(a.accepting)
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rslogic.automata import MultiTrackAutomaton, NumberSystem, Track, to_digits
+from rslogic.automata import MultiTrackAutomaton, NumberSystem, OutputAutomaton, Track, to_digits
 from rslogic.errors import CompileError, EngineError, FunctionalityError, GuessFailedError
 from rslogic.numeration import linear_atom
 from rslogic.logic import Environment, compile_formula, decide
@@ -12,11 +12,14 @@ from rslogic.sequences import (
     alternating_sum_by_recurrence,
     double_zero_alternating_sum_by_recurrence,
     double_zero_partial_sum_by_recurrence,
+    double_zero_sign,
     double_zero_sign_dfao4,
     partial_sum_by_recurrence,
     partial_sums,
     pseudo_square,
+    rudin_shapiro,
     rudin_shapiro_dfao4,
+    running_sums,
 )
 from rslogic import synchronized
 from rslogic.synchronized import (
@@ -359,11 +362,47 @@ def test_verify_double_zero_family():
     assert verify_sync(cand, double_zero_sign_dfao4(), "neg_alt", 0).ok
 
 
-def test_verify_wrong_rule_fails(rss):
+def test_verify_wrong_rule_fails(rss, rst):
     assert not verify_sync(rss, rudin_shapiro_dfao4(), "alt", 1).ok
     assert not verify_sync(rss, rudin_shapiro_dfao4(), "sum", 0).ok
-    with pytest.raises(CompileError):
+    assert not verify_sync(rst, rudin_shapiro_dfao4(), "neg_alt", 1).ok
+    with pytest.raises(CompileError, match=r"^rule must be one of \('sum', 'alt', 'neg_alt'\)$"):
         verify_sync(rss, rudin_shapiro_dfao4(), "bogus", 1)
+
+
+@pytest.mark.parametrize("output", [0, 2])
+def test_verify_refuses_a_sign_that_is_not_plus_or_minus_one(rss, output):
+    # with no +1 or -1 step neither step sentence fires, so nothing past n = 0
+    # would be checked and any candidate with the right base value would pass
+    constant = OutputAutomaton(Track("n", M4), 1, 0, [output], [[0] * 4])
+    with pytest.raises(CompileError, match=f"outputs {output}, not"):
+        verify_sync(rss, constant, "sum", 1)
+
+
+@pytest.mark.parametrize("rule", ["sum", "alt", "neg_alt"])
+@pytest.mark.parametrize(
+    "dfao, sign",
+    [(rudin_shapiro_dfao4, rudin_shapiro), (double_zero_sign_dfao4, double_zero_sign)],
+)
+def test_signed_step_is_the_running_sum_difference(dfao, sign, rule):
+    limit = 4**6
+    sums = running_sums(sign, limit, alternating=rule != "sum")
+    steps = [b - a for a, b in zip([0] + sums, sums)]
+    if rule == "neg_alt":
+        steps = [-d for d in steps]
+    step = synchronized._signed_step(dfao(), rule)
+    assert step.base == 4
+    assert [step.value(m) for m in range(limit)] == steps
+
+
+def test_verify_reads_parity_in_an_odd_base():
+    # the alternating sum of the constant +1 sequence is 1 at even n and 0
+    # at odd n; in base 3 parity is the parity of the digit sum
+    ones = OutputAutomaton(Track("n", NumberSystem(3)), 1, 0, [1], [[0] * 3])
+    cand = compile_formula(Environment(), "?msd_3 (Ek n=2*k & y=1) | (Ek n=2*k+1 & y=0)")
+    assert verify_sync(cand, ones, "alt", 1).ok
+    assert not verify_sync(cand, ones, "sum", 1).ok
+    assert not verify_sync(cand, ones, "neg_alt", 1).ok
 
 
 def test_every_accepting_mutation_is_caught(rss, rst):
