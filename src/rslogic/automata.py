@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -397,23 +396,36 @@ def _projection_table(merged, part):
     return table
 
 
-def _number_row(keys, ids, order):
-    """State numbers of ``keys``; a key not in ``ids`` gets the next number.
+def _explore(start, successors):
+    """Breadth-first numbering of the keys reachable from ``start``.
 
-    New keys are appended to ``order``, which the caller walks as its
-    breadth-first frontier.  Most rows hold no new key, so they are mapped
-    in one pass and walked only when a key is missing.
+    ``successors(key)`` lists a key's successor keys by symbol index.  Keys
+    are numbered in the order they are first met, walking the numbered keys
+    in turn and each one's successors in symbol order, so the numbering is
+    canonical for a given successor function.  Returns ``(order, matrix)``:
+    ``order[i]`` is the key numbered i and ``matrix[i]`` the numbers of its
+    successors.  This is the one place where the kernel numbers states:
+    products, subset constructions, quotients and the residual automata of
+    ``numeration`` and ``synchronized`` all come out of it.  Most rows hold
+    no new key, so they are mapped in one pass and walked only when a key
+    is missing.
     """
-    row = list(map(ids.get, keys))
-    if None in row:
-        for j, k in enumerate(keys):
-            if row[j] is None:
-                s = ids.get(k)
-                if s is None:
-                    s = ids[k] = len(order)
-                    order.append(k)
-                row[j] = s
-    return row
+    ids = {start: 0}
+    order = [start]
+    matrix = []
+    for key in order:
+        keys = successors(key)
+        row = list(map(ids.get, keys))
+        if None in row:
+            for j, k in enumerate(keys):
+                if row[j] is None:
+                    s = ids.get(k)
+                    if s is None:
+                        s = ids[k] = len(order)
+                        order.append(k)
+                    row[j] = s
+        matrix.append(row)
+    return order, matrix
 
 
 def product(a: MultiTrackAutomaton, b: MultiTrackAutomaton, op) -> MultiTrackAutomaton:
@@ -430,13 +442,12 @@ def product(a: MultiTrackAutomaton, b: MultiTrackAutomaton, op) -> MultiTrackAut
     nb = b.n_states
     amat = [[t * nb for t in row] for row in a.matrix]
     bmat = b.matrix
-    start = a.initial * nb + b.initial
-    ids = {start: 0}
-    order = [start]
-    matrix = []
-    for key in order:
+
+    def successors(key):
         rowa, rowb = amat[key // nb], bmat[key % nb]
-        matrix.append(_number_row([rowa[x] + rowb[y] for x, y in pairs], ids, order))
+        return [rowa[x] + rowb[y] for x, y in pairs]
+
+    order, matrix = _explore(a.initial * nb + b.initial, successors)
     acc_a, acc_b = a.accepting, b.accepting
     accepting = frozenset(
         i for i, k in enumerate(order) if op(k // nb in acc_a, k % nb in acc_b)
@@ -462,19 +473,16 @@ def determinize(nfa: Nfa) -> MultiTrackAutomaton:
     trans = nfa.trans
     union = frozenset().union
     sink_row = [frozenset()] * nfa.alphabet_size
-    start = frozenset(nfa.initial)
-    ids: dict[frozenset, int] = {start: 0}
-    order = [start]
-    matrix = []
-    for subset in order:
+
+    def successors(subset):
         if len(subset) == 1:
             (q,) = subset
-            succ = trans[q]
-        elif subset:
-            succ = [union(*col) for col in zip(*[trans[q] for q in subset])]
-        else:
-            succ = sink_row
-        matrix.append(_number_row(succ, ids, order))
+            return trans[q]
+        if subset:
+            return [union(*col) for col in zip(*[trans[q] for q in subset])]
+        return sink_row
+
+    order, matrix = _explore(nfa.initial, successors)
     acc = nfa.accepting
     accepting = frozenset(i for i, subset in enumerate(order) if not acc.isdisjoint(subset))
     return MultiTrackAutomaton(nfa.tracks, len(order), 0, accepting, matrix)
@@ -517,19 +525,10 @@ def reverse(a: MultiTrackAutomaton) -> Nfa:
 def reachable(matrix, initial) -> list[int]:
     """States reachable from ``initial``, in breadth-first order.
 
-    ``matrix[q]`` lists the successors of q by symbol index; successors are
-    visited in symbol order, so the order is canonical for a given matrix.
+    ``matrix[q]`` lists the successors of q by symbol index; the order is
+    ``_explore``'s numbering, so it is canonical for a given matrix.
     """
-    seen = {initial}
-    order = [initial]
-    for q in order:
-        row = matrix[q]
-        if not seen.issuperset(row):
-            for t in row:
-                if t not in seen:
-                    seen.add(t)
-                    order.append(t)
-    return order
+    return _explore(initial, matrix.__getitem__)[0]
 
 
 def coreachable(matrix, targets) -> set[int]:
@@ -553,21 +552,17 @@ def _refine(matrix, initial, labels):
 
     Moore signature refinement: start from the partition by label, and in
     each round give a state the signature (class, class of each successor);
-    stop when a round adds no class.  The classes are then renumbered in
-    breadth-first order from the initial class (symbols in lexicographic
-    order), so equal behaviours always give identical matrices.  Returns the
-    quotient matrix, with initial state 0, and the label of each class.
+    stop when a round adds no class.  Every state takes part, reachable or
+    not: a class holds states of equal behaviour, and an unreachable state
+    that joins a reachable class changes none of its rows.  ``_explore``
+    then numbers only the classes reachable from the initial class, so
+    equal behaviours always give identical matrices.  Returns the quotient
+    matrix, with initial state 0, and the label of each class.
 
     Each round costs O(n * width) and adds at least one class, so there are
     at most n rounds.  If a workload ever shows that quadratic bound, the
     fallback is Valmari, "Fast brief practical DFA minimization" (IPL 2012).
     """
-    reach = reachable(matrix, initial)
-    if len(reach) < len(matrix):
-        index = {q: i for i, q in enumerate(reach)}
-        matrix = [[index[t] for t in matrix[q]] for q in reach]
-        labels = [labels[q] for q in reach]
-        initial = 0
     ids: dict = {}
     cls = [ids.setdefault(label, len(ids)) for label in labels]
     count = len(ids)
@@ -583,23 +578,18 @@ def _refine(matrix, initial, labels):
     rep = [0] * count
     for q, c in enumerate(cls):
         rep[c] = q
-    quotient = [[cls[t] for t in matrix[q]] for q in rep]
-    order = reachable(quotient, cls[initial])
-    new_id = [0] * count
-    for i, c in enumerate(order):
-        new_id[c] = i
-    out = [[new_id[t] for t in quotient[c]] for c in order]
+    order, out = _explore(cls[initial], lambda c: [cls[t] for t in matrix[rep[c]]])
     return out, [labels[rep[c]] for c in order]
 
 
 def minimize(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
     """Unique minimal complete automaton, states renumbered canonically.
 
-    Unreachable states are dropped and Moore signature refinement, starting
-    from the accepting/rejecting split, merges indistinguishable states (see
-    ``_refine``).  States are finally renumbered in breadth first order from
-    the initial state (symbols in lexicographic order), so equal languages
-    always serialize to identical bytes.
+    Moore signature refinement, starting from the accepting/rejecting
+    split, merges indistinguishable states, and ``_explore`` numbers the
+    reachable classes in breadth-first order from the initial state
+    (symbols in lexicographic order), dropping the others (see
+    ``_refine``).  So equal languages always serialize to identical bytes.
     """
     acc = a.accepting
     matrix, labels = _refine(a.matrix, a.initial, [q in acc for q in range(a.n_states)])
@@ -627,35 +617,23 @@ def language_equal(a: MultiTrackAutomaton, b: MultiTrackAutomaton) -> bool:
 
 
 def find_witness(a: MultiTrackAutomaton):
-    """Shortest accepted word (symbols tried in lexicographic order).
+    """Shortest accepted word, least in lexicographic order among those.
 
-    Returns None for the empty language.  On padding-closed automata a
-    shortest witness never starts with the all-zero tuple unless it is empty.
+    Returns None for the empty language.  ``_explore`` numbers the states
+    breadth first, so the first accepting state in its order is a nearest
+    one, and the first row that reaches a state, at its first symbol, is its
+    parent on a least path.  On padding-closed automata a shortest witness
+    never starts with the all-zero tuple unless it is empty.
     """
-    if a.initial in a.accepting:
-        return []
-    parent: dict[int, tuple[int, int]] = {a.initial: (-1, -1)}
-    frontier = deque([a.initial])
-    alpha = a.alphabet
-    goal = None
-    while frontier and goal is None:
-        q = frontier.popleft()
-        row = a.matrix[q]
-        for j, t in enumerate(row):
-            if t not in parent:
-                parent[t] = (q, j)
-                if t in a.accepting:
-                    goal = t
-                    break
-                frontier.append(t)
-    if goal is None:
+    order, matrix = _explore(a.initial, a.matrix.__getitem__)
+    q = next((i for i, s in enumerate(order) if s in a.accepting), None)
+    if q is None:
         return None
     word = []
-    q = goal
-    while parent[q][0] != -1:
-        prev, j = parent[q]
-        word.append(alpha[j])
-        q = prev
+    while q:
+        p = next(p for p, row in enumerate(matrix) if q in row)
+        word.append(a.alphabet[matrix[p].index(q)])
+        q = p
     word.reverse()
     return word
 

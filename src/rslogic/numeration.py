@@ -17,7 +17,7 @@ from .automata import (
     NumberSystem,
     Track,
     _alpha_size,
-    _number_row,
+    _explore,
     complement,
     determinize,
     minimize,
@@ -86,17 +86,15 @@ def _lsd_residual(tracks, coeffs, mode, start):
         for sym in itertools.product(range(base), repeat=len(coeffs))
     ]
     dead = "dead"
-    ids = {start: 0}
-    order = [start]
-    matrix = []
-    for s in order:
+
+    def successors(s):
         if s is dead:
-            nxt = [dead] * len(digit_sums)
-        elif mode == "eq":
-            nxt = [dead if (s - c) % base else (s - c) // base for c in digit_sums]
-        else:
-            nxt = [(s - c) // base for c in digit_sums]  # floor keeps "le" exact
-        matrix.append(_number_row(nxt, ids, order))
+            return [dead] * len(digit_sums)
+        if mode == "eq":
+            return [dead if (s - c) % base else (s - c) // base for c in digit_sums]
+        return [(s - c) // base for c in digit_sums]  # floor keeps "le" exact
+
+    order, matrix = _explore(start, successors)
     accepting = {
         idx
         for idx, s in enumerate(order)

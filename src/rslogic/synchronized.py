@@ -18,7 +18,7 @@ from .automata import (
     NumberSystem,
     OutputAutomaton,
     Track,
-    _number_row,
+    _explore,
     _projection_table,
     coreachable,
     minimize,
@@ -81,8 +81,8 @@ def guess_sync(oracle, sample_bound=2**14, state_cap=64, *, names=("n", "y")):
 
     start = signature(0, 0)
     reps = {start: (0, 0)}  # each signature's first prefix pair
-    ids, order, matrix = {start: 0}, [start], []
-    for key in order:
+
+    def successors(key):
         N, X = reps[key]
         row = []
         for d_in in range(b_in):
@@ -91,12 +91,14 @@ def guess_sync(oracle, sample_bound=2**14, state_cap=64, *, names=("n", "y")):
                 sig = signature(*child)
                 reps.setdefault(sig, child)
                 row.append(sig)
-        matrix.append(_number_row(row, ids, order))
-        if len(order) > state_cap:
+        if len(reps) > state_cap:
             raise GuessFailedError(
                 f"more than {state_cap} candidate states; "
                 "raise sample_bound or state_cap"
             )
+        return row
+
+    order, matrix = _explore(start, successors)
     accepting = frozenset(
         q for q, (N, X) in enumerate(map(reps.get, order))
         if N < sample_bound and oracle(N) == X
@@ -349,6 +351,8 @@ def verify_sync(automaton, sign_dfao, rule, base_value, input_track=None):
     Together these pin down the function for all n by induction.  The signed
     step is one automaton with output: the sign times the rule's parity weight.
     """
+    if type(base_value) is not int or base_value < 0:
+        raise CompileError(f"base_value must be a natural number, got {base_value!r}")
     env = Environment()
     env.register_dfao("STEP", _signed_step(sign_dfao, rule))
     pos_in, pos_out = _track_positions(automaton, input_track)

@@ -624,6 +624,74 @@ def test_reachability_helpers_match_brute_force(a):
     assert coreachable(a.matrix, a.accepting) == live
 
 
+def _least_accepted_word(a):
+    """The least accepted word in (length, lexicographic) order, or None.
+
+    can[k] holds the states with an accepted suffix of exactly k symbols; a
+    shortest accepted word has fewer than n_states symbols.  From the
+    initial state, with k symbols still to read, the least word takes the
+    least symbol leading into can[k - 1].
+    """
+    can = [set(a.accepting)]
+    for _ in range(1, a.n_states):
+        can.append({q for q, row in enumerate(a.matrix) if not can[-1].isdisjoint(row)})
+    length = next((k for k, states in enumerate(can) if a.initial in states), None)
+    if length is None:
+        return None
+    word, q = [], a.initial
+    for k in range(length, 0, -1):
+        j = next(j for j, t in enumerate(a.matrix[q]) if t in can[k - 1])
+        word.append(a.alphabet[j])
+        q = a.matrix[q][j]
+    return word
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_dfas())
+def test_find_witness_is_the_least_accepted_word(a):
+    assert find_witness(a) == _least_accepted_word(a)
+
+
+def _scrambled(data, matrix, initial, labels, label):
+    """A copy with up to 4 unreachable states added and all states renumbered.
+
+    The added states get random rows and labels drawn from ``label``; no
+    state of the original leads to them.  Returns (matrix, initial, labels).
+    """
+    width = len(matrix[0])
+    extra = data.draw(st.integers(0, 4))
+    total = len(matrix) + extra
+    row = st.lists(st.integers(0, total - 1), min_size=width, max_size=width)
+    matrix = list(matrix) + data.draw(st.lists(row, min_size=extra, max_size=extra))
+    labels = list(labels) + data.draw(st.lists(label, min_size=extra, max_size=extra))
+    new = data.draw(st.permutations(range(total)))
+    rows, out = [None] * total, [None] * total
+    for q, (targets, lab) in enumerate(zip(matrix, labels)):
+        rows[new[q]] = [new[t] for t in targets]
+        out[new[q]] = lab
+    return rows, new[initial], out
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_dfas(), st.data())
+def test_minimize_bytes_ignore_numbering_and_unreachable_states(a, data):
+    labels = [q in a.accepting for q in range(a.n_states)]
+    matrix, initial, labels = _scrambled(data, a.matrix, a.initial, labels, st.booleans())
+    accepting = {q for q, acc in enumerate(labels) if acc}
+    b = MultiTrackAutomaton(a.tracks, len(matrix), initial, accepting, matrix)
+    assert minimize(b).to_text() == minimize(a).to_text()
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_dfaos(), st.data())
+def test_output_minimized_bytes_ignore_numbering_and_unreachable_states(dfao, data):
+    matrix, initial, outputs = _scrambled(
+        data, dfao.matrix, dfao.initial, dfao.outputs, st.integers(-1, 1)
+    )
+    b = OutputAutomaton(dfao.track, len(matrix), initial, outputs, matrix)
+    assert b.minimized().to_text() == dfao.minimized().to_text()
+
+
 @st.composite
 def regex_cases(draw):
     """Bases, pattern text, the same pattern as a Python regex, and its literal count.

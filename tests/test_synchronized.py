@@ -1,5 +1,7 @@
 """Guess-and-verify for the running-sum automata."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -69,7 +71,8 @@ def test_guess_deterministic():
 
 
 def test_guess_state_cap():
-    with pytest.raises(GuessFailedError):
+    message = r"^more than 3 candidate states; raise sample_bound or state_cap$"
+    with pytest.raises(GuessFailedError, match=message):
         guess_sync(partial_sum_by_recurrence, state_cap=3)
 
 
@@ -360,6 +363,13 @@ def test_verify_double_zero_family():
     complement_alt = lambda n: 1 - double_zero_alternating_sum_by_recurrence(n)
     cand = guess_sync(complement_alt, names=("n", "x"))
     assert verify_sync(cand, double_zero_sign_dfao4(), "neg_alt", 0).ok
+
+
+@pytest.mark.parametrize("base_value", [-1, 1.5, "1", True])
+def test_verify_rejects_a_base_value_that_is_not_a_natural_number(rss, base_value):
+    message = rf"^base_value must be a natural number, got {re.escape(repr(base_value))}$"
+    with pytest.raises(CompileError, match=message):
+        verify_sync(rss, rudin_shapiro_dfao4(), "sum", base_value)
 
 
 def test_verify_wrong_rule_fails(rss, rst):
