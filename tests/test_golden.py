@@ -1,7 +1,7 @@
 """Byte-identity gate: the corpus replay and its machines hash to recorded digests.
 
 A change that means to keep every output byte for byte (a speed-up or a
-simplification) must leave all five digests alone.  A change that means to
+simplification) must leave all six digests alone.  A change that means to
 alter an output updates the digest of its category, and says why.
 """
 
@@ -9,8 +9,8 @@ import hashlib
 
 from rslogic.catalog import CHECKS
 from rslogic.linrep import minimize_schutzenberger
-from rslogic.sequences import rudin_shapiro_dfao4
-from rslogic.synchronized import accepting_bit_mutations, verify_sync
+from rslogic.sequences import double_zero_sign_dfao4, rudin_shapiro_dfao4
+from rslogic.synchronized import STEP_WEIGHTS, _signed_step, accepting_bit_mutations, verify_sync
 
 GOLDEN = {
     "suite rows": "535037e566ef8520a8146634fbd431b45bf25f4781939d7a706b2fa6bcf29f8f",
@@ -18,6 +18,7 @@ GOLDEN = {
     "representation texts": "e64c71ef8504145d1ce33c374733795d8f08c25f25d36346545cb8aa9070941a",
     "minimal representation texts": "9189d956037c1c3cbdfd6db20137771626e233e9bef7f87f7004a46980177e8f",
     "mutant witnesses": "9dded03c06ad0b61f89c2ec003da2041cfe4ba1adbcce4bc8f7ea86db8d85cc0",
+    "signed steps": "00e24b4c0e17f8381aa79fe8fd9c8e2dafbf13e63dd2a81e5d2ce02f8c576f74",
 }
 
 
@@ -46,6 +47,11 @@ def _digests(env, report):
             for n in reps
         ),
         "mutant witnesses": _digest(_mutant_witnesses(env)),
+        "signed steps": _digest(
+            f"{sign.__name__} {rule}\n{_signed_step(sign(), rule).to_text()}"
+            for sign in (rudin_shapiro_dfao4, double_zero_sign_dfao4)
+            for rule in STEP_WEIGHTS
+        ),
     }
 
 
