@@ -8,13 +8,15 @@ the number 0 is the empty string.  All automata built here are kept complete
 closed: prepending the all-zero tuple never changes membership, so any
 sufficiently long common padding encodes the same tuple of values.
 
-Automata are stored as Walnut-style text (Mousavi, "Automatic Theorem
-Proving in Walnut", arXiv:1603.06017): a header naming each track's number
-system, then for each state a line "q output" and its "digits -> q"
-transitions.  One reader and one writer serve both kinds: a relation's
-output is its acceptance, 0 or 1, and a transition it leaves out goes to a
-rejecting sink; an automaton with output reads one track and must give
-every transition.
+One class serves relations and automata with output, as in Walnut
+(Shallit, *The Logical Approach to Automatic Sequences*, LMS LN 482, 2022):
+every state has an integer output, and a relation is an automaton whose
+outputs are 0 and 1; it accepts the words that lead to output 1.  Automata
+are stored as Walnut-style text (Mousavi, "Automatic Theorem Proving in
+Walnut", arXiv:1603.06017): a header naming each track's number system,
+then for each state a line "q output" and its "digits -> q" transitions.
+A relation's text may leave a transition out, which goes to a rejecting
+sink; an automaton with output reads one track and gives every transition.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ __all__ = [
     "Track",
     "MultiTrackAutomaton",
     "Nfa",
-    "OutputAutomaton",
     "OP_AND",
     "OP_OR",
     "OP_XOR",
@@ -126,29 +127,32 @@ def _check_tracks(tracks):
 
 
 class MultiTrackAutomaton:
-    """A complete deterministic automaton over digit tuples.
+    """A complete deterministic automaton over digit tuples with an output per state.
 
     transitions are stored densely: ``matrix[state][symbol_index]`` where
-    symbol indices enumerate the tuple alphabet in lexicographic order.
-    Instances are treated as immutable once constructed.
+    symbol indices enumerate the tuple alphabet in lexicographic order, and
+    ``outputs[state]`` is an integer.  ``accepting`` holds the states whose
+    output is 1, the accepting states of a relation.  Instances are treated
+    as immutable once constructed.
     """
 
-    __slots__ = ("tracks", "n_states", "initial", "accepting", "matrix", "_alphabet", "_readers")
+    __slots__ = ("tracks", "n_states", "initial", "outputs", "accepting", "matrix", "_alphabet", "_readers")
 
-    def __init__(self, tracks, n_states, initial, accepting, matrix):
+    def __init__(self, tracks, n_states, initial, outputs, matrix):
         tracks = tuple(tracks)
         _check_tracks(tracks)
         self.tracks = tracks
         self.n_states = n_states
         self.initial = initial
-        self.accepting = frozenset(accepting)
+        self.outputs = tuple(outputs)
+        self.accepting = frozenset(q for q, out in enumerate(self.outputs) if out == 1)
         self.matrix = matrix
         self._alphabet = None
         self._readers = None  # synchronized._reader's cache, by input position
         if not 0 <= initial < n_states:
             raise AutomatonError("initial state out of range")
-        if len(matrix) != n_states:
-            raise AutomatonError("one transition row per state required")
+        if len(matrix) != n_states or len(self.outputs) != n_states:
+            raise AutomatonError("one transition row and one output per state required")
         width = self.alphabet_size
         for row in matrix:
             if len(row) != width:
@@ -195,33 +199,59 @@ class MultiTrackAutomaton:
         # digit, which is exactly the diagonal restriction
         src_index = _projection_table(out_tracks, parts)
         matrix = [[row[j] for j in src_index] for row in self.matrix]
-        return MultiTrackAutomaton(
-            out_tracks, self.n_states, self.initial, self.accepting, matrix
-        )
+        return MultiTrackAutomaton(out_tracks, self.n_states, self.initial, self.outputs, matrix)
+
+    def where(self, value: int, name: str | None = None) -> "MultiTrackAutomaton":
+        """The relation of the words whose output is ``value``; ``name`` renames a lone track."""
+        tracks = self.tracks
+        if name is not None:
+            tracks = [Track(name, t.system) for t in tracks]
+        outputs = [int(out == value) for out in self.outputs]
+        return MultiTrackAutomaton(tracks, self.n_states, self.initial, outputs, self.matrix)
 
     def is_padding_closed(self) -> bool:
-        """True iff prepending the all-zero tuple never changes membership."""
+        """True iff prepending the all-zero tuple never changes the output.
+
+        Two states of the minimal form are equal exactly when they give equal
+        outputs after every suffix, so a leading zero changes no output iff
+        the minimal form's initial state 0 stays put on the all-zero tuple.
+        """
         return minimize(self).matrix[0][0] == 0
 
     def to_text(self) -> str:
         """Serialize; track names are not stored, only their number systems."""
-        accepting = [int(q in self.accepting) for q in range(self.n_states)]
-        return _write_text(self.tracks, accepting, self.matrix, self.initial)
+        return _write_text(self.tracks, self.outputs, self.matrix, self.initial)
 
     @classmethod
     def from_text(cls, text: str, names=None) -> "MultiTrackAutomaton":
-        """Read ``to_text()``; a missing transition goes to a fresh rejecting sink."""
+        """Read a relation's ``to_text()``: outputs 0 or 1, and a missing
+        transition goes to a fresh sink of output 0."""
         tracks, outputs, matrix, headers = _read_text(text, names)
         for out, line in zip(outputs, headers):
             if out not in (0, 1):
                 raise AutomatonError(f"bad automaton line {line!r}: acceptance must be 0 or 1")
-        n = len(matrix)
         if any(None in row for row in matrix):
+            n = len(matrix)
             matrix = [[n if t is None else t for t in row] for row in matrix]
             matrix.append([n] * len(matrix[0]))
-            n += 1
-        accepting = frozenset(q for q, out in enumerate(outputs) if out)
-        return cls(tracks, n, 0, accepting, matrix)
+            outputs.append(0)
+        return cls(tracks, len(matrix), 0, outputs, matrix)
+
+    @classmethod
+    def from_output_text(cls, text: str) -> "MultiTrackAutomaton":
+        """Read an automaton with output: one track, and every transition given."""
+        tracks, outputs, matrix, headers = _read_text(text)
+        if len(tracks) != 1:
+            raise AutomatonError(
+                f"bad automaton line {text.splitlines()[0]!r}: "
+                f"an automaton with output reads one number system, not {len(tracks)}"
+            )
+        for row, line in zip(matrix, headers):
+            if None in row:
+                raise AutomatonError(
+                    f"bad automaton line {line!r}: no transition on digit {row.index(None)}"
+                )
+        return cls(tracks, len(matrix), 0, outputs, matrix)
 
     def __repr__(self):
         sig = ",".join(f"{t.name}:{t.system}" for t in self.tracks)
@@ -432,8 +462,8 @@ def product(a: MultiTrackAutomaton, b: MultiTrackAutomaton, op) -> MultiTrackAut
     """Synchronous product over the union of the two track sets.
 
     Tracks are matched by name; each operand ignores digits on tracks it
-    does not carry.  ``op`` combines acceptance of the two parts.  Only
-    state pairs reachable from the initial pair are materialized.
+    does not carry.  ``op`` combines the outputs of the two parts into an
+    int.  Only state pairs reachable from the initial pair are materialized.
     """
     merged = _merge_tracks(a.tracks + b.tracks)
     pairs = list(zip(_projection_table(merged, a.tracks), _projection_table(merged, b.tracks)))
@@ -448,19 +478,17 @@ def product(a: MultiTrackAutomaton, b: MultiTrackAutomaton, op) -> MultiTrackAut
         return [rowa[x] + rowb[y] for x, y in pairs]
 
     order, matrix = _explore(a.initial * nb + b.initial, successors)
-    acc_a, acc_b = a.accepting, b.accepting
-    accepting = frozenset(
-        i for i, k in enumerate(order) if op(k // nb in acc_a, k % nb in acc_b)
-    )
-    return MultiTrackAutomaton(merged, len(order), 0, accepting, matrix)
+    out_a, out_b = a.outputs, b.outputs
+    outputs = [int(op(out_a[k // nb], out_b[k % nb])) for k in order]
+    return MultiTrackAutomaton(merged, len(order), 0, outputs, matrix)
 
 
 def complement(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
     """Flip acceptance; sound because every automaton here is complete."""
     if isinstance(a, Nfa):
         raise AutomatonError("complement needs a deterministic automaton; determinize first")
-    acc = frozenset(range(a.n_states)) - a.accepting
-    return MultiTrackAutomaton(a.tracks, a.n_states, a.initial, acc, a.matrix)
+    outputs = [int(out != 1) for out in a.outputs]
+    return MultiTrackAutomaton(a.tracks, a.n_states, a.initial, outputs, a.matrix)
 
 
 def determinize(nfa: Nfa) -> MultiTrackAutomaton:
@@ -484,8 +512,8 @@ def determinize(nfa: Nfa) -> MultiTrackAutomaton:
 
     order, matrix = _explore(nfa.initial, successors)
     acc = nfa.accepting
-    accepting = frozenset(i for i, subset in enumerate(order) if not acc.isdisjoint(subset))
-    return MultiTrackAutomaton(nfa.tracks, len(order), 0, accepting, matrix)
+    outputs = [int(not acc.isdisjoint(subset)) for subset in order]
+    return MultiTrackAutomaton(nfa.tracks, len(order), 0, outputs, matrix)
 
 
 def project(a: MultiTrackAutomaton, name: str) -> MultiTrackAutomaton:
@@ -585,16 +613,15 @@ def _refine(matrix, initial, labels):
 def minimize(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
     """Unique minimal complete automaton, states renumbered canonically.
 
-    Moore signature refinement, starting from the accepting/rejecting
-    split, merges indistinguishable states, and ``_explore`` numbers the
-    reachable classes in breadth-first order from the initial state
+    Moore signature refinement, starting from the partition of the states
+    by output, merges indistinguishable states, and ``_explore`` numbers
+    the reachable classes in breadth-first order from the initial state
     (symbols in lexicographic order), dropping the others (see
-    ``_refine``).  So equal languages always serialize to identical bytes.
+    ``_refine``).  So equal languages, and equal output functions, always
+    serialize to identical bytes.
     """
-    acc = a.accepting
-    matrix, labels = _refine(a.matrix, a.initial, [q in acc for q in range(a.n_states)])
-    accepting = frozenset(i for i, label in enumerate(labels) if label)
-    return MultiTrackAutomaton(a.tracks, len(matrix), 0, accepting, matrix)
+    matrix, outputs = _refine(a.matrix, a.initial, a.outputs)
+    return MultiTrackAutomaton(a.tracks, len(matrix), 0, outputs, matrix)
 
 
 def is_empty(a: MultiTrackAutomaton) -> bool:
@@ -609,10 +636,10 @@ def _check_comparable(a, b):
 
 
 def language_equal(a: MultiTrackAutomaton, b: MultiTrackAutomaton) -> bool:
-    """Language equality, compared positionally (track names are ignored)."""
+    """Equal languages, or outputs, compared positionally (track names are ignored)."""
     _check_comparable(a, b)
     if a.tracks != b.tracks:
-        b = MultiTrackAutomaton(a.tracks, b.n_states, b.initial, b.accepting, b.matrix)
+        b = MultiTrackAutomaton(a.tracks, b.n_states, b.initial, b.outputs, b.matrix)
     return is_empty(product(a, b, OP_XOR))
 
 
@@ -782,78 +809,3 @@ def from_regex(systems, pattern: str, names=None) -> MultiTrackAutomaton:
     initial = reachable([row[0] for row in rows], 0)
     trans = [[frozenset(cell) for cell in row] for row in rows]
     return minimize(determinize(Nfa(tracks, len(rows), initial, accepting, trans)))
-
-
-# --- automata with output ------------------------------------------------
-
-
-class OutputAutomaton:
-    """Single-track complete automaton labelling each state with an output."""
-
-    __slots__ = ("track", "n_states", "initial", "outputs", "matrix")
-
-    def __init__(self, track: Track, n_states, initial, outputs, matrix):
-        self.track = track
-        self.n_states = n_states
-        self.initial = initial
-        self.outputs = tuple(outputs)
-        self.matrix = matrix
-        if len(self.outputs) != n_states or len(matrix) != n_states:
-            raise AutomatonError("outputs and transitions must cover every state")
-
-    @property
-    def base(self):
-        return self.track.base
-
-    def value(self, n: int) -> int:
-        q = self.initial
-        for d in to_digits(n, self.base):
-            q = self.matrix[q][d]
-        return self.outputs[q]
-
-    def where(self, value: int, name: str | None = None) -> MultiTrackAutomaton:
-        """Recognizer for the arguments mapped to ``value``."""
-        track = self.track if name is None else Track(name, self.track.system)
-        acc = frozenset(q for q in range(self.n_states) if self.outputs[q] == value)
-        return MultiTrackAutomaton(
-            (track,), self.n_states, self.initial, acc, [list(r) for r in self.matrix]
-        )
-
-    def is_padding_closed(self) -> bool:
-        """True iff prepending a zero never changes the output.
-
-        Two states of the minimal form are equal exactly when they give equal
-        outputs after every suffix, so a leading zero changes no output iff
-        the minimal form's initial state 0 stays put on digit 0.
-        """
-        return self.minimized().matrix[0][0] == 0
-
-    def minimized(self) -> "OutputAutomaton":
-        """Minimal automaton with the same outputs, renumbered canonically.
-
-        The same refinement as ``minimize``, starting from the partition of
-        the states by output.
-        """
-        matrix, outputs = _refine(self.matrix, self.initial, self.outputs)
-        return OutputAutomaton(self.track, len(matrix), 0, outputs, matrix)
-
-    def to_text(self) -> str:
-        return _write_text((self.track,), self.outputs, self.matrix, self.initial)
-
-    @classmethod
-    def from_text(cls, text: str) -> "OutputAutomaton":
-        """Read ``to_text()``; every state needs a transition on every digit."""
-        tracks, outputs, matrix, headers = _read_text(text)
-        if len(tracks) != 1:
-            raise AutomatonError(
-                f"an automaton with output reads one number system, not {len(tracks)}"
-            )
-        for row, line in zip(matrix, headers):
-            if None in row:
-                raise AutomatonError(
-                    f"bad automaton line {line!r}: no transition on digit {row.index(None)}"
-                )
-        return cls(tracks[0], len(matrix), 0, outputs, matrix)
-
-    def __repr__(self):
-        return f"<OutputAutomaton {self.track.system} {self.n_states} states>"

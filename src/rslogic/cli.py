@@ -16,7 +16,7 @@ import re
 import sys
 from pathlib import Path
 
-from .automata import MultiTrackAutomaton, OutputAutomaton, minimize
+from .automata import MultiTrackAutomaton, minimize
 from .errors import EngineError, FormulaParseError
 from .parser import NAME_PATTERN, Command
 from .sequences import (
@@ -67,23 +67,26 @@ def _load_env(args):
     verified = {f"{name}.rel.txt": rel.automaton.to_text() for name, rel in env.relations.items()}
     verified.update((f"{name}.dfao.txt", dfao.to_text()) for name, dfao in env.dfaos.items())
     directory = Path(env_dir)
-    for suffix, parse, minimal, register in (
-        (".rel.txt", MultiTrackAutomaton.from_text, minimize, env.register_relation),
-        (".dfao.txt", OutputAutomaton.from_text, OutputAutomaton.minimized, env.register_dfao),
+    for suffix, parse, register in (
+        (".rel.txt", MultiTrackAutomaton.from_text, env.register_relation),
+        (".dfao.txt", MultiTrackAutomaton.from_output_text, env.register_dfao),
     ):
         for path in sorted(directory.glob(f"*{suffix}")):
             try:
                 text = path.read_text()
             except (OSError, UnicodeDecodeError) as exc:
                 raise EngineError(f"cannot read {path}: {exc}") from None
-            machine = parse(text)
+            try:
+                machine = parse(text)
+            except EngineError as exc:
+                raise EngineError(f"{path}: {exc}") from None
             if path.name in verified:
                 if machine.to_text() != verified[path.name]:
                     raise EngineError(f"{path} differs from the verified machine of that name")
                 continue
             # every number may be read behind leading zeros, so a machine
             # they change would let one query be both TRUE and FALSE
-            machine = minimal(machine)
+            machine = minimize(machine)
             if not machine.is_padding_closed():
                 raise EngineError(f"{path} is not padding-closed: a leading zero changes it")
             register(path.name[: -len(suffix)], machine, overwrite=True)

@@ -89,6 +89,8 @@ class Environment:
         (default: sorted track names, the order compiled formulas use)."""
         if name in self.relations and not overwrite:
             raise CompileError(f"relation {name!r} is already defined")
+        if not set(automaton.outputs) <= {0, 1}:
+            raise CompileError(f"relation {name!r} has outputs other than 0 and 1")
         if order is None:
             order = [t.name for t in automaton.tracks]
         by_name = {t.name: t for t in automaton.tracks}
@@ -102,6 +104,8 @@ class Environment:
     def register_dfao(self, name, dfao, overwrite=False):
         if name in self.dfaos and not overwrite:
             raise CompileError(f"automaton with output {name!r} is already defined")
+        if len(dfao.tracks) != 1:
+            raise CompileError(f"automaton with output {name!r} reads {len(dfao.tracks)} tracks, not 1")
         self.dfaos[name] = dfao
 
     def relation(self, name) -> Relation:
@@ -200,7 +204,7 @@ class _Compiler:
         if isinstance(node, OutputTest):
             dfao = self.env.dfao(node.name)
             recognizer = dfao.where(node.value, name=_param(0))
-            return self._apply(recognizer, [dfao.track.system], [node.arg])
+            return self._apply(recognizer, [dfao.tracks[0].system], [node.arg])
         if isinstance(node, Not):
             return complement(self.compile(node.body))
         if isinstance(node, BinOp):
@@ -283,7 +287,10 @@ def _flatten_and(node):
 def compile_formula(env: Environment, source) -> MultiTrackAutomaton:
     """Compile formula text (or a parsed node) against an environment."""
     node = parse_formula(source) if isinstance(source, str) else source
-    return _Compiler(env).compile(node)
+    try:
+        return _Compiler(env).compile(node)
+    except RecursionError:
+        raise CompileError("the formula nests too deeply to compile") from None
 
 
 def decide(env: Environment, source) -> bool:
@@ -313,7 +320,10 @@ def find_counterexample(env: Environment, source):
     if not prefix:
         return None if decide(env, node) else {}
     compiler = _Compiler(env)
-    negated = compiler._exists((), compiler._refutation(node))
+    try:
+        negated = compiler._exists((), compiler._refutation(node))
+    except RecursionError:
+        raise CompileError("the formula nests too deeply to compile") from None
     word = find_witness(negated)
     if word is None:
         return None

@@ -31,9 +31,7 @@ RELATIONS = ("=", "!=", "<", "<=", ">", ">=")
 
 
 def _trivial(tracks, truth: bool) -> MultiTrackAutomaton:
-    return MultiTrackAutomaton(
-        tuple(tracks), 1, 0, {0} if truth else set(), [[0] * _alpha_size(tracks)]
-    )
+    return MultiTrackAutomaton(tuple(tracks), 1, 0, [int(truth)], [[0] * _alpha_size(tracks)])
 
 
 def linear_atom(terms, rel: str, constant: int, system: NumberSystem) -> MultiTrackAutomaton:
@@ -95,9 +93,8 @@ def _lsd_residual(tracks, coeffs, mode, start):
         return [(s - c) // base for c in digit_sums]  # floor keeps "le" exact
 
     order, matrix = _explore(start, successors)
-    accepting = {
-        idx
-        for idx, s in enumerate(order)
-        if s is not dead and ((mode == "eq" and s == 0) or (mode == "le" and s >= 0))
-    }
-    return MultiTrackAutomaton(tuple(tracks), len(order), 0, accepting, matrix)
+    outputs = [
+        int(s is not dead and ((mode == "eq" and s == 0) or (mode == "le" and s >= 0)))
+        for s in order
+    ]
+    return MultiTrackAutomaton(tuple(tracks), len(order), 0, outputs, matrix)

@@ -343,7 +343,10 @@ class _Parser:
 
 def parse_formula(text: str):
     """Parse one formula; a leading ?msd_k marker sets the ambient system."""
-    return _Parser(text).parse()
+    try:
+        return _Parser(text).parse()
+    except RecursionError:
+        raise FormulaParseError("the formula nests too deeply to parse") from None
 
 
 def _strip_comments(text: str) -> str:

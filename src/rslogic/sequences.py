@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .automata import NumberSystem, OutputAutomaton, Track
+from .automata import MultiTrackAutomaton, NumberSystem, Track
 
 __all__ = [
     "pair_count",
@@ -137,7 +137,7 @@ def double_zero_alternating_sum_by_recurrence(n: int) -> int:
     )
 
 
-def rudin_shapiro_dfao4() -> OutputAutomaton:
+def rudin_shapiro_dfao4() -> MultiTrackAutomaton:
     """Base-4 output automaton computing rudin_shapiro(n).
 
     A base-4 digit is two binary digits, so each step feeds the pair
@@ -156,10 +156,10 @@ def rudin_shapiro_dfao4() -> OutputAutomaton:
             row.append(2 * p + lo)
         matrix.append(row)
         outputs.append(-1 if parity else 1)
-    return OutputAutomaton(track, 4, 0, outputs, matrix)
+    return MultiTrackAutomaton((track,), 4, 0, outputs, matrix)
 
 
-def double_zero_sign_dfao4() -> OutputAutomaton:
+def double_zero_sign_dfao4() -> MultiTrackAutomaton:
     """Base-4 output automaton computing double_zero_sign(n).
 
     Zero pairs are counted on the canonical binary string, so the machine
@@ -188,4 +188,4 @@ def double_zero_sign_dfao4() -> OutputAutomaton:
             row.append(1 + 2 * p + lo)
         matrix.append(row)
         outputs.append(-1 if parity else 1)
-    return OutputAutomaton(track, 5, 0, outputs, matrix)
+    return MultiTrackAutomaton((track,), 5, 0, outputs, matrix)

@@ -11,17 +11,19 @@ base case, and both inductive steps as sentences.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .automata import (
     MultiTrackAutomaton,
     NumberSystem,
-    OutputAutomaton,
     Track,
+    _alpha_size,
     _explore,
     _projection_table,
     coreachable,
     minimize,
+    product,
     to_digits,
 )
 from .errors import CompileError, FunctionalityError, GuessFailedError
@@ -99,16 +101,11 @@ def guess_sync(oracle, sample_bound=2**14, state_cap=64, *, names=("n", "y")):
         return row
 
     order, matrix = _explore(start, successors)
-    accepting = frozenset(
-        q for q, (N, X) in enumerate(map(reps.get, order))
-        if N < sample_bound and oracle(N) == X
-    )
+    outputs = [int(N < sample_bound and oracle(N) == X) for N, X in map(reps.get, order)]
     in_name, out_name = names
     # the table is built with the input track first; renamed sorts the tracks
     tracks = (Track(in_name, GUESS_INPUT), Track(out_name, GUESS_OUTPUT))
-    candidate = minimize(
-        MultiTrackAutomaton(tracks, len(order), 0, accepting, matrix).renamed({})
-    )
+    candidate = minimize(MultiTrackAutomaton(tracks, len(order), 0, outputs, matrix).renamed({}))
     # the guess must at least reproduce the sample it was built from
     try:
         found = sync_table(candidate, sample_bound, input_track=in_name)
@@ -303,21 +300,19 @@ STEP_WEIGHTS = {"sum": (1, 1), "alt": (1, -1), "neg_alt": (-1, 1)}
 def _signed_step(sign, rule):
     """The step at m as one automaton with output: A(m) times its rule weight.
 
-    (-1)^m * A(m) is the product of the sign automaton with a parity
-    automaton (Allouche & Shallit, *Automatic Sequences*, ch. 5).  State
-    2q+p is sign state q after reading a number of parity p; digit d leads
-    to (matrix[q][d], (p*b + d) % 2), the parity in any base b.  The result
-    is minimal, so a step outside +1/-1 on a reachable state is refused.
+    (-1)^m * A(m) is the product, multiplying outputs, of the sign with a
+    parity automaton on its first track (Allouche & Shallit, *Automatic
+    Sequences*, ch. 5): state p, the parity so far, outputs the rule's weight
+    and goes to (p*b + d) % 2 on digit d, the parity in any base b.  The
+    result is minimal, so a step outside +1/-1 on a reachable state is refused.
     """
     if rule not in STEP_WEIGHTS:
         raise CompileError(f"rule must be one of {tuple(STEP_WEIGHTS)}")
-    weight, b = STEP_WEIGHTS[rule], sign.base
-    matrix, outputs = [], []
-    for q, row in enumerate(sign.matrix):
-        for p in (0, 1):
-            matrix.append([2 * row[d] + (p * b + d) % 2 for d in range(b)])
-            outputs.append(sign.outputs[q] * weight[p])
-    step = OutputAutomaton(sign.track, len(matrix), 2 * sign.initial, outputs, matrix).minimized()
+    track = sign.tracks[:1]
+    b = _alpha_size(track)
+    matrix = [[(p * b + d) % 2 for d in range(b)] for p in (0, 1)]
+    parity = MultiTrackAutomaton(track, 2, 0, STEP_WEIGHTS[rule], matrix)
+    step = minimize(product(sign, parity, operator.mul))
     bad = sorted(set(step.outputs) - {1, -1})
     if bad:
         raise CompileError(f"the sign automaton outputs {bad[0]}, not +1 or -1")
@@ -394,15 +389,8 @@ def verify_sync_t(candidate, input_track=None):
 def accepting_bit_mutations(automaton):
     """Every variant of the automaton with one accepting bit flipped."""
     for q in range(automaton.n_states):
-        accepting = set(automaton.accepting)
-        if q in accepting:
-            accepting.discard(q)
-        else:
-            accepting.add(q)
+        outputs = list(automaton.outputs)
+        outputs[q] = 1 - outputs[q]
         yield q, MultiTrackAutomaton(
-            automaton.tracks,
-            automaton.n_states,
-            automaton.initial,
-            frozenset(accepting),
-            automaton.matrix,
+            automaton.tracks, automaton.n_states, automaton.initial, outputs, automaton.matrix
         )

@@ -23,7 +23,6 @@ from rslogic.automata import (
     MultiTrackAutomaton,
     NumberSystem,
     OP_AND,
-    OutputAutomaton,
     Track,
     _symbol_index,
     coreachable,
@@ -60,15 +59,15 @@ def build_compare(rel: str, system: NumberSystem, names=("x", "y")) -> MultiTrac
                 else:
                     row.append(q)
         matrix.append(row)
-    accepting = {
-        "=": {0},
-        "!=": {1, 2},
-        "<": {1},
-        "<=": {0, 1},
-        ">": {2},
-        ">=": {0, 2},
+    outputs = {
+        "=": [1, 0, 0],
+        "!=": [0, 1, 1],
+        "<": [0, 1, 0],
+        "<=": [1, 1, 0],
+        ">": [0, 0, 1],
+        ">=": [1, 0, 1],
     }[rel]
-    return minimize(MultiTrackAutomaton(tracks, 3, 0, accepting, matrix))
+    return minimize(MultiTrackAutomaton(tracks, 3, 0, outputs, matrix))
 
 
 def build_add(system: NumberSystem, names=("x", "y", "z")) -> MultiTrackAutomaton:
@@ -97,7 +96,7 @@ def build_add(system: NumberSystem, names=("x", "y", "z")) -> MultiTrackAutomato
                     else:
                         row.append(2)
         matrix.append(row)
-    lsd = MultiTrackAutomaton(tracks, 3, 0, {0}, matrix)
+    lsd = MultiTrackAutomaton(tracks, 3, 0, [1, 0, 0], matrix)
     return minimize(determinize(reverse(lsd)))
 
 
@@ -385,7 +384,7 @@ def rudin_shapiro_dfao2():
             row.append(2 * p2 + bit)
         matrix.append(row)
         outputs.append(-1 if parity else 1)
-    return OutputAutomaton(track, 4, 0, outputs, matrix)
+    return MultiTrackAutomaton((track,), 4, 0, outputs, matrix)
 
 
 def define_derived_sync(env, name, formula):

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from rslogic.automata import (
     MultiTrackAutomaton,
     NumberSystem,
-    OutputAutomaton,
     Track,
     OP_AND,
+    OP_IFF,
+    OP_IMPLIES,
     OP_OR,
     OP_XOR,
     complement,
@@ -45,7 +46,7 @@ def equality_automaton():
         [0, 1, 1, 0],  # (0,0) (0,1) (1,0) (1,1)
         [1, 1, 1, 1],
     ]
-    return MultiTrackAutomaton(tracks, 2, 0, {0}, matrix)
+    return MultiTrackAutomaton(tracks, 2, 0, [1, 0], matrix)
 
 
 def less_than_automaton():
@@ -56,7 +57,7 @@ def less_than_automaton():
         [1, 1, 1, 1],
         [2, 2, 2, 2],
     ]
-    return MultiTrackAutomaton(tracks, 3, 0, {1}, matrix)
+    return MultiTrackAutomaton(tracks, 3, 0, [0, 1, 0], matrix)
 
 
 def languages_agree(a, box):
@@ -140,10 +141,20 @@ def test_product_matches_tracks_by_name():
     languages_agree((chain, lambda x, y, z: x == y and y < z), (12, 12, 12))
 
 
+def test_product_outputs_are_ints_for_every_connective():
+    # a bool output would be written "True", which no reader takes back
+    eq, lt = equality_automaton(), less_than_automaton()
+    for op in (OP_AND, OP_OR, OP_XOR, OP_IMPLIES, OP_IFF):
+        both = product(eq, lt, op)
+        assert all(type(out) is int for out in both.outputs)
+        back = MultiTrackAutomaton.from_text(both.to_text(), names=["x", "y"])
+        assert back.to_text() == both.to_text()
+
+
 def test_product_base_mismatch_rejected():
     eq = equality_automaton()
     other = MultiTrackAutomaton(
-        (Track("x", NumberSystem(4)),), 1, 0, {0}, [[0, 0, 0, 0]]
+        (Track("x", NumberSystem(4)),), 1, 0, [1], [[0, 0, 0, 0]]
     )
     with pytest.raises(BaseMismatchError):
         product(eq, other, OP_AND)
@@ -205,7 +216,7 @@ def test_minimize_drops_unreachable_and_merges():
     tracks = (t2("x"),)
     # states 2 and 3 unreachable; 0 and 1 distinguishable
     matrix = [[0, 1], [1, 0], [3, 3], [2, 2]]
-    a = MultiTrackAutomaton(tracks, 4, 0, {1}, matrix)
+    a = MultiTrackAutomaton(tracks, 4, 0, [0, 1, 0, 0], matrix)
     m = minimize(a)
     assert m.n_states == 2
     languages_agree((m, lambda x: bin(x).count("1") % 2 == 1), (64,))
@@ -293,11 +304,12 @@ def test_serialization_roundtrip():
 def test_text_keeps_an_initial_state_other_than_0():
     # state 1 starts and accepts; state 0 is a rejecting sink
     x = Track("x", NumberSystem(2))
-    relation = MultiTrackAutomaton((x,), 2, 1, {1}, [[0, 0], [1, 1]])
+    relation = MultiTrackAutomaton((x,), 2, 1, [0, 1], [[0, 0], [1, 1]])
     back = MultiTrackAutomaton.from_text(relation.to_text(), names=["x"])
     assert back.accepts([]) and language_equal(back, relation)
-    dfao = OutputAutomaton(x, 2, 1, [0, 1], [[0, 0], [1, 1]])
-    assert dfao.value(0) == OutputAutomaton.from_text(dfao.to_text()).value(0) == 1
+    dfao = MultiTrackAutomaton((x,), 2, 1, [0, -1], [[0, 0], [1, 1]])
+    back = MultiTrackAutomaton.from_output_text(dfao.to_text())
+    assert value_of_word(dfao, []) == value_of_word(back, []) == -1
 
 
 def test_from_text_completes_missing_transitions_with_a_sink():
@@ -309,7 +321,7 @@ def test_from_text_completes_missing_transitions_with_a_sink():
     assert partial.count("->") == 2
     back = MultiTrackAutomaton.from_text(partial, names=["x", "y"])
     assert back.n_states == 3
-    assert 2 not in back.accepting and back.matrix[2] == [2, 2, 2, 2]
+    assert back.outputs[2] == 0 and back.matrix[2] == [2, 2, 2, 2]
     for length in range(5):
         for word in itertools.product(full.alphabet, repeat=length):
             assert back.accepts(list(word)) == full.accepts(list(word)), word
@@ -331,16 +343,16 @@ def test_walk_rejects_bad_digits():
 
 def test_duplicate_track_names_rejected():
     with pytest.raises(AutomatonError):
-        MultiTrackAutomaton((t2("x"), t2("x")), 1, 0, {0}, [[0, 0, 0, 0]])
+        MultiTrackAutomaton((t2("x"), t2("x")), 1, 0, [1], [[0, 0, 0, 0]])
 
 
 def test_output_automaton_thue_morse():
     # bit-count parity in base 2
     track = Track("n", NumberSystem(2))
-    dfao = OutputAutomaton(track, 2, 0, [1, -1], [[0, 1], [1, 0]])
+    dfao = MultiTrackAutomaton((track,), 2, 0, [1, -1], [[0, 1], [1, 0]])
     for n in range(500):
         expected = -1 if bin(n).count("1") % 2 else 1
-        assert dfao.value(n) == expected
+        assert value_of_word(dfao, to_digits(n, 2)) == expected
     plus = dfao.where(1)
     languages_agree((plus, lambda n: bin(n).count("1") % 2 == 0), (300,))
 
@@ -348,14 +360,14 @@ def test_output_automaton_thue_morse():
 def test_output_automaton_minimize_and_roundtrip():
     track = Track("n", NumberSystem(2))
     # redundant copy of the parity machine: states 2,3 mirror 0,1
-    dfao = OutputAutomaton(track, 4, 0, [1, -1, 1, -1], [[2, 3], [3, 2], [0, 1], [1, 0]])
-    small = dfao.minimized()
+    dfao = MultiTrackAutomaton((track,), 4, 0, [1, -1, 1, -1], [[2, 3], [3, 2], [0, 1], [1, 0]])
+    small = minimize(dfao)
     assert small.n_states == 2
     for n in range(200):
-        assert small.value(n) == dfao.value(n)
-    back = OutputAutomaton.from_text(small.to_text())
+        assert value_of_word(small, to_digits(n, 2)) == value_of_word(dfao, to_digits(n, 2))
+    back = MultiTrackAutomaton.from_output_text(small.to_text())
     for n in range(200):
-        assert back.value(n) == small.value(n)
+        assert value_of_word(back, to_digits(n, 2)) == value_of_word(small, to_digits(n, 2))
 
 
 def _with_line(text, index, new):
@@ -388,22 +400,22 @@ def test_multitrack_from_text_rejects_malformed_lines():
 
 def test_output_from_text_rejects_malformed_lines():
     track = Track("n", NumberSystem(2))
-    text = OutputAutomaton(track, 2, 0, [1, -1], [[0, 1], [1, 0]]).to_text()
+    text = MultiTrackAutomaton((track,), 2, 0, [1, -1], [[0, 1], [1, 0]]).to_text()
     # text: header, "0 1", "0 -> 0", "1 -> 1", "1 -1", "0 -> 1", "1 -> 0"
     missing = "\n".join(ln for i, ln in enumerate(text.splitlines()) if i != 6)
     with pytest.raises(AutomatonError, match=re.escape("'1 -1'")):
-        OutputAutomaton.from_text(missing)
+        MultiTrackAutomaton.from_output_text(missing)
     for bad, line in (
         (_with_line(text, 2, "2 -> 0"), "2 -> 0"),
         (_with_line(text, 2, "x -> 0"), "x -> 0"),
         (_with_line(text, 2, "0 -> 7"), "0 -> 7"),
     ):
         with pytest.raises(AutomatonError, match=re.escape(repr(line))):
-            OutputAutomaton.from_text(bad)
+            MultiTrackAutomaton.from_output_text(bad)
     with pytest.raises(AutomatonError):
-        OutputAutomaton.from_text("")
+        MultiTrackAutomaton.from_output_text("")
     with pytest.raises(AutomatonError, match="reads one number system, not 2"):
-        OutputAutomaton.from_text(minimize(equality_automaton()).to_text())
+        MultiTrackAutomaton.from_output_text(minimize(equality_automaton()).to_text())
 
 
 # --- properties of the kernel on random small automata ----------------------
@@ -418,7 +430,8 @@ def small_dfas(draw):
     state = st.integers(0, n - 1)
     width = math.prod(bases)
     matrix = draw(st.lists(st.lists(state, min_size=width, max_size=width), min_size=n, max_size=n))
-    return MultiTrackAutomaton(tracks, n, draw(state), draw(st.sets(state)), matrix)
+    outputs = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return MultiTrackAutomaton(tracks, n, draw(state), outputs, matrix)
 
 
 @st.composite
@@ -434,7 +447,8 @@ def three_track_renamings(draw):
     state = st.integers(0, n - 1)
     row = st.lists(state, min_size=base**3, max_size=base**3)
     matrix = draw(st.lists(row, min_size=n, max_size=n))
-    a = MultiTrackAutomaton(tracks, n, draw(state), draw(st.sets(state)), matrix)
+    outputs = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    a = MultiTrackAutomaton(tracks, n, draw(state), outputs, matrix)
     targets = draw(st.lists(st.sampled_from("abxyz"), min_size=3, max_size=3))
     return a, dict(zip("xyz", targets))
 
@@ -454,7 +468,7 @@ def _pairs_reached(a, p, b, q, length):
 
 
 def _agree(a, b, pairs):
-    return all((x in a.accepting) == (y in b.accepting) for x, y in pairs)
+    return all(a.outputs[x] == b.outputs[y] for x, y in pairs)
 
 
 def _reached(a):
@@ -545,19 +559,19 @@ def small_dfaos(draw):
     state = st.integers(0, n - 1)
     matrix = draw(st.lists(st.lists(state, min_size=base, max_size=base), min_size=n, max_size=n))
     outputs = draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n))
-    return OutputAutomaton(Track("n", NumberSystem(base)), n, draw(state), outputs, matrix)
+    return MultiTrackAutomaton((Track("n", NumberSystem(base)),), n, draw(state), outputs, matrix)
 
 
 @settings(max_examples=80, deadline=None)
 @given(small_dfaos())
 def test_output_minimized_keeps_every_short_word(dfao):
-    small = dfao.minimized()
+    small = minimize(dfao)
     assert small.n_states <= dfao.n_states
     for length in range(7):
-        for word in itertools.product(range(dfao.base), repeat=length):
+        for word in itertools.product(range(dfao.bases[0]), repeat=length):
             assert value_of_word(small, word) == value_of_word(dfao, word)
-    assert small.minimized().to_text() == small.to_text()
-    back = OutputAutomaton.from_text(small.to_text())
+    assert minimize(small).to_text() == small.to_text()
+    back = MultiTrackAutomaton.from_output_text(small.to_text())
     assert back.to_text() == small.to_text()
 
 
@@ -603,13 +617,13 @@ def test_text_reader_is_strict(a, data):
 @given(small_dfaos(), st.data())
 def test_output_text_reader_is_strict(dfao, data):
     with pytest.raises(AutomatonError, match="a second transition on digits"):
-        OutputAutomaton.from_text(_retargeted_copy(dfao.to_text(), dfao.n_states, data))
+        MultiTrackAutomaton.from_output_text(_retargeted_copy(dfao.to_text(), dfao.n_states, data))
     q = data.draw(st.integers(0, dfao.n_states - 1))
     text = dfao.to_text()
     for value in (2, -1):
-        back = OutputAutomaton.from_text(_with_output(text, q, value))
+        back = MultiTrackAutomaton.from_output_text(_with_output(text, q, value))
         assert back.outputs[q] == value
-        assert back.matrix == OutputAutomaton.from_text(text).matrix
+        assert back.matrix == MultiTrackAutomaton.from_output_text(text).matrix
 
 
 @settings(max_examples=80, deadline=None)
@@ -675,10 +689,8 @@ def _scrambled(data, matrix, initial, labels, label):
 @settings(max_examples=80, deadline=None)
 @given(small_dfas(), st.data())
 def test_minimize_bytes_ignore_numbering_and_unreachable_states(a, data):
-    labels = [q in a.accepting for q in range(a.n_states)]
-    matrix, initial, labels = _scrambled(data, a.matrix, a.initial, labels, st.booleans())
-    accepting = {q for q, acc in enumerate(labels) if acc}
-    b = MultiTrackAutomaton(a.tracks, len(matrix), initial, accepting, matrix)
+    matrix, initial, outputs = _scrambled(data, a.matrix, a.initial, a.outputs, st.integers(0, 1))
+    b = MultiTrackAutomaton(a.tracks, len(matrix), initial, outputs, matrix)
     assert minimize(b).to_text() == minimize(a).to_text()
 
 
@@ -688,8 +700,8 @@ def test_output_minimized_bytes_ignore_numbering_and_unreachable_states(dfao, da
     matrix, initial, outputs = _scrambled(
         data, dfao.matrix, dfao.initial, dfao.outputs, st.integers(-1, 1)
     )
-    b = OutputAutomaton(dfao.track, len(matrix), initial, outputs, matrix)
-    assert b.minimized().to_text() == dfao.minimized().to_text()
+    b = MultiTrackAutomaton(dfao.tracks, len(matrix), initial, outputs, matrix)
+    assert minimize(b).to_text() == minimize(dfao).to_text()
 
 
 @st.composite

@@ -2,7 +2,7 @@
 
 import json
 
-from rslogic.automata import MultiTrackAutomaton, NumberSystem, OutputAutomaton, Track
+from rslogic.automata import MultiTrackAutomaton, NumberSystem, Track
 from rslogic.cli import main
 
 
@@ -97,10 +97,10 @@ def test_env_dir_rejects_machines_that_are_not_padding_closed(tmp_path, capsys):
     # foo accepts the word 1 but not 01: $foo(1) and Ex ~$foo(x) & x=1
     # were both TRUE
     m2 = Track("t0", NumberSystem(2))
-    foo = MultiTrackAutomaton((m2,), 3, 0, {1}, [[2, 1], [2, 2], [2, 2]])
+    foo = MultiTrackAutomaton((m2,), 3, 0, [0, 1, 0], [[2, 1], [2, 2], [2, 2]])
     # T[0] is 1 on the empty word and -1 on the word 0: T[0]=@1 and
     # T[0]=@-1 were both TRUE
-    dfao = OutputAutomaton(m2, 2, 0, [1, -1], [[1, 1], [1, 1]])
+    dfao = MultiTrackAutomaton((m2,), 2, 0, [1, -1], [[1, 1], [1, 1]])
     for name, text, query in (
         ("foo.rel.txt", foo.to_text(), "$foo(1)"),
         ("T.dfao.txt", dfao.to_text(), "T[0]=@1"),
@@ -118,7 +118,8 @@ def test_env_dir_rejects_malformed_relation_text(tmp_path, capsys):
     env_dir = tmp_path / "env"
     env_dir.mkdir()
     # an acceptance of -1 was read as accepting ($neg(0) TRUE), and a second
-    # transition on digit 1 overwrote the first ($dup(1) FALSE)
+    # transition on digit 1 overwrote the first ($dup(1) FALSE); an automaton
+    # with output reads one track and gives every transition
     for name, text, query, line in (
         ("neg.rel.txt", "msd_2\n0 -1\n0 -> 0\n1 -> 0\n", "$neg(0)", "'0 -1'"),
         (
@@ -127,14 +128,33 @@ def test_env_dir_rejects_malformed_relation_text(tmp_path, capsys):
             "$dup(1)",
             "'1 -> 0'",
         ),
+        (
+            "two.dfao.txt",
+            "msd_2 msd_2\n0 1\n0 0 -> 0\n0 1 -> 0\n1 0 -> 0\n1 1 -> 0\n",
+            "An n=n",
+            "'msd_2 msd_2'",
+        ),
+        ("gap.dfao.txt", "msd_2\n0 1\n0 -> 0\n1 -> 1\n1 -1\n0 -> 1\n", "An n=n", "'1 -1'"),
     ):
         (env_dir / name).write_text(text)
         assert main(["eval", query, "--env-dir", str(env_dir)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ") and line in captured.err
+        assert captured.err.startswith(f"error: {env_dir / name}: ") and line in captured.err
         assert "Traceback" not in captured.err
         (env_dir / name).unlink()
+
+
+def test_deeply_nested_formulas_exit_2_without_a_traceback(capsys):
+    for query, stage in (
+        ("(" * 200 + "x=x" + ")" * 200, "parse"),
+        (" & ".join(["x=x"] * 1200), "compile"),
+        ("Ex " + " & ".join(["x=x"] * 1200), "compile"),
+    ):
+        assert main(["eval", query]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: the formula nests too deeply to {stage}\n"
 
 
 def test_env_dir_rejects_unreadable_file(tmp_path, capsys):

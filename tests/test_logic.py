@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rslogic.automata import NumberSystem, from_regex
+from rslogic.automata import MultiTrackAutomaton, NumberSystem, Track, from_regex
 from rslogic.errors import BaseMismatchError, CompileError, FormulaParseError
 from rslogic.logic import Environment, compile_formula, decide, find_counterexample
 from rslogic.parser import (
@@ -18,6 +18,7 @@ from rslogic.parser import (
     parse_script,
 )
 from rslogic.sequences import rudin_shapiro, rudin_shapiro_dfao4
+from rslogic.synchronized import verify_sync
 
 from builders import accepts_values, build_compare, build_const_mul
 
@@ -446,4 +447,44 @@ def test_run_script_continue_on_error():
     assert results[0].error is None
     assert isinstance(results[1].error, CompileError)
     assert results[1].truth is None
+    assert results[2].truth is True
+
+
+def test_registration_keeps_relations_and_automata_with_output_apart():
+    env = Environment()
+    # a sign table outputs -1, which no relation file can hold
+    with pytest.raises(CompileError, match="'signs' has outputs other than 0 and 1"):
+        env.register_relation("signs", rudin_shapiro_dfao4())
+    assert "signs" not in env.relations
+    # an automaton with output is applied as T[n], so it reads one track
+    two_tracks = compile_formula(env, "?msd_2 x<y")
+    with pytest.raises(CompileError, match="'less' reads 2 tracks, not 1"):
+        env.register_dfao("less", two_tracks)
+    assert "less" not in env.dfaos
+    # so is a sign table, even one that outputs only +1
+    tracks = (Track("m", NumberSystem(2)), Track("n", NumberSystem(2)))
+    ones = MultiTrackAutomaton(tracks, 1, 0, [1], [[0] * 4])
+    with pytest.raises(CompileError, match="'STEP' reads 2 tracks, not 1"):
+        verify_sync(two_tracks, ones, "sum", 0)
+
+
+def test_deeply_nested_formulas_raise_engine_errors():
+    env = Environment()
+    parens = "(" * 200 + "x=x" + ")" * 200
+    conjuncts = " & ".join(["x=x"] * 1200)
+    with pytest.raises(FormulaParseError, match="nests too deeply to parse"):
+        decide(env, "Ax " + parens)
+    with pytest.raises(FormulaParseError, match="nests too deeply to parse"):
+        find_counterexample(env, "Ax " + parens)
+    with pytest.raises(CompileError, match="nests too deeply to compile"):
+        decide(env, "Ax " + conjuncts)
+    with pytest.raises(CompileError, match="nests too deeply to compile"):
+        find_counterexample(env, "Ax " + conjuncts)
+    with pytest.raises(CompileError, match="nests too deeply to compile"):
+        find_counterexample(env, f"Ax ({conjuncts}) => x=x")
+    results = env.run_script(
+        f'eval deep "Ax {parens}":\neval wide "Ax {conjuncts}":\neval fine "Ax x=x":',
+        continue_on_error=True,
+    )
+    assert [type(r.error) for r in results] == [FormulaParseError, CompileError, type(None)]
     assert results[2].truth is True

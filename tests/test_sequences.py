@@ -1,6 +1,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rslogic.automata import minimize, to_digits
 from rslogic.sequences import (
     alternating_sum_by_recurrence,
     alternating_sums,
@@ -150,17 +151,15 @@ def test_double_zero_square_root_bounds():
 def test_base2_output_automaton():
     dfao = rudin_shapiro_dfao2()
     for n in range(4096):
-        assert dfao.value(n) == rudin_shapiro(n)
-    assert dfao.minimized().n_states == 4
+        assert value_of_word(dfao, to_digits(n, 2)) == rudin_shapiro(n)
+    assert minimize(dfao).n_states == 4
 
 
 def test_base4_output_automaton():
     dfao = rudin_shapiro_dfao4()
     for n in range(4 ** 7):
-        assert dfao.value(n) == rudin_shapiro(n)
+        assert value_of_word(dfao, to_digits(n, 4)) == rudin_shapiro(n)
     # leading zero digits never change the value
-    from rslogic.automata import to_digits
-
     for n in range(500):
         word = [0, 0] + to_digits(n, 4)
         assert value_of_word(dfao, word) == rudin_shapiro(n)
@@ -169,9 +168,7 @@ def test_base4_output_automaton():
 def test_base4_double_zero_automaton():
     dfao = double_zero_sign_dfao4()
     for n in range(4 ** 7):
-        assert dfao.value(n) == double_zero_sign(n)
-    from rslogic.automata import to_digits
-
+        assert value_of_word(dfao, to_digits(n, 4)) == double_zero_sign(n)
     for n in range(500):
         word = [0, 0, 0] + to_digits(n, 4)
         assert value_of_word(dfao, word) == double_zero_sign(n)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rslogic.automata import MultiTrackAutomaton, NumberSystem, OutputAutomaton, Track, to_digits
+from rslogic.automata import MultiTrackAutomaton, NumberSystem, Track, to_digits
 from rslogic.errors import CompileError, EngineError, FunctionalityError, GuessFailedError
 from rslogic.numeration import linear_atom
 from rslogic.logic import Environment, compile_formula, decide
@@ -35,7 +35,7 @@ from rslogic.synchronized import (
 )
 from rslogic.toolkit import _shipped_text
 
-from builders import define_derived_sync, plain_sync_table
+from builders import define_derived_sync, plain_sync_table, value_of_word
 
 M4 = NumberSystem(4)
 M2 = NumberSystem(2)
@@ -109,7 +109,8 @@ def _two_track(b_in, b_out, input_first, n_states, initial, accepting, move):
                 d_in, d_out = (first, second) if input_first else (second, first)
                 row.append(move(q, d_in, d_out))
         matrix.append(row)
-    return MultiTrackAutomaton(tracks, n_states, initial, accepting, matrix)
+    outputs = [int(q in accepting) for q in range(n_states)]
+    return MultiTrackAutomaton(tracks, n_states, initial, outputs, matrix)
 
 
 @st.composite
@@ -384,7 +385,7 @@ def test_verify_wrong_rule_fails(rss, rst):
 def test_verify_refuses_a_sign_that_is_not_plus_or_minus_one(rss, output):
     # with no +1 or -1 step neither step sentence fires, so nothing past n = 0
     # would be checked and any candidate with the right base value would pass
-    constant = OutputAutomaton(Track("n", M4), 1, 0, [output], [[0] * 4])
+    constant = MultiTrackAutomaton((Track("n", M4),), 1, 0, [output], [[0] * 4])
     with pytest.raises(CompileError, match=f"outputs {output}, not"):
         verify_sync(rss, constant, "sum", 1)
 
@@ -401,14 +402,14 @@ def test_signed_step_is_the_running_sum_difference(dfao, sign, rule):
     if rule == "neg_alt":
         steps = [-d for d in steps]
     step = synchronized._signed_step(dfao(), rule)
-    assert step.base == 4
-    assert [step.value(m) for m in range(limit)] == steps
+    assert step.bases == (4,)
+    assert [value_of_word(step, to_digits(m, 4)) for m in range(limit)] == steps
 
 
 def test_verify_reads_parity_in_an_odd_base():
     # the alternating sum of the constant +1 sequence is 1 at even n and 0
     # at odd n; in base 3 parity is the parity of the digit sum
-    ones = OutputAutomaton(Track("n", NumberSystem(3)), 1, 0, [1], [[0] * 3])
+    ones = MultiTrackAutomaton((Track("n", NumberSystem(3)),), 1, 0, [1], [[0] * 3])
     cand = compile_formula(Environment(), "?msd_3 (Ek n=2*k & y=1) | (Ek n=2*k+1 & y=0)")
     assert verify_sync(cand, ones, "alt", 1).ok
     assert not verify_sync(cand, ones, "sum", 1).ok
