@@ -32,7 +32,6 @@ __all__ = [
     "NumberSystem",
     "Track",
     "MultiTrackAutomaton",
-    "Nfa",
     "OP_AND",
     "OP_OR",
     "OP_XOR",
@@ -359,32 +358,6 @@ def _symbol_index(bases, sym) -> int:
     return idx
 
 
-class Nfa:
-    """Nondeterministic automaton, the input of ``determinize``.
-
-    Three builders make one: ``project`` (one state per state of its input),
-    ``reverse`` (edges flipped) and ``from_regex`` (the pattern's positions).
-
-    ``trans`` holds one row per state and one frozenset of successors per
-    symbol index in that row, so ``trans[q][j]`` is the set reached from q on
-    symbol j; an empty frozenset means no successor.
-    """
-
-    __slots__ = ("tracks", "n_states", "initial", "accepting", "trans")
-
-    def __init__(self, tracks, n_states, initial, accepting, trans):
-        self.tracks = tuple(tracks)
-        _check_tracks(self.tracks)
-        self.n_states = n_states
-        self.initial = frozenset(initial)
-        self.accepting = frozenset(accepting)
-        self.trans = trans
-
-    @property
-    def alphabet_size(self):
-        return _alpha_size(self.tracks)
-
-
 OP_AND = lambda x, y: x and y
 OP_OR = lambda x, y: x or y
 OP_XOR = lambda x, y: x != y
@@ -485,22 +458,21 @@ def product(a: MultiTrackAutomaton, b: MultiTrackAutomaton, op) -> MultiTrackAut
 
 def complement(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
     """Flip acceptance; sound because every automaton here is complete."""
-    if isinstance(a, Nfa):
-        raise AutomatonError("complement needs a deterministic automaton; determinize first")
     outputs = [int(out != 1) for out in a.outputs]
     return MultiTrackAutomaton(a.tracks, a.n_states, a.initial, outputs, a.matrix)
 
 
-def determinize(nfa: Nfa) -> MultiTrackAutomaton:
+def determinize(tracks, initial, accepting, trans) -> MultiTrackAutomaton:
     """Subset construction; the empty subset becomes the rejecting sink.
 
-    Subsets are numbered in breadth-first order.  A singleton subset takes
-    its state's row as is; a larger one unions its states' rows column by
-    column.
+    ``trans[q][j]`` is the frozenset of states reached from q on symbol j,
+    in the rows that ``project``, ``reverse`` and ``from_regex`` build.
+    Subsets are numbered in breadth-first order from ``initial`` and accept
+    when they meet ``accepting``.  A singleton subset takes its state's row
+    as is; a larger one unions its states' rows column by column.
     """
-    trans = nfa.trans
     union = frozenset().union
-    sink_row = [frozenset()] * nfa.alphabet_size
+    sink_row = [frozenset()] * _alpha_size(tracks)
 
     def successors(subset):
         if len(subset) == 1:
@@ -510,20 +482,19 @@ def determinize(nfa: Nfa) -> MultiTrackAutomaton:
             return [union(*col) for col in zip(*[trans[q] for q in subset])]
         return sink_row
 
-    order, matrix = _explore(nfa.initial, successors)
-    acc = nfa.accepting
-    outputs = [int(not acc.isdisjoint(subset)) for subset in order]
-    return MultiTrackAutomaton(nfa.tracks, len(order), 0, outputs, matrix)
+    order, matrix = _explore(frozenset(initial), successors)
+    outputs = [int(not accepting.isdisjoint(subset)) for subset in order]
+    return MultiTrackAutomaton(tracks, len(order), 0, outputs, matrix)
 
 
 def project(a: MultiTrackAutomaton, name: str) -> MultiTrackAutomaton:
-    """Existentially remove one track.
+    """Existentially remove one track: ``determinize`` over rows that group
+    each state's successors by the digits on the remaining tracks.
 
     Removing a track can strand witnesses that needed more digits than the
-    remaining tracks, so before subset construction the initial set is closed
-    under transitions whose remaining digits are all zero: the result then
-    accepts w exactly when some zero-padding of w extends to an accepted
-    full word.
+    remaining tracks, so the initial set is closed under transitions whose
+    remaining digits are all zero: the result then accepts w exactly when
+    some zero-padding of w extends to an accepted full word.
     """
     pos = a.track_index(name)
     rest = tuple(t for i, t in enumerate(a.tracks) if i != pos)
@@ -537,17 +508,21 @@ def project(a: MultiTrackAutomaton, name: str) -> MultiTrackAutomaton:
     trans = [[frozenset(pick(row)) for pick in pickers] for row in a.matrix]
     # close the initial set under leading zero padding
     initial = reachable([pickers[0](row) for row in a.matrix], a.initial)
-    return determinize(Nfa(rest, a.n_states, initial, a.accepting, trans))
+    return determinize(rest, initial, a.accepting, trans)
 
 
-def reverse(a: MultiTrackAutomaton) -> Nfa:
-    """Reversal: accepts mirror images of the words ``a`` accepts."""
-    trans = [[set() for _ in range(a.alphabet_size)] for _ in range(a.n_states)]
+def reverse(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
+    """Deterministic, unminimized automaton of the mirror images of ``a``'s words.
+
+    Subsets of ``a``'s states, fed their predecessor rows, start from its
+    accepting states and accept when they hold its initial state.
+    """
+    preds = [[set() for _ in range(a.alphabet_size)] for _ in range(a.n_states)]
     for q, row in enumerate(a.matrix):
         for j, t in enumerate(row):
-            trans[t][j].add(q)
-    rows = [[frozenset(cell) for cell in row] for row in trans]
-    return Nfa(a.tracks, a.n_states, a.accepting, {a.initial}, rows)
+            preds[t][j].add(q)
+    rows = [[frozenset(cell) for cell in row] for row in preds]
+    return determinize(a.tracks, a.accepting, {a.initial}, rows)
 
 
 def reachable(matrix, initial) -> list[int]:
@@ -784,19 +759,20 @@ def from_regex(systems, pattern: str, names=None) -> MultiTrackAutomaton:
     """Compile a tuple-literal regular expression, then close it under padding.
 
     ``systems`` lists one number system per track (objects or "msd_k"
-    strings).  The language of the pattern is first interpreted literally,
-    then closed so that leading all-zero tuples may be freely added or
-    removed: the result accepts exactly the encodings of the values the
-    pattern denotes.  The automaton returned is deterministic, complete and
-    minimal.
+    strings).  The pattern's positions, read literally, are closed so that
+    leading all-zero tuples may be freely added or removed, then determinized:
+    the result accepts exactly the encodings of the values the pattern
+    denotes, and is complete and minimal.  A pattern nested too deeply to
+    parse raises ``RegexError``.
     """
-    parsed = [
-        NumberSystem.parse(s) if isinstance(s, str) else s for s in systems
-    ]
+    parsed = [NumberSystem.parse(s) if isinstance(s, str) else s for s in systems]
     if names is None:
         names = [f"t{i}" for i in range(len(parsed))]
     tracks = [Track(n, s) for n, s in zip(names, parsed)]
-    symbols, follow, accepting = _positions(pattern, [t.base for t in tracks])
+    try:
+        symbols, follow, accepting = _positions(pattern, [t.base for t in tracks])
+    except RecursionError:
+        raise RegexError("the pattern nests too deeply to parse") from None
     # state 0 is the start and state p is position p, entered on its symbol
     rows = [[set() for _ in range(_alpha_size(tracks))] for _ in follow]
     for row, succ in zip(rows, follow):
@@ -808,4 +784,4 @@ def from_regex(systems, pattern: str, names=None) -> MultiTrackAutomaton:
     rows[0][0].add(0)
     initial = reachable([row[0] for row in rows], 0)
     trans = [[frozenset(cell) for cell in row] for row in rows]
-    return minimize(determinize(Nfa(tracks, len(rows), initial, accepting, trans)))
+    return minimize(determinize(tracks, initial, accepting, trans))

@@ -87,7 +87,8 @@ def _load_env(args):
             # every number may be read behind leading zeros, so a machine
             # they change would let one query be both TRUE and FALSE
             machine = minimize(machine)
-            if not machine.is_padding_closed():
+            # exact on a minimal machine: see MultiTrackAutomaton.is_padding_closed
+            if machine.matrix[0][0] != 0:
                 raise EngineError(f"{path} is not padding-closed: a leading zero changes it")
             register(path.name[: -len(suffix)], machine, overwrite=True)
     return env

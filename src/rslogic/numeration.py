@@ -19,7 +19,6 @@ from .automata import (
     _alpha_size,
     _explore,
     complement,
-    determinize,
     minimize,
     reverse,
 )
@@ -67,7 +66,7 @@ def linear_atom(terms, rel: str, constant: int, system: NumberSystem) -> MultiTr
         coeffs = [-c for c in coeffs]
         mode, k = "le", -constant - 1
     lsd = _lsd_residual(tracks, coeffs, mode, k)
-    return minimize(determinize(reverse(lsd)))
+    return minimize(reverse(lsd))
 
 
 def _lsd_residual(tracks, coeffs, mode, start):

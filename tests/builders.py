@@ -26,7 +26,6 @@ from rslogic.automata import (
     Track,
     _symbol_index,
     coreachable,
-    determinize,
     minimize,
     product,
     project,
@@ -74,7 +73,8 @@ def build_add(system: NumberSystem, names=("x", "y", "z")) -> MultiTrackAutomato
     """Addition relation x + y = z from the classic carry automaton.
 
     The carry machine naturally reads digits least significant first, so it
-    is built that way and then reversed and determinized for msd input.
+    is built that way and then reversed into a deterministic msd-first
+    automaton.
     """
     if list(names) != sorted(names):
         raise AutomatonError("adder track names must be given in sorted order")
@@ -97,7 +97,7 @@ def build_add(system: NumberSystem, names=("x", "y", "z")) -> MultiTrackAutomato
                         row.append(2)
         matrix.append(row)
     lsd = MultiTrackAutomaton(tracks, 3, 0, [1, 0, 0], matrix)
-    return minimize(determinize(reverse(lsd)))
+    return minimize(reverse(lsd))
 
 
 def build_const_mul(c: int, system: NumberSystem, names=("x", "y")) -> MultiTrackAutomaton:

@@ -19,6 +19,7 @@ from rslogic.automata import (
     complement,
     coreachable,
     decode_word,
+    determinize,
     find_witness,
     from_digits,
     from_regex,
@@ -28,6 +29,7 @@ from rslogic.automata import (
     product,
     project,
     reachable,
+    reverse,
     to_digits,
 )
 from rslogic.errors import AutomatonError, BaseMismatchError, RegexError
@@ -291,6 +293,12 @@ def test_regex_rejects_garbage():
         from_regex(["msd_2"], "[1,1]")
     with pytest.raises(RegexError):
         from_regex(["msd_2"], "0*30*")
+
+
+def test_regex_nested_too_deeply_raises_regex_error():
+    with pytest.raises(RegexError, match="the pattern nests too deeply to parse"):
+        from_regex(["msd_2"], "(" * 300 + "1" + ")" * 300)
+    assert from_regex(["msd_2"], "(" * 20 + "1" + ")" * 20).accepts([(1,)])
 
 
 def test_serialization_roundtrip():
@@ -702,6 +710,42 @@ def test_output_minimized_bytes_ignore_numbering_and_unreachable_states(dfao, da
     )
     b = MultiTrackAutomaton(dfao.tracks, len(matrix), initial, outputs, matrix)
     assert minimize(b).to_text() == minimize(dfao).to_text()
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_dfas())
+def test_reverse_accepts_the_mirror_words(a):
+    r = reverse(a)
+    assert r.tracks == a.tracks
+    for length in range(5):
+        for word in itertools.product(a.alphabet, repeat=length):
+            assert r.accepts(word[::-1]) == a.accepts(word), word
+
+
+@st.composite
+def subset_rows(draw):
+    """Tracks, start set, accepting set and frozenset rows on at most 4 states."""
+    bases = draw(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=2))
+    tracks = tuple(Track(name, NumberSystem(b)) for name, b in zip("xy", bases))
+    n = draw(st.integers(1, 4))
+    subset = st.frozensets(st.integers(0, n - 1))
+    width = math.prod(bases)
+    trans = draw(st.lists(st.lists(subset, min_size=width, max_size=width), min_size=n, max_size=n))
+    return tracks, draw(subset), draw(subset), trans
+
+
+@settings(max_examples=80, deadline=None)
+@given(subset_rows())
+def test_determinize_accepts_what_the_subset_simulation_accepts(case):
+    tracks, initial, accepting, trans = case
+    a = determinize(tracks, initial, accepting, trans)
+    for length in range(4):
+        for word in itertools.product(a.alphabet, repeat=length):
+            current = initial
+            for sym in word:
+                j = a.symbol_index(sym)
+                current = frozenset(t for q in current for t in trans[q][j])
+            assert a.accepts(word) == bool(current & accepting), word
 
 
 @st.composite

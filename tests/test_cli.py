@@ -1,9 +1,12 @@
 """Command line entry points."""
 
+import argparse
 import json
 
+from rslogic import automata, cli
 from rslogic.automata import MultiTrackAutomaton, NumberSystem, Track
 from rslogic.cli import main
+from rslogic.toolkit import standard_environment
 
 
 def test_seq_csv(capsys):
@@ -114,6 +117,31 @@ def test_env_dir_rejects_machines_that_are_not_padding_closed(tmp_path, capsys):
         (env_dir / name).unlink()
 
 
+def test_env_dir_minimizes_each_new_machine_once(tmp_path, monkeypatch):
+    env_dir = tmp_path / "env"
+    env_dir.mkdir()
+    m2 = Track("t0", NumberSystem(2))
+    # x is even, and x is a power of 2, each with a redundant state
+    even = MultiTrackAutomaton((m2,), 3, 0, [1, 0, 1], [[2, 1], [0, 1], [2, 1]])
+    power = MultiTrackAutomaton((m2,), 4, 0, [0, 1, 0, 1], [[0, 1], [1, 2], [2, 2], [1, 2]])
+    (env_dir / "even.rel.txt").write_text(even.to_text())
+    (env_dir / "power.rel.txt").write_text(power.to_text())
+    env = standard_environment()
+    monkeypatch.setattr(cli, "standard_environment", lambda: env)
+    calls = []
+
+    def counting_minimize(a, minimize=automata.minimize):
+        calls.append(a)
+        return minimize(a)
+
+    monkeypatch.setattr(cli, "minimize", counting_minimize)
+    monkeypatch.setattr(automata, "minimize", counting_minimize)
+    loaded = cli._load_env(argparse.Namespace(env_dir=str(env_dir)))
+    assert len(calls) == 2
+    assert loaded.relations["even"].automaton.n_states == 2
+    assert loaded.relations["power"].automaton.n_states == 3
+
+
 def test_env_dir_rejects_malformed_relation_text(tmp_path, capsys):
     env_dir = tmp_path / "env"
     env_dir.mkdir()
@@ -155,6 +183,15 @@ def test_deeply_nested_formulas_exit_2_without_a_traceback(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: the formula nests too deeply to {stage}\n"
+
+
+def test_deeply_nested_pattern_exits_2_without_a_traceback(tmp_path, capsys):
+    script = tmp_path / "script.txt"
+    script.write_text('reg deep msd_2 "' + "(" * 300 + "1" + ")" * 300 + '":\n')
+    assert main(["run", str(script)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the pattern nests too deeply to parse\n"
 
 
 def test_env_dir_rejects_unreadable_file(tmp_path, capsys):
