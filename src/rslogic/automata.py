@@ -200,22 +200,10 @@ class MultiTrackAutomaton:
         matrix = [[row[j] for j in src_index] for row in self.matrix]
         return MultiTrackAutomaton(out_tracks, self.n_states, self.initial, self.outputs, matrix)
 
-    def where(self, value: int, name: str | None = None) -> "MultiTrackAutomaton":
-        """The relation of the words whose output is ``value``; ``name`` renames a lone track."""
-        tracks = self.tracks
-        if name is not None:
-            tracks = [Track(name, t.system) for t in tracks]
+    def where(self, value: int) -> "MultiTrackAutomaton":
+        """The relation of the words whose output is ``value``."""
         outputs = [int(out == value) for out in self.outputs]
-        return MultiTrackAutomaton(tracks, self.n_states, self.initial, outputs, self.matrix)
-
-    def is_padding_closed(self) -> bool:
-        """True iff prepending the all-zero tuple never changes the output.
-
-        Two states of the minimal form are equal exactly when they give equal
-        outputs after every suffix, so a leading zero changes no output iff
-        the minimal form's initial state 0 stays put on the all-zero tuple.
-        """
-        return minimize(self).matrix[0][0] == 0
+        return MultiTrackAutomaton(self.tracks, self.n_states, self.initial, outputs, self.matrix)
 
     def to_text(self) -> str:
         """Serialize; track names are not stored, only their number systems."""
@@ -535,19 +523,18 @@ def reachable(matrix, initial) -> list[int]:
 
 
 def coreachable(matrix, targets) -> set[int]:
-    """States from which some state in ``targets`` is reachable."""
+    """States from which some state in ``targets`` is reachable.
+
+    ``_explore`` walks the predecessor lists back from one extra key, one
+    past the last state, whose predecessors are the targets.
+    """
     preds = [[] for _ in matrix]
     for q, row in enumerate(matrix):
         for t in set(row):
             preds[t].append(q)
-    live = set(targets)
-    frontier = list(live)
-    while frontier:
-        for p in preds[frontier.pop()]:
-            if p not in live:
-                live.add(p)
-                frontier.append(p)
-    return live
+    extra = len(matrix)
+    preds.append(list(targets))
+    return set(_explore(extra, preds.__getitem__)[0]) - {extra}
 
 
 def _refine(matrix, initial, labels):
@@ -755,20 +742,18 @@ def _positions(text: str, bases):
     return symbols, follow, last | {0} if nullable else last
 
 
-def from_regex(systems, pattern: str, names=None) -> MultiTrackAutomaton:
+def from_regex(systems, pattern: str) -> MultiTrackAutomaton:
     """Compile a tuple-literal regular expression, then close it under padding.
 
     ``systems`` lists one number system per track (objects or "msd_k"
-    strings).  The pattern's positions, read literally, are closed so that
-    leading all-zero tuples may be freely added or removed, then determinized:
-    the result accepts exactly the encodings of the values the pattern
-    denotes, and is complete and minimal.  A pattern nested too deeply to
-    parse raises ``RegexError``.
+    strings), named t0, t1, ...  The pattern's positions, read literally,
+    are closed so that leading all-zero tuples may be freely added or
+    removed, then determinized: the result accepts exactly the encodings of
+    the values the pattern denotes, and is complete and minimal.  A pattern
+    nested too deeply to parse raises ``RegexError``.
     """
     parsed = [NumberSystem.parse(s) if isinstance(s, str) else s for s in systems]
-    if names is None:
-        names = [f"t{i}" for i in range(len(parsed))]
-    tracks = [Track(n, s) for n, s in zip(names, parsed)]
+    tracks = [Track(f"t{i}", s) for i, s in enumerate(parsed)]
     try:
         symbols, follow, accepting = _positions(pattern, [t.base for t in tracks])
     except RecursionError:

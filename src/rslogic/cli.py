@@ -19,20 +19,8 @@ from pathlib import Path
 from .automata import MultiTrackAutomaton, minimize
 from .errors import EngineError, FormulaParseError
 from .parser import NAME_PATTERN, Command
-from .sequences import (
-    alternating_sum_by_recurrence,
-    alternating_sums,
-    double_zero_alternating_sum_by_recurrence,
-    double_zero_partial_sum_by_recurrence,
-    double_zero_sign,
-    double_zero_sign_dfao4,
-    partial_sum_by_recurrence,
-    partial_sums,
-    rudin_shapiro,
-    rudin_shapiro_dfao4,
-    running_sums,
-)
-from .synchronized import guess_sync, verify_sync
+from .sequences import alternating_sums, double_zero_sign, partial_sums, rudin_shapiro, running_sums
+from .synchronized import GUESSABLE, guess_sync, verify_sync
 from .toolkit import (
     SuiteReport,
     check_curve,
@@ -43,19 +31,6 @@ from .toolkit import (
     standard_environment,
     verify_bounds,
 )
-
-GUESSABLE = {
-    "s": (partial_sum_by_recurrence, rudin_shapiro_dfao4, "sum", 1),
-    "t": (alternating_sum_by_recurrence, rudin_shapiro_dfao4, "alt", 1),
-    "sp": (double_zero_partial_sum_by_recurrence, double_zero_sign_dfao4, "sum", 1),
-    "nt": (
-        lambda n: 1 - double_zero_alternating_sum_by_recurrence(n),
-        double_zero_sign_dfao4,
-        "neg_alt",
-        0,
-    ),
-}
-
 
 def _load_env(args):
     env = standard_environment()
@@ -87,7 +62,9 @@ def _load_env(args):
             # every number may be read behind leading zeros, so a machine
             # they change would let one query be both TRUE and FALSE
             machine = minimize(machine)
-            # exact on a minimal machine: see MultiTrackAutomaton.is_padding_closed
+            # states of a minimal machine differ exactly when some suffix
+            # tells their outputs apart, so a leading zero changes no output
+            # exactly when state 0 stays put on symbol 0
             if machine.matrix[0][0] != 0:
                 raise EngineError(f"{path} is not padding-closed: a leading zero changes it")
             register(path.name[: -len(suffix)], machine, overwrite=True)

@@ -69,11 +69,6 @@ class Relation:
 
     name: str
     automaton: MultiTrackAutomaton
-    systems: list
-
-    @property
-    def arity(self):
-        return len(self.systems)
 
 
 class Environment:
@@ -91,14 +86,13 @@ class Environment:
             raise CompileError(f"relation {name!r} is already defined")
         if not set(automaton.outputs) <= {0, 1}:
             raise CompileError(f"relation {name!r} has outputs other than 0 and 1")
+        names = [t.name for t in automaton.tracks]
         if order is None:
-            order = [t.name for t in automaton.tracks]
-        by_name = {t.name: t for t in automaton.tracks}
-        if sorted(order) != sorted(by_name):
+            order = names
+        if sorted(order) != sorted(names):
             raise CompileError(f"parameter order {order} does not match tracks of {name}")
         stored = automaton.renamed({v: _param(i) for i, v in enumerate(order)})
-        systems = [by_name[v].system for v in order]
-        self.relations[name] = Relation(name, stored, systems)
+        self.relations[name] = Relation(name, stored)
         return self.relations[name]
 
     def register_dfao(self, name, dfao, overwrite=False):
@@ -195,16 +189,11 @@ class _Compiler:
             constant = node.right.const - node.left.const
             return linear_atom(coeffs, node.rel, constant, node.system)
         if isinstance(node, Apply):
-            rel = self.env.relation(node.name)
-            if len(node.args) != rel.arity:
-                raise CompileError(
-                    f"{node.name} takes {rel.arity} arguments, got {len(node.args)}"
-                )
-            return self._apply(rel.automaton, rel.systems, node.args)
+            return self._apply(node.name, self.env.relation(node.name).automaton, node.args)
         if isinstance(node, OutputTest):
             dfao = self.env.dfao(node.name)
-            recognizer = dfao.where(node.value, name=_param(0))
-            return self._apply(recognizer, [dfao.tracks[0].system], [node.arg])
+            recognizer = dfao.where(node.value).renamed({dfao.tracks[0].name: _param(0)})
+            return self._apply(node.name, recognizer, [node.arg])
         if isinstance(node, Not):
             return complement(self.compile(node.body))
         if isinstance(node, BinOp):
@@ -225,22 +214,28 @@ class _Compiler:
             nodes = _flatten_and(body.left) + [Not(body.right)]
         return [self.compile(n) for n in nodes]
 
-    def _apply(self, automaton, systems, args):
+    def _apply(self, name, automaton, args):
+        """``automaton``, whose track ``_param(i)`` reads parameter i, applied
+        to ``args``; errors call it ``name``."""
+        systems = {t.name: t.system for t in automaton.tracks}
+        if len(args) != len(systems):
+            raise CompileError(f"{name} takes {len(systems)} arguments, got {len(args)}")
         mapping = {}
         equations = {}  # scratch track -> its argument equation
-        for i, (term, system) in enumerate(zip(args, systems)):
+        for i, term in enumerate(args):
+            system = systems[_param(i)]
             if term.system is not None and term.system != system:
                 raise BaseMismatchError(
-                    f"argument {i} is annotated {term.system} but the relation reads {system}"
+                    f"{name} reads argument {i} in {system}, but it is written in {term.system}"
                 )
             if term.is_variable():
                 mapping[_param(i)] = term.variable()
                 continue
             # no formula can spell a name starting with '#', so a scratch
             # track never meets a variable of the formula
-            name = f"#a{next(self.fresh)}"
-            mapping[_param(i)] = name
-            equations[name] = self.compile(Compare(Term({name: 1}), "=", term, system))
+            scratch = f"#a{next(self.fresh)}"
+            mapping[_param(i)] = scratch
+            equations[scratch] = self.compile(Compare(Term({scratch: 1}), "=", term, system))
         return self._exists(equations, [automaton.renamed(mapping), *equations.values()])
 
     def _exists(self, variables, autos):

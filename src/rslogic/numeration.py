@@ -16,7 +16,6 @@ from .automata import (
     MultiTrackAutomaton,
     NumberSystem,
     Track,
-    _alpha_size,
     _explore,
     complement,
     minimize,
@@ -28,48 +27,36 @@ __all__ = ["RELATIONS", "linear_atom"]
 
 RELATIONS = ("=", "!=", "<", "<=", ">", ">=")
 
-
-def _trivial(tracks, truth: bool) -> MultiTrackAutomaton:
-    return MultiTrackAutomaton(tuple(tracks), 1, 0, [int(truth)], [[0] * _alpha_size(tracks)])
+# every relation but "!=" as (sign, mode, offset): sum(c * x) REL K holds
+# exactly when sign * sum(c * x) is equal to ("eq") or at most ("le")
+# sign * K + offset; over the integers x < K is x <= K - 1, x >= K is -x <= -K
+_READINGS = {"=": (1, "eq", 0), "<=": (1, "le", 0), "<": (1, "le", -1),
+             ">=": (-1, "le", 0), ">": (-1, "le", -1)}
 
 
 def linear_atom(terms, rel: str, constant: int, system: NumberSystem) -> MultiTrackAutomaton:
     """Minimal automaton for sum(coeff * var) REL constant.
 
     ``terms`` maps variable names to integer coefficients; every variable is
-    read in the same ``system``.  Variables with coefficient 0 are dropped.
+    read in the same ``system``.  Variables with coefficient 0 are dropped,
+    and an atom left with none reads no track and is true or false.
     The result reads tracks in sorted name order, msd first, and is padding
     closed, complete and minimal.
     """
     if rel not in RELATIONS:
         raise CompileError(f"unknown relation {rel!r}")
+    if rel == "!=":
+        return minimize(complement(linear_atom(terms, "=", constant, system)))
+    sign, mode, offset = _READINGS[rel]
     terms = {name: c for name, c in terms.items() if c}
     names = sorted(terms)
     tracks = tuple(Track(n, system) for n in names)
-    if not names:
-        value = {"=": constant == 0, "!=": constant != 0, "<": 0 < constant,
-                 "<=": 0 <= constant, ">": 0 > constant, ">=": 0 >= constant}[rel]
-        return _trivial(tracks, value)
-    if rel == "!=":
-        return minimize(complement(linear_atom(terms, "=", constant, system)))
-    coeffs = [terms[n] for n in names]
-    if rel == "=":
-        mode, k = "eq", constant
-    elif rel == "<=":
-        mode, k = "le", constant
-    elif rel == "<":
-        mode, k = "le", constant - 1
-    elif rel == ">=":
-        coeffs = [-c for c in coeffs]
-        mode, k = "le", -constant
-    else:  # ">"
-        coeffs = [-c for c in coeffs]
-        mode, k = "le", -constant - 1
-    lsd = _lsd_residual(tracks, coeffs, mode, k)
+    coeffs = [sign * terms[n] for n in names]
+    lsd = _lsd_residual(system, tracks, coeffs, mode, sign * constant + offset)
     return minimize(reverse(lsd))
 
 
-def _lsd_residual(tracks, coeffs, mode, start):
+def _lsd_residual(system, tracks, coeffs, mode, start):
     """Deterministic automaton reading digits least significant first.
 
     State s means: the suffix still to be read (as a number per track) must
@@ -77,7 +64,7 @@ def _lsd_residual(tracks, coeffs, mode, start):
     one digit tuple d with value contribution sum(coeff * d_i) rewrites the
     constraint for the quotient by the base.
     """
-    base = tracks[0].base
+    base = system.base
     digit_sums = [
         sum(c * d for c, d in zip(coeffs, sym))
         for sym in itertools.product(range(base), repeat=len(coeffs))
@@ -96,4 +83,4 @@ def _lsd_residual(tracks, coeffs, mode, start):
         int(s is not dead and ((mode == "eq" and s == 0) or (mode == "le" and s >= 0)))
         for s in order
     ]
-    return MultiTrackAutomaton(tuple(tracks), len(order), 0, outputs, matrix)
+    return MultiTrackAutomaton(tracks, len(order), 0, outputs, matrix)

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 from .automata import NumberSystem
 from .errors import BaseMismatchError, FormulaParseError
+from .numeration import RELATIONS
 
 __all__ = [
     "Term",
@@ -284,7 +285,7 @@ class _Parser:
     def comparison(self):
         left = self.term()
         kind, rel, pos = self.next()
-        if rel not in ("=", "!=", "<", "<=", ">", ">="):
+        if rel not in RELATIONS:
             raise FormulaParseError(f"expected comparison, found {rel!r}", position=pos)
         right = self.term()
         return Compare(left, rel, right, self.ambient)

@@ -28,15 +28,21 @@ from .automata import (
 )
 from .errors import CompileError, FunctionalityError, GuessFailedError
 from .logic import Environment, find_counterexample
-from .sequences import rudin_shapiro_dfao4
+from .sequences import (
+    alternating_sum_by_recurrence,
+    double_zero_alternating_sum_by_recurrence,
+    double_zero_partial_sum_by_recurrence,
+    double_zero_sign_dfao4,
+    partial_sum_by_recurrence,
+    rudin_shapiro_dfao4,
+)
 
 __all__ = [
     "guess_sync",
     "sync_eval",
     "sync_table",
     "verify_sync",
-    "verify_sync_s",
-    "verify_sync_t",
+    "GUESSABLE",
     "accepting_bit_mutations",
     "VerifyOutcome",
     "CheckOutcome",
@@ -296,6 +302,22 @@ def sync_table(automaton, count, input_track=None):
 # the alternating (-1)^m * A(m), or its negation
 STEP_WEIGHTS = {"sum": (1, 1), "alt": (1, -1), "neg_alt": (-1, 1)}
 
+# the running sums ``rslogic guess`` synthesizes, each as (oracle, sign
+# table, rule, value at 0): verify_sync(candidate, sign(), rule, value)
+# proves a candidate, and standard_environment proves rss by row s and rst
+# by row t
+GUESSABLE = {
+    "s": (partial_sum_by_recurrence, rudin_shapiro_dfao4, "sum", 1),
+    "t": (alternating_sum_by_recurrence, rudin_shapiro_dfao4, "alt", 1),
+    "sp": (double_zero_partial_sum_by_recurrence, double_zero_sign_dfao4, "sum", 1),
+    "nt": (
+        lambda n: 1 - double_zero_alternating_sum_by_recurrence(n),
+        double_zero_sign_dfao4,
+        "neg_alt",
+        0,
+    ),
+}
+
 
 def _signed_step(sign, rule):
     """The step at m as one automaton with output: A(m) times its rule weight.
@@ -369,21 +391,6 @@ def verify_sync(automaton, sign_dfao, rule, base_value, input_track=None):
             witness = {"n": 0}
         outcomes.append(CheckOutcome(name, witness is None, witness))
     return VerifyOutcome(all(c.passed for c in outcomes), outcomes)
-
-
-def verify_sync_s(candidate, input_track=None):
-    """Prove candidate computes the running sum of the base-4 sign table.
-
-    input_track names the argument track (default: the first); the value
-    is the other track.  Falsy on failure; the outcome's failures() carry
-    concrete witnesses.
-    """
-    return verify_sync(candidate, rudin_shapiro_dfao4(), "sum", 1, input_track)
-
-
-def verify_sync_t(candidate, input_track=None):
-    """As verify_sync_s with the parity-weighted step (alternating sum)."""
-    return verify_sync(candidate, rudin_shapiro_dfao4(), "alt", 1, input_track)
 
 
 def accepting_bit_mutations(automaton):

@@ -22,7 +22,7 @@ from .errors import EngineError, GuessFailedError
 from .linrep import is_zero, subtract
 from .logic import Environment
 from .sequences import alternating_sums, partial_sums, pseudo_square, rudin_shapiro_dfao4
-from .synchronized import verify_sync_s, verify_sync_t
+from .synchronized import GUESSABLE, verify_sync
 
 __all__ = [
     "standard_environment",
@@ -51,15 +51,16 @@ def standard_environment():
     """Environment holding the RS4 sign table and the proved rss/rst machines.
 
     rss and rst are read from the package's shipped text, not synthesized,
-    and each is proved by verify_sync_s/verify_sync_t on every call.  A
-    machine that fails any check raises GuessFailedError and is never
-    registered.
+    and each is proved on every call by the recipe of its ``GUESSABLE`` row,
+    s and t.  A machine that fails any check raises GuessFailedError and is
+    never registered.
     """
     env = Environment()
     env.register_dfao("RS4", rudin_shapiro_dfao4())
-    for name, verify in (("rss", verify_sync_s), ("rst", verify_sync_t)):
+    for name, row in (("rss", "s"), ("rst", "t")):
         candidate = MultiTrackAutomaton.from_text(_shipped_text(name), names=("n", "x"))
-        outcome = verify(candidate)
+        _, sign, rule, base = GUESSABLE[row]
+        outcome = verify_sync(candidate, sign(), rule, base)
         if not outcome:
             raise GuessFailedError(
                 f"{name} candidate failed verification: {outcome.failures()}"

@@ -11,8 +11,8 @@ Fractions: it reduces every candidate once to insert it and again to
 express it in the inserted basis.
 These stay deliberately separate from the engine code they check.  The
 encoder ``encode_values``, the readers ``step``, ``accepts_values`` and
-``value_of_word``, the base-2 sign table ``rudin_shapiro_dfao2`` and
-``define_derived_sync`` serve only the tests.
+``value_of_word``, the test ``is_padding_closed``, the base-2 sign table
+``rudin_shapiro_dfao2`` and ``define_derived_sync`` serve only the tests.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from rslogic.automata import (
     NumberSystem,
     OP_AND,
     Track,
+    _alpha_size,
     _symbol_index,
     coreachable,
     minimize,
@@ -35,7 +36,7 @@ from rslogic.automata import (
 from rslogic.errors import AutomatonError, CompileError, DivergenceError, FunctionalityError
 from rslogic.linrep import LinearRepresentation
 from rslogic.logic import compile_formula, find_counterexample
-from rslogic.numeration import RELATIONS, _trivial, linear_atom
+from rslogic.numeration import RELATIONS, linear_atom
 from rslogic.synchronized import _start, _track_positions
 
 
@@ -113,6 +114,11 @@ def build_const_mul(c: int, system: NumberSystem, names=("x", "y")) -> MultiTrac
         raise AutomatonError("input and output tracks must differ")
     chain = _const_mul_chain(c, system)
     return minimize(chain.renamed({"in": names[0], "out": names[1]}))
+
+
+def _trivial(tracks, truth: bool) -> MultiTrackAutomaton:
+    """The one-state relation over ``tracks`` holding always or never."""
+    return MultiTrackAutomaton(tuple(tracks), 1, 0, [int(truth)], [[0] * _alpha_size(tracks)])
 
 
 def _const_mul_chain(c: int, system: NumberSystem) -> MultiTrackAutomaton:
@@ -356,6 +362,16 @@ def accepts_values(automaton, values, extra_padding=0):
     if extra_padding:
         word = [tuple([0] * len(automaton.tracks))] * extra_padding + word
     return automaton.accepts(word)
+
+
+def is_padding_closed(a) -> bool:
+    """True iff prepending the all-zero tuple never changes the output.
+
+    Two states of the minimal form are equal exactly when they give equal
+    outputs after every suffix, so a leading zero changes no output iff
+    the minimal form's initial state 0 stays put on the all-zero tuple.
+    """
+    return minimize(a).matrix[0][0] == 0
 
 
 def value_of_word(dfao, word):

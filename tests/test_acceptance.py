@@ -20,6 +20,7 @@ from rslogic.sequences import (
     double_zero_sign_dfao4,
     partial_sums,
     pseudo_square,
+    rudin_shapiro_dfao4,
     running_sums,
 )
 from rslogic.synchronized import (
@@ -28,8 +29,6 @@ from rslogic.synchronized import (
     sync_eval,
     sync_table,
     verify_sync,
-    verify_sync_s,
-    verify_sync_t,
 )
 from rslogic.toolkit import emit_csv, emit_svg, check_curve, curve_points
 
@@ -96,12 +95,12 @@ def test_criterion_5_integer_sweeps():
 
 def test_criterion_6_mutation_suite(corpus):
     env, _ = corpus
-    for name, verify in (("rss", verify_sync_s), ("rst", verify_sync_t)):
+    for name, rule in (("rss", "sum"), ("rst", "alt")):
         automaton = env.relations[name].automaton
         mutants = list(accepting_bit_mutations(automaton))
         assert len(mutants) == automaton.n_states
         for state, mutant in mutants:
-            outcome = verify(mutant)
+            outcome = verify_sync(mutant, rudin_shapiro_dfao4(), rule, 1)
             assert not outcome, f"{name} state {state}"
             witnesses = [c.witness for c in outcome.failures()]
             assert witnesses and all(w is not None for w in witnesses)

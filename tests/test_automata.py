@@ -34,7 +34,7 @@ from rslogic.automata import (
 )
 from rslogic.errors import AutomatonError, BaseMismatchError, RegexError
 
-from builders import accepts_values, encode_values, step, value_of_word
+from builders import accepts_values, encode_values, is_padding_closed, step, value_of_word
 
 
 def t2(name):
@@ -117,7 +117,7 @@ def test_less_than_semantics():
 
 def test_padding_invariance():
     for aut in (equality_automaton(), less_than_automaton()):
-        assert aut.is_padding_closed()
+        assert is_padding_closed(aut)
         for x in range(20):
             for y in range(20):
                 base = accepts_values(aut, (x, y))
@@ -182,7 +182,7 @@ def test_projection_exists_greater():
     some_bigger = project(lt, "y")
     assert [t.name for t in some_bigger.tracks] == ["x"]
     languages_agree((some_bigger, lambda x: True), (70,))
-    assert some_bigger.is_padding_closed()
+    assert is_padding_closed(some_bigger)
 
 
 def test_projection_exists_smaller():
@@ -191,7 +191,7 @@ def test_projection_exists_smaller():
     nonzero = project(lt, "x")
     assert [t.name for t in nonzero.tracks] == ["y"]
     languages_agree((nonzero, lambda y: y >= 1), (70,))
-    assert nonzero.is_padding_closed()
+    assert is_padding_closed(nonzero)
 
 
 def test_projection_to_zero_tracks():
@@ -246,7 +246,7 @@ def test_find_witness_empty_language():
 def test_regex_powers_of_two():
     p2 = from_regex(["msd_2"], "0*10*")
     languages_agree((p2, lambda n: n > 0 and n & (n - 1) == 0), (600,))
-    assert p2.is_padding_closed()
+    assert is_padding_closed(p2)
 
 
 def test_regex_double_powers_of_four():
@@ -256,7 +256,7 @@ def test_regex_double_powers_of_four():
 
 
 def test_regex_base4_base2_digit_link():
-    link = from_regex(["msd_4", "msd_2"], "([0,0]|[1,1])*", names=["x", "y"])
+    link = from_regex(["msd_4", "msd_2"], "([0,0]|[1,1])*").renamed({"t0": "x", "t1": "y"})
 
     def oracle(x, y):
         dx = to_digits(x, 4)
@@ -266,11 +266,12 @@ def test_regex_base4_base2_digit_link():
         return all(a == b and a <= 1 for a, b in zip(dx, dy))
 
     languages_agree((link, oracle), (90, 90))
-    assert link.is_padding_closed()
+    assert is_padding_closed(link)
 
 
 def test_regex_union_and_literal_values():
-    pat = from_regex(["msd_2", "msd_2"], "[0,0]*[1,1][0,0]* | [0,1][1,0]", names=["x", "y"])
+    pat = from_regex(["msd_2", "msd_2"], "[0,0]*[1,1][0,0]* | [0,1][1,0]")
+    pat = pat.renamed({"t0": "x", "t1": "y"})
     expected = {(2 ** k, 2 ** k) for k in range(9)} | {(1, 2)}
     for x in range(70):
         for y in range(70):
@@ -635,15 +636,17 @@ def test_output_text_reader_is_strict(dfao, data):
 
 
 @settings(max_examples=80, deadline=None)
-@given(small_dfas())
-def test_reachability_helpers_match_brute_force(a):
+@given(small_dfas(), st.sets(st.integers(0, 7)))
+def test_reachability_helpers_match_brute_force(a, drawn):
     assert set(reachable(a.matrix, a.initial)) == {x for x, _ in _reached(a)}
-    live = {
-        q
-        for q in range(a.n_states)
-        if not a.accepting.isdisjoint(x for x, _ in _pairs_reached(a, q, a, q, a.n_states))
-    }
-    assert coreachable(a.matrix, a.accepting) == live
+    targets = {q for q in drawn if q < a.n_states}
+    for goal in (a.accepting, targets, set()):
+        live = {
+            q
+            for q in range(a.n_states)
+            if not goal.isdisjoint(x for x, _ in _pairs_reached(a, q, a, q, a.n_states))
+        }
+        assert coreachable(a.matrix, goal) == live
 
 
 def _least_accepted_word(a):

@@ -35,6 +35,16 @@ def test_eval_unknown_name_errors(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_eval_base_mismatch_names_what_is_applied(capsys):
+    # RS4 and rss read their argument 0 in msd_4, but n is read in msd_2: by
+    # default inside RS4[...], by annotation inside $rss(...)
+    for query, name in (("RS4[n]=@1", "RS4"), ("Ex $rss(?msd_2 n, x)", "rss")):
+        assert main(["eval", query]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} reads argument 0 in msd_4"), err
+        assert "msd_2" in err and "annotated" not in err
+
+
 def test_eval_reads_the_query_as_one_formula(capsys):
     # a quote in the query is formula text, not the end of a script command
     assert main(["eval", 'An n=n": eval other "An n=n']) == 2

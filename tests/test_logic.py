@@ -344,7 +344,7 @@ def test_output_automaton_test():
 def test_mixed_base_link():
     # x in base 4 and y in base 2 share the same digit string
     env = Environment()
-    link = from_regex([MSD4, MSD2], "([0,0]|[1,1])*", names=("x", "y"))
+    link = from_regex([MSD4, MSD2], "([0,0]|[1,1])*").renamed({"t0": "x", "t1": "y"})
     env.register_relation("link", link, ["x", "y"])
     aut = compile_formula(env, "?msd_4 Ey $link(x, y)")
     sweep(aut, lambda x: all(c in "01" for c in _base4(x)), bound=64)

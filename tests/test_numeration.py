@@ -6,7 +6,7 @@ from rslogic.automata import NumberSystem, language_equal, minimize
 from rslogic.errors import AutomatonError, CompileError
 from rslogic.numeration import RELATIONS, linear_atom
 
-from builders import accepts_values, build_add, build_compare, build_const_mul
+from builders import accepts_values, build_add, build_compare, build_const_mul, is_padding_closed
 
 B2 = NumberSystem(2)
 B3 = NumberSystem(3)
@@ -61,7 +61,7 @@ def test_atom_weighted_combinations():
         names = sorted(terms)
         hi = 13 if len(names) == 3 else 30
         sweep(aut, names, lambda **env: oracle(*(env[n] for n in names)), hi)
-        assert aut.is_padding_closed()
+        assert is_padding_closed(aut)
 
 
 def test_atom_drops_zero_coefficients():
@@ -75,6 +75,12 @@ def test_atom_without_variables_is_a_truth_value():
     assert accepts_values(linear_atom({}, "<=", 3, B2), ())
     assert not accepts_values(linear_atom({}, ">", 0, B2), ())
     assert accepts_values(linear_atom({"x": 0}, "!=", 5, B4), ())
+    for rel in RELATIONS:
+        for k in range(-3, 4):
+            for base in (B2, B3):
+                atom = linear_atom({}, rel, k, base)
+                assert atom.tracks == () and atom.n_states == 1
+                assert accepts_values(atom, ()) == REL_FN[rel](0, k), (rel, k, base)
 
 
 def test_atom_large_constant():

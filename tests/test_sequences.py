@@ -18,7 +18,7 @@ from rslogic.sequences import (
     running_sums,
 )
 
-from builders import rudin_shapiro_dfao2, value_of_word
+from builders import is_padding_closed, rudin_shapiro_dfao2, value_of_word
 
 # published reference values for the two partial sums, n = 0..20
 SUM_TABLE = [1, 2, 3, 2, 3, 4, 3, 4, 5, 6, 7, 6, 5, 4, 5, 4, 5, 6, 7, 6, 7]
@@ -176,6 +176,6 @@ def test_base4_double_zero_automaton():
 
 def test_output_automata_recognizers_are_padding_closed():
     for dfao in (rudin_shapiro_dfao2(), rudin_shapiro_dfao4(), double_zero_sign_dfao4()):
-        assert dfao.is_padding_closed()
+        assert is_padding_closed(dfao)
         for v in (1, -1):
-            assert dfao.where(v).is_padding_closed()
+            assert is_padding_closed(dfao.where(v))

@@ -30,12 +30,10 @@ from rslogic.synchronized import (
     sync_eval,
     sync_table,
     verify_sync,
-    verify_sync_s,
-    verify_sync_t,
 )
 from rslogic.toolkit import _shipped_text
 
-from builders import define_derived_sync, plain_sync_table, value_of_word
+from builders import define_derived_sync, is_padding_closed, plain_sync_table, value_of_word
 
 M4 = NumberSystem(4)
 M2 = NumberSystem(2)
@@ -60,7 +58,7 @@ def test_guess_reproduces_the_shipped_machines(rss, rst):
 def test_guess_shape(rss, rst):
     assert [t.name for t in rss.tracks] == ["n", "x"]
     assert rss.tracks[0].base == 4 and rss.tracks[1].base == 2
-    assert rss.is_padding_closed() and rst.is_padding_closed()
+    assert is_padding_closed(rss) and is_padding_closed(rst)
     assert rss.n_states < 16 and rst.n_states < 16
 
 
@@ -255,14 +253,14 @@ def test_guess_with_input_track_sorted_last():
     # "a" sorts before "n", so the input track "n" ends up second
     machine = guess_sync(partial_sum_by_recurrence, names=("n", "a"))
     assert [t.name for t in machine.tracks] == ["a", "n"]
-    assert verify_sync_s(machine, input_track="n")
+    assert verify_sync(machine, rudin_shapiro_dfao4(), "sum", 1, input_track="n")
     assert sync_table(machine, 2**14, input_track="n") == partial_sums(2**14)
     alternating = guess_sync(alternating_sum_by_recurrence, names=("n", "a"))
-    assert verify_sync_t(alternating, input_track="n")
+    assert verify_sync(alternating, rudin_shapiro_dfao4(), "alt", 1, input_track="n")
 
 
 @settings(max_examples=150, deadline=None)
-@given(two_track_dfas().filter(lambda a: a.is_padding_closed()), st.integers(0, 300))
+@given(two_track_dfas().filter(is_padding_closed), st.integers(0, 300))
 def test_sync_eval_agrees_with_sync_table(automaton, count):
     # both read every input from one start frontier, so wherever the table
     # exists, reading one input alone finds the same value
@@ -441,11 +439,11 @@ def test_sync_eval_spot_values(rss, rst):
 
 
 def test_named_verifiers(rss, rst):
-    assert verify_sync_s(rss)
-    assert verify_sync_t(rst)
-    assert not verify_sync_t(rss)
+    assert verify_sync(rss, rudin_shapiro_dfao4(), "sum", 1)
+    assert verify_sync(rst, rudin_shapiro_dfao4(), "alt", 1)
+    assert not verify_sync(rss, rudin_shapiro_dfao4(), "alt", 1)
     _, mutant = next(iter(accepting_bit_mutations(rss)))
-    outcome = verify_sync_s(mutant)
+    outcome = verify_sync(mutant, rudin_shapiro_dfao4(), "sum", 1)
     assert not outcome
     assert outcome.failures()[0].witness is not None
 
@@ -459,7 +457,7 @@ def test_guess_rejects_identity():
 
 def test_underfit_sample_fails_verification():
     candidate = guess_sync(partial_sum_by_recurrence, 16)
-    assert not verify_sync_s(candidate)
+    assert not verify_sync(candidate, rudin_shapiro_dfao4(), "sum", 1)
 
 
 def _sum_environment(rss, rst):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from rslogic import toolkit
+from rslogic import synchronized, toolkit
 from rslogic.automata import MultiTrackAutomaton
 from rslogic.errors import GuessFailedError
 from rslogic.logic import Environment
@@ -202,6 +202,14 @@ def test_environment_requires_verification(monkeypatch):
                 standard_environment()
             mutants += 1
     assert mutants == 17
+
+
+def test_environment_proves_rss_by_its_guessable_row(monkeypatch):
+    # rss is a running sum, so proving it by the alternating rule must fail
+    oracle, sign, _, base = synchronized.GUESSABLE["s"]
+    monkeypatch.setitem(synchronized.GUESSABLE, "s", (oracle, sign, "alt", base))
+    with pytest.raises(GuessFailedError, match="^rss candidate failed"):
+        standard_environment()
 
 
 def test_shipped_machines_round_trip(corpus):
