@@ -70,7 +70,12 @@ class NumberSystem:
         m = re.fullmatch(r"msd_(\d+)", text.strip())
         if not m:
             raise BaseMismatchError(f"unknown number system {text!r}")
-        return cls(int(m.group(1)))
+        try:
+            return cls(int(m.group(1)))
+        except ValueError:  # more digits than Python converts to an int
+            raise BaseMismatchError(
+                f"the base of number system {text[:12]}... has {len(m.group(1))} digits, too many"
+            ) from None
 
     def __str__(self):
         return f"msd_{self.base}"
@@ -425,22 +430,33 @@ def product(a: MultiTrackAutomaton, b: MultiTrackAutomaton, op) -> MultiTrackAut
     Tracks are matched by name; each operand ignores digits on tracks it
     does not carry.  ``op`` combines the outputs of the two parts into an
     int.  Only state pairs reachable from the initial pair are materialized.
+    For ``OP_AND`` all pairs holding a rejecting sink (output 0, every
+    transition back to itself) are one state; every such caller minimizes.
     """
     merged = _merge_tracks(a.tracks + b.tracks)
     pairs = list(zip(_projection_table(merged, a.tracks), _projection_table(merged, b.tracks)))
-    # a state pair (qa, qb) is keyed by the integer qa * nb + qb; a's rows
-    # are scaled by nb once so that a key is one addition
-    nb = b.n_states
-    amat = [[t * nb for t in row] for row in a.matrix]
-    bmat = b.matrix
+    # a state pair (qa, qb) is keyed by the integer qa << shift | qb, a's rows
+    # shifted once so that a key is one OR; a merged sink is keyed by all ones,
+    # which absorbs the other side and which no real qb fills
+    shift = b.n_states.bit_length()
+    mask, dead = (1 << shift) - 1, (1 << shift + a.n_states.bit_length()) - 1
+    code_a, code_b = (
+        [dead if op is OP_AND and not m.outputs[q] and row.count(q) == len(row) else q << s
+         for q, row in enumerate(m.matrix)]
+        for m, s in ((a, shift), (b, 0))
+    )
+    amat = [list(map(code_a.__getitem__, row)) for row in a.matrix]
+    bmat = [list(map(code_b.__getitem__, row)) for row in b.matrix]
 
     def successors(key):
-        rowa, rowb = amat[key // nb], bmat[key % nb]
-        return [rowa[x] + rowb[y] for x, y in pairs]
+        if key == dead:
+            return [dead] * len(pairs)
+        rowa, rowb = amat[key >> shift], bmat[key & mask]
+        return [rowa[x] | rowb[y] for x, y in pairs]
 
-    order, matrix = _explore(a.initial * nb + b.initial, successors)
+    order, matrix = _explore(code_a[a.initial] | code_b[b.initial], successors)
     out_a, out_b = a.outputs, b.outputs
-    outputs = [int(op(out_a[k // nb], out_b[k % nb])) for k in order]
+    outputs = [0 if k == dead else int(op(out_a[k >> shift], out_b[k & mask])) for k in order]
     return MultiTrackAutomaton(merged, len(order), 0, outputs, matrix)
 
 
@@ -475,23 +491,26 @@ def determinize(tracks, initial, accepting, trans) -> MultiTrackAutomaton:
     return MultiTrackAutomaton(tracks, len(order), 0, outputs, matrix)
 
 
-def project(a: MultiTrackAutomaton, name: str) -> MultiTrackAutomaton:
-    """Existentially remove one track: ``determinize`` over rows that group
-    each state's successors by the digits on the remaining tracks.
+def project(a: MultiTrackAutomaton, names) -> MultiTrackAutomaton:
+    """Existentially remove the tracks ``names`` (one name, or a collection
+    of them) in one ``determinize``, over rows that group each state's
+    successors by the digits on the remaining tracks.
 
-    Removing a track can strand witnesses that needed more digits than the
+    Removing tracks can strand witnesses that needed more digits than the
     remaining tracks, so the initial set is closed under transitions whose
     remaining digits are all zero: the result then accepts w exactly when
-    some zero-padding of w extends to an accepted full word.
+    some zero-padding of w extends to an accepted full word.  That is the
+    language of removing the tracks one at a time, in any order.
     """
-    pos = a.track_index(name)
-    rest = tuple(t for i, t in enumerate(a.tracks) if i != pos)
+    names = [names] if isinstance(names, str) else names
+    pos = {a.track_index(name) for name in names}
+    rest = tuple(t for i, t in enumerate(a.tracks) if i not in pos)
     # group the full symbol indices by the projected symbol index they map to;
     # group 0 holds the symbols whose remaining digits are all zero
     groups = [[] for _ in range(_alpha_size(rest))]
     for j, out in enumerate(_projection_table(a.tracks, rest)):
         groups[out].append(j)
-    # every group holds one symbol per digit of the removed track, at least two
+    # every group holds one symbol per digit tuple of the removed tracks
     pickers = [itemgetter(*group) for group in groups]
     trans = [[frozenset(pick(row)) for pick in pickers] for row in a.matrix]
     # close the initial set under leading zero padding
@@ -720,7 +739,12 @@ def _positions(text: str, bases):
                 m = re.match(r"\d+", text[pos:])
                 if not m:
                     raise RegexError(f"expected digit in tuple literal of {text!r}")
-                digits.append(int(m.group()))
+                try:
+                    digits.append(int(m.group()))
+                except ValueError:  # more digits than Python converts to an int
+                    raise RegexError(
+                        f"the tuple literal digit at offset {pos} has {len(m.group())} characters, too many"
+                    ) from None
                 pos += len(m.group())
             if len(digits) != n_tracks:
                 raise RegexError(

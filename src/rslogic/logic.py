@@ -8,6 +8,11 @@ complement of that over the conjuncts refuting its body.  Registered
 relations are stored with positional parameter tracks, and an application
 is the existential closure of the renamed relation and one equation per
 compound argument.
+
+An environment compiles each subformula once, as MONA shares equal
+subformulas (Klarlund, Møller and Schwartzbach, "MONA implementation
+secrets", 2002): a subformula met again under other variable names, sorted
+alike, is the stored automaton renamed.
 """
 
 from __future__ import annotations
@@ -78,6 +83,7 @@ class Environment:
         self.relations = {}
         self.dfaos = {}
         self.representations = {}
+        self.compiled = {}  # _Compiler.compile's memo
 
     def register_relation(self, name, automaton, order=None, overwrite=False):
         """Register; ``order`` lists the automaton's tracks in parameter order
@@ -182,6 +188,43 @@ class _Compiler:
         self.fresh = itertools.count()
 
     def compile(self, node) -> MultiTrackAutomaton:
+        """Automaton of ``node``, compiled once per environment: the memo key
+        adds the rank pattern of the names to ``_shape``, so a hit renamed
+        back keeps its track order and the bytes of a fresh compile.  A
+        failing compile stores nothing."""
+        names = {}  # variable -> number, in order of first appearance
+        key = self._shape(node, names), tuple(names[v] for v in sorted(names))
+        if key not in self.env.compiled:
+            self.env.compiled[key] = self._compile(node), list(names)
+        automaton, old = self.env.compiled[key]
+        return automaton.renamed(dict(zip(old, names)))
+
+    def _shape(self, node, names):
+        """``node`` as a hashable tuple: each variable by its number in
+        ``names``, each applied relation or automaton with output by the
+        object itself, so that one overwritten never matches."""
+
+        def term(t):
+            coeffs = tuple((names.setdefault(v, len(names)), c) for v, c in t.coeffs.items())
+            return coeffs, t.const, t.system
+
+        if isinstance(node, Compare):
+            return "cmp", term(node.left), node.rel, term(node.right), node.system
+        if isinstance(node, Apply):
+            relation = getattr(self.env.relations.get(node.name), "automaton", None)
+            return "$", relation, tuple(map(term, node.args))
+        if isinstance(node, OutputTest):
+            return "@", self.env.dfaos.get(node.name), term(node.arg), node.value
+        if isinstance(node, Not):
+            return "~", self._shape(node.body, names)
+        if isinstance(node, BinOp):
+            return node.op, self._shape(node.left, names), self._shape(node.right, names)
+        if isinstance(node, Quantified):
+            bound = tuple(names.setdefault(v, len(names)) for v in node.variables)
+            return node.kind, bound, self._shape(node.body, names)
+        raise CompileError(f"cannot compile node {type(node).__name__}")
+
+    def _compile(self, node) -> MultiTrackAutomaton:
         if isinstance(node, Compare):
             coeffs = dict(node.left.coeffs)
             for v, c in node.right.coeffs.items():
@@ -200,12 +243,11 @@ class _Compiler:
             left = self.compile(node.left)
             right = self.compile(node.right)
             return minimize(product(left, right, _BINOPS[node.op]))
-        if isinstance(node, Quantified):
-            if node.kind == "E":
-                conjuncts = [self.compile(c) for c in _flatten_and(node.body)]
-                return self._exists(node.variables, conjuncts)
-            return complement(self._exists(node.variables, self._refutation(node.body)))
-        raise CompileError(f"cannot compile node {type(node).__name__}")
+        # a Quantified node: _shape lets no other kind through
+        if node.kind == "E":
+            conjuncts = [self.compile(c) for c in _flatten_and(node.body)]
+            return self._exists(node.variables, conjuncts)
+        return complement(self._exists(node.variables, self._refutation(node.body)))
 
     def _refutation(self, body):
         """Compiled conjuncts of ~body: those of L and ~R when body is L => R."""
@@ -241,22 +283,23 @@ class _Compiler:
     def _exists(self, variables, autos):
         """Conjoin the automata, cheapest pair (states x states x merged
         alphabet) first, and project each variable once a single conjunct
-        holds it."""
+        holds it: one ``project`` call per conjunct removes all of them."""
         pending = set(variables)
 
         def project_single_holders():
-            # projecting v removes only v's track, so no other variable
+            # projecting removes only the named tracks, so no other variable
             # loses a holder and one pass suffices
-            for v in sorted(pending):
+            single = {}  # conjunct index -> the pending variables it alone holds
+            for v in list(pending):
                 holders = [
                     k for k, a in enumerate(autos) if any(t.name == v for t in a.tracks)
                 ]
-                if not holders:
+                if len(holders) <= 1:
                     pending.discard(v)
-                elif len(holders) == 1:
-                    k = holders[0]
-                    autos[k] = minimize(project(autos[k], v))
-                    pending.discard(v)
+                if len(holders) == 1:
+                    single.setdefault(holders[0], []).append(v)
+            for k, names in single.items():
+                autos[k] = minimize(project(autos[k], names))
 
         def cost(pair):
             a, b = (autos[k] for k in pair)

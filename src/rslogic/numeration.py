@@ -46,7 +46,8 @@ def linear_atom(terms, rel: str, constant: int, system: NumberSystem) -> MultiTr
     if rel not in RELATIONS:
         raise CompileError(f"unknown relation {rel!r}")
     if rel == "!=":
-        return minimize(complement(linear_atom(terms, "=", constant, system)))
+        # the complement of a minimal automaton is minimal, and numbered alike
+        return complement(linear_atom(terms, "=", constant, system))
     sign, mode, offset = _READINGS[rel]
     terms = {name: c for name, c in terms.items() if c}
     names = sorted(terms)

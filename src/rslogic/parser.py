@@ -121,6 +121,15 @@ _TOKEN = re.compile(
 )
 
 
+def _integer(digits: str, position: int) -> int:
+    """The value of a digit token; Python converts at most
+    ``sys.get_int_max_str_digits()`` digits, so a longer one is an error."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise FormulaParseError(f"a number of {len(digits)} digits is too long", position=position) from None
+
+
 def _tokenize(text: str):
     tokens = []
     pos = 0
@@ -279,7 +288,7 @@ class _Parser:
             vkind, vval, vpos = self.next()
             if vkind != "int":
                 raise FormulaParseError("expected output value after @", position=vpos)
-            return OutputTest(value, arg, sign * int(vval))
+            return OutputTest(value, arg, sign * _integer(vval, vpos))
         return self.comparison()
 
     def comparison(self):
@@ -314,14 +323,14 @@ class _Parser:
             kind, value, pos = self.peek()
             if kind == "int":
                 self.next()
-                number = int(value)
+                number = _integer(value, pos)
                 if self.peek()[1] == "*":
                     self.next()
                     fkind, factor, fpos = self.next()
                     if fkind == "name":
                         coeffs[factor] = coeffs.get(factor, 0) + sign * number
                     elif fkind == "int":
-                        const += sign * number * int(factor)
+                        const += sign * number * _integer(factor, fpos)
                     else:
                         raise FormulaParseError("expected factor after *", position=fpos)
                 else:

@@ -8,17 +8,23 @@ kernel memo: it walks every input prefix from the engine's start frontier.
 multiplies at the raw rank and pads every input until the count settles.
 ``plain_minimize_schutzenberger`` is the Schützenberger reduction over
 Fractions: it reduces every candidate once to insert it and again to
-express it in the inserted basis.
+express it in the inserted basis.  ``plain_product`` is ``product`` with
+every reachable state pair its own state, also where one side is a
+rejecting sink; ``plain_product_pairs`` lists those pairs.
 These stay deliberately separate from the engine code they check.  The
 encoder ``encode_values``, the readers ``step``, ``accepts_values`` and
 ``value_of_word``, the test ``is_padding_closed``, the base-2 sign table
-``rudin_shapiro_dfao2`` and ``define_derived_sync`` serve only the tests.
+``rudin_shapiro_dfao2``, ``define_derived_sync`` and the call counter
+``count_kernel_calls`` serve only the tests.
 """
 
 from __future__ import annotations
 
+import itertools
+import sys
 from fractions import Fraction
 
+from rslogic import automata
 from rslogic.automata import (
     MultiTrackAutomaton,
     NumberSystem,
@@ -139,6 +145,67 @@ def _const_mul_chain(c: int, system: NumberSystem) -> MultiTrackAutomaton:
         add = build_add(system, ("a", "b", "c")).renamed({"a": "mid", "b": "in", "c": "out"})
         step = product(prev, add, OP_AND)
     return minimize(project(step, "mid"))
+
+
+def plain_product_pairs(a, b):
+    """Tracks, reachable state pairs and rows of the synchronous product.
+
+    Pairs are numbered breadth first, symbols in order, over the sorted
+    union of the track names; every reachable pair is its own state.
+    """
+    systems = {t.name: t.system for t in a.tracks + b.tracks}
+    tracks = tuple(Track(name, systems[name]) for name in sorted(systems))
+    alphabet = list(itertools.product(*(range(t.base) for t in tracks)))
+    column = {t.name: i for i, t in enumerate(tracks)}
+
+    def symbols(m):
+        # the symbol index m reads for each symbol of the product
+        cols = [column[t.name] for t in m.tracks]
+        return [_symbol_index(m.bases, tuple(sym[i] for i in cols)) for sym in alphabet]
+
+    columns = list(zip(symbols(a), symbols(b)))
+    start = (a.initial, b.initial)
+    ids, order, matrix = {start: 0}, [start], []
+    for qa, qb in order:
+        row = []
+        for x, y in columns:
+            pair = (a.matrix[qa][x], b.matrix[qb][y])
+            if pair not in ids:
+                ids[pair] = len(order)
+                order.append(pair)
+            row.append(ids[pair])
+        matrix.append(row)
+    return tracks, order, matrix
+
+
+def plain_product(a, b, op) -> MultiTrackAutomaton:
+    """``product`` without merging the pairs that hold a rejecting sink."""
+    tracks, order, matrix = plain_product_pairs(a, b)
+    outputs = [int(op(a.outputs[qa], b.outputs[qb])) for qa, qb in order]
+    return MultiTrackAutomaton(tracks, len(order), 0, outputs, matrix)
+
+
+def count_kernel_calls(monkeypatch, names=("minimize", "project", "determinize", "product")):
+    """Live call counts of the named ``rslogic.automata`` functions.
+
+    Each counter is bound at the defining module and at every loaded
+    ``rslogic`` module holding the same function, since modules import the
+    kernel by name and call it through their own globals.
+    """
+    counts = dict.fromkeys(names, 0)
+    modules = [m for key, m in list(sys.modules.items()) if key.split(".")[0] == "rslogic"]
+    for name in names:
+        original = getattr(automata, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    return counts
 
 
 def plain_sync_table(automaton, count, input_track=None):

@@ -34,7 +34,15 @@ from rslogic.automata import (
 )
 from rslogic.errors import AutomatonError, BaseMismatchError, RegexError
 
-from builders import accepts_values, encode_values, is_padding_closed, step, value_of_word
+from builders import (
+    accepts_values,
+    encode_values,
+    is_padding_closed,
+    plain_product,
+    plain_product_pairs,
+    step,
+    value_of_word,
+)
 
 
 def t2(name):
@@ -460,6 +468,74 @@ def three_track_renamings(draw):
     a = MultiTrackAutomaton(tracks, n, draw(state), outputs, matrix)
     targets = draw(st.lists(st.sampled_from("abxyz"), min_size=3, max_size=3))
     return a, dict(zip("xyz", targets))
+
+
+@st.composite
+def dfa_pairs_with_sinks(draw):
+    """Two complete DFAs of one base that may share a track, some of whose
+    states are made sinks: every transition back to the state, output 0 or 1."""
+    base = draw(st.sampled_from([2, 3]))
+
+    def dfa(names):
+        tracks = tuple(Track(name, NumberSystem(base)) for name in names)
+        n = draw(st.integers(1, 6))
+        state = st.integers(0, n - 1)
+        width = base ** len(tracks)
+        matrix = draw(st.lists(st.lists(state, min_size=width, max_size=width), min_size=n, max_size=n))
+        outputs = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        for q in draw(st.sets(state)):
+            matrix[q] = [q] * width
+            outputs[q] = draw(st.integers(0, 1))
+        return MultiTrackAutomaton(tracks, n, draw(state), outputs, matrix)
+
+    return dfa(draw(st.sampled_from(["", "x", "xy"]))), dfa(draw(st.sampled_from(["", "y", "xz", "yz"])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(dfa_pairs_with_sinks())
+def test_product_merges_dead_pairs_to_the_same_minimal_automaton(pair):
+    a, b = pair
+    for op in (OP_AND, OP_OR, OP_XOR, OP_IMPLIES, OP_IFF):
+        fast, plain = product(a, b, op), plain_product(a, b, op)
+        if op is OP_AND:
+            # the reachable pairs holding a rejecting sink make one state, so
+            # only the minimal automata agree
+            sinks = [
+                {q for q, row in enumerate(m.matrix) if m.outputs[q] == 0 and set(row) == {q}}
+                for m in (a, b)
+            ]
+            pairs = plain_product_pairs(a, b)[1]
+            live = [(qa, qb) for qa, qb in pairs if qa not in sinks[0] and qb not in sinks[1]]
+            assert fast.n_states == len(live) + (len(live) < len(pairs))
+            fast, plain = minimize(fast), minimize(plain)
+        assert fast.to_text() == plain.to_text()
+
+
+@st.composite
+def projections(draw):
+    """A complete DFA with 2-3 tracks of bases 2-3, and the names of two of
+    its tracks in the order they are removed."""
+    bases = draw(st.lists(st.sampled_from([2, 3]), min_size=2, max_size=3))
+    tracks = tuple(Track(name, NumberSystem(b)) for name, b in zip("xyz", bases))
+    n = draw(st.integers(1, 5))
+    state = st.integers(0, n - 1)
+    width = math.prod(bases)
+    matrix = draw(st.lists(st.lists(state, min_size=width, max_size=width), min_size=n, max_size=n))
+    outputs = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    a = MultiTrackAutomaton(tracks, n, draw(state), outputs, matrix)
+    return a, draw(st.permutations([t.name for t in tracks]))[:2]
+
+
+@settings(max_examples=100, deadline=None)
+@given(projections())
+def test_projecting_a_set_of_tracks_is_projecting_them_in_turn(case):
+    a, (first, second) = case
+    at_once = minimize(project(a, {first, second}))
+    in_turn = minimize(project(project(a, first), second))
+    assert at_once.to_text() == in_turn.to_text()
+    assert [t.name for t in at_once.tracks] == [
+        t.name for t in a.tracks if t.name not in (first, second)
+    ]
 
 
 def _pairs_reached(a, p, b, q, length):

@@ -1,7 +1,11 @@
 """Every corpus check produces its recorded outcome."""
 
+import random
+import re
+
 from rslogic.automata import from_regex, language_equal
 from rslogic.catalog import CHECKS, GOLDS, gold_automaton
+from rslogic.toolkit import standard_environment
 
 
 def test_catalog_shape():
@@ -63,3 +67,36 @@ def test_scripts_are_self_contained_data():
     for check in CHECKS:
         assert check.script.rstrip().endswith(('":', '"::'))
         assert check.name in check.script.split('"')[0]
+
+
+def _dependency_shuffle(rng):
+    """The checks in a random order that still puts each one after the
+    checks defining the relations it applies."""
+    names = {check.name for check in CHECKS}
+    needs = {c.name: set(re.findall(r"\$(\w+)", c.script)) & names - {c.name} for c in CHECKS}
+    done, pending, order = set(), list(CHECKS), []
+    while pending:
+        check = rng.choice([c for c in pending if needs[c.name] <= done])
+        pending.remove(check)
+        done.add(check.name)
+        order.append(check)
+    return order
+
+
+def test_shuffled_replay_gives_the_same_bytes(corpus):
+    # the compile memo holds whatever the earlier checks compiled, so another
+    # history must not change a verdict or a byte
+    env, report = corpus
+    for seed in (1, 2):
+        shuffled = standard_environment()
+        order = _dependency_shuffle(random.Random(seed))
+        assert [c.name for c in order] != [c.name for c in CHECKS]
+        for check in order:
+            (result,) = shuffled.run_script(check.script)
+            if check.kind == "sentence":
+                assert str(result.truth).upper() == report.row(check.name).actual, check.name
+        assert shuffled.relations.keys() == env.relations.keys()
+        for name, relation in env.relations.items():
+            assert shuffled.relations[name].automaton.to_text() == relation.automaton.to_text(), name
+        for name, representation in env.representations.items():
+            assert shuffled.representations[name].to_text() == representation.to_text(), name

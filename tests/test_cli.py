@@ -204,6 +204,29 @@ def test_deeply_nested_pattern_exits_2_without_a_traceback(tmp_path, capsys):
     assert captured.err == "error: the pattern nests too deeply to parse\n"
 
 
+def test_digit_strings_too_long_for_int_exit_2_without_a_traceback(tmp_path, capsys):
+    # Python converts at most 4300 digits to an int unless told otherwise
+    digits = "9" * 5000
+    commands = [["eval", query] for query in (
+        f"x={digits}",  # a constant
+        f"x=2*{digits}",  # a constant factor
+        f"RS4[n]=@{digits}",  # an output value
+        f"?msd_{digits} x=1",  # a number system annotation
+    )]
+    for name, line in (
+        ("base.txt", f'reg r msd_{digits} "0*":\n'),  # a reg number system
+        ("tuple.txt", f'reg r msd_2 "[{digits}]":\n'),  # a tuple literal digit
+    ):
+        (tmp_path / name).write_text(line)
+        commands.append(["run", str(tmp_path / name)])
+    for argv in commands:
+        assert main(argv) == 2, argv[0]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+        assert "5000" in captured.err and digits not in captured.err
+
+
 def test_env_dir_rejects_unreadable_file(tmp_path, capsys):
     env_dir = tmp_path / "env"
     env_dir.mkdir()

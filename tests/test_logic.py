@@ -20,7 +20,7 @@ from rslogic.parser import (
 from rslogic.sequences import rudin_shapiro, rudin_shapiro_dfao4
 from rslogic.synchronized import verify_sync
 
-from builders import accepts_values, build_compare, build_const_mul
+from builders import accepts_values, build_compare, build_const_mul, count_kernel_calls
 
 MSD2 = NumberSystem(2)
 MSD4 = NumberSystem(4)
@@ -404,6 +404,52 @@ def test_compile_deterministic():
     first = compile_formula(env, "Em ($double(n, m) & m<=12)")
     second = compile_formula(env, "Em ($double(n, m) & m<=12)")
     assert first.to_text() == second.to_text()
+
+
+def test_compile_memo_stays_within_its_environment(monkeypatch):
+    counts = count_kernel_calls(monkeypatch)
+    formula = "Ez x<z & z<y & (x=z+1 | y!=2*z)"
+    env = Environment()
+    text = compile_formula(env, formula).to_text()
+    calls = sum(counts.values())
+    assert calls
+    # the environment serves the whole formula from its memo
+    assert compile_formula(env, formula).to_text() == text
+    assert sum(counts.values()) == calls
+    # another environment compiles it afresh
+    assert compile_formula(Environment(), formula).to_text() == text
+    assert sum(counts.values()) == 2 * calls
+
+
+def test_compile_memo_hit_has_the_bytes_of_a_fresh_compile():
+    # a hit is renamed back only when the names sort in the same pattern,
+    # and a quantifier binds by position
+    env = Environment()
+    for formula in (
+        "y=2*x+1", "a=2*b+1", "b=2*a+1",
+        "Ez y=z+x+2 & z<x", "Ez a=z+b+2 & z<b",
+        "Ex x<y", "Ey x<y",
+    ):
+        fresh = compile_formula(Environment(), formula)
+        assert compile_formula(env, formula).to_text() == fresh.to_text(), formula
+
+
+def test_compile_memo_misses_an_overwritten_relation():
+    env = Environment()
+    env.register_relation("r", from_regex(["msd_2"], "0*1"))
+    assert decide(env, "$r(1)") and not decide(env, "$r(2)")
+    env.register_relation("r", from_regex(["msd_2"], "0*10"), overwrite=True)
+    assert decide(env, "$r(2)") and not decide(env, "$r(1)")
+
+
+def test_compile_memo_stores_no_failure():
+    env = Environment()
+    formula = "Ex x<3 & $r(x)"
+    for _ in range(2):
+        with pytest.raises(CompileError, match="unknown relation 'r'"):
+            compile_formula(env, formula)
+    env.register_relation("r", from_regex(["msd_2"], "0*10"))
+    assert decide(env, formula)
 
 
 def test_redefinition_is_an_error():

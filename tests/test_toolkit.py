@@ -17,6 +17,8 @@ from rslogic.toolkit import (
     verify_bounds,
 )
 
+from builders import count_kernel_calls
+
 
 def test_suite_all_pass(corpus):
     _, report = corpus
@@ -56,6 +58,15 @@ def test_suite_table_mentions_every_check(corpus):
     table = report.table()
     assert "curvecheck3" in table and "expected FALSE, got FALSE" in table
     assert table.count("\n") == len(report.rows) - 1
+
+
+def test_suite_kernel_call_counts(monkeypatch):
+    # one replay on a fresh environment; a change that means to alter the
+    # number of kernel calls updates these and says why
+    env = standard_environment()
+    counts = count_kernel_calls(monkeypatch)
+    run_suite(env)
+    assert counts == {"minimize": 652, "project": 198, "determinize": 311, "product": 350}
 
 
 def test_suite_reports_engine_errors_as_rows():
