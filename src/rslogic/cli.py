@@ -19,7 +19,7 @@ from pathlib import Path
 from .automata import MultiTrackAutomaton, minimize
 from .errors import EngineError, FormulaParseError
 from .parser import NAME_PATTERN, Command
-from .sequences import alternating_sums, double_zero_sign, partial_sums, rudin_shapiro, running_sums
+from .sequences import double_zero_sign, rudin_shapiro, running_sums
 from .synchronized import GUESSABLE, guess_sync, verify_sync
 from .toolkit import (
     SuiteReport,
@@ -138,32 +138,27 @@ def cmd_bounds(args):
 
 def cmd_curve(args):
     _check_count(args.points, "--points", 1)
-    ok = check_curve(args.points)
     points = curve_points(args.points)
+    ok = check_curve(points)
     last = points[-1]
     print(f"{args.points} points, ends at ({last.x}, {last.y})")
     print(f"segment and revisit checks: {'pass' if ok else 'FAIL'}")
     if args.svg:
-        emit_svg(args.points, args.svg)
+        emit_svg(points, args.svg)
         print(f"wrote {args.svg}")
     if args.csv:
-        emit_csv(args.points, args.csv)
+        emit_csv(points, args.csv)
         print(f"wrote {args.csv}")
     return 0 if ok else 1
 
 
 def cmd_seq(args):
     _check_count(args.to, "--to", 0)
-    s = partial_sums(args.to)
-    t = alternating_sums(args.to)
-    sp = running_sums(double_zero_sign, args.to)
-    tp = running_sums(double_zero_sign, args.to, alternating=True)
+    sums = [running_sums(sign, args.to, alternating)
+            for sign in (rudin_shapiro, double_zero_sign) for alternating in (False, True)]
     print("n,a,s,t,ap,sp,tp")
-    for n in range(args.to):
-        print(
-            f"{n},{rudin_shapiro(n)},{s[n]},{t[n]},"
-            f"{double_zero_sign(n)},{sp[n]},{tp[n]}"
-        )
+    for n, s, t, sp, tp in zip(range(args.to), *sums):
+        print(f"{n},{rudin_shapiro(n)},{s},{t},{double_zero_sign(n)},{sp},{tp}")
     return 0
 
 
@@ -274,8 +269,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (EngineError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (EngineError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -7,7 +7,10 @@ these functions, never the other way around.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import lru_cache
+from itertools import accumulate, cycle
+from operator import mul
 
 from .automata import MultiTrackAutomaton, NumberSystem, Track
 
@@ -38,29 +41,27 @@ def rudin_shapiro(n: int) -> int:
     return -1 if pair_count(n) & 1 else 1
 
 
-def running_sums(sign, limit: int, alternating: bool = False) -> list[int]:
-    """Sum of sign(0..n) for every n < limit, as one running sweep.
+def running_sums(sign, limit: int, alternating: bool = False) -> Iterator[int]:
+    """Sum of sign(0..n) for every n < limit, as one lazy sweep.
 
     With alternating set, odd-indexed terms are subtracted (even indices
-    positive).
+    positive).  C-level iterators need no memory to close, so a MemoryError
+    raised while the sweep is open ends cleanly.
     """
-    out = []
-    acc = 0
-    for i in range(limit):
-        v = sign(i)
-        acc += -v if alternating and i & 1 else v
-        out.append(acc)
-    return out
+    terms = map(sign, range(limit))
+    if alternating:
+        terms = map(mul, terms, cycle((1, -1)))
+    return accumulate(terms)
 
 
 def partial_sums(limit: int) -> list[int]:
     """s(n), the sum of rudin_shapiro(0..n), for every n < limit."""
-    return running_sums(rudin_shapiro, limit)
+    return list(running_sums(rudin_shapiro, limit))
 
 
 def alternating_sums(limit: int) -> list[int]:
     """t(n), the alternating sum of rudin_shapiro(0..n), for every n < limit."""
-    return running_sums(rudin_shapiro, limit, alternating=True)
+    return list(running_sums(rudin_shapiro, limit, alternating=True))
 
 
 @lru_cache(maxsize=None)

@@ -4,24 +4,26 @@ standard_environment wires the sign table and the two summation machines
 shipped with the package (proved on every call before registration) into
 one Environment; run_suite replays the whole catalog against it and
 reports per-check outcomes with wall times.  verify_bounds sweeps the
-inequality families with integer arithmetic only.  curve_points and
-friends materialize the plane walk (s(n), t(n)) and emit it as SVG and
-CSV.
+inequality families with integer arithmetic only, in one pass that keeps
+s(n) and t(n) as two integers.  curve_points builds the plane walk
+(s(n), t(n)) once; check_curve, emit_svg and emit_csv take its points.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from importlib.resources import files
+from itertools import pairwise
 
 from .automata import MultiTrackAutomaton, language_equal
 from .catalog import CHECKS, COUNT_EQUAL, gold_automaton
 from .errors import EngineError, GuessFailedError
 from .linrep import is_zero, subtract
 from .logic import Environment
-from .sequences import alternating_sums, partial_sums, pseudo_square, rudin_shapiro_dfao4
+from .sequences import pseudo_square, rudin_shapiro, rudin_shapiro_dfao4, running_sums
 from .synchronized import GUESSABLE, verify_sync
 
 __all__ = [
@@ -181,43 +183,55 @@ def _timed_row(name, expected, check, kind):
     return SuiteRow(name, kind, expected, actual, ok, time.perf_counter() - start)
 
 
+def _walk(N):
+    """(n, s(n), t(n)) for every n < N, as one lazy sweep."""
+    s, t = running_sums(rudin_shapiro, N), running_sums(rudin_shapiro, N, alternating=True)
+    return zip(range(N), s, t)
+
+
 def verify_bounds(N=2**16):
-    """Integer-only sweeps of the inequality families below N."""
-    s = partial_sums(N)
-    t = alternating_sums(N)
+    """Integer-only sweeps of the inequality families below N, in one pass.
+
+    s(n) and t(n) are two ints, not lists.  Each row reports its first
+    violation from its own start index and the seconds of the whole pass.
+    """
     clean = "no violations"
-
-    def never(violated, first=1):
-        def check():
-            bad = next((n for n in range(first, N) if violated(n)), None)
-            return bad is None, clean if bad is None else f"violated at n={bad}"
-
-        return check
-
-    def tight():
-        upper = [n for n in range(1, N) if pseudo_square(s[n]) == 3 * n + 1]
-        lower = [n for n in range(1, N) if 5 * pseudo_square(s[n]) == 3 * n + 7]
-        ok = bool(upper) and bool(lower)
-        return ok, f"upper at n={upper[:3]}, lower at n={lower[:3]}" if ok else "not reached"
-
-    def zeros():
-        found = [n for n in range(N) if t[n] == 0]
-        return found[:3] == [1, 7, 9], f"{len(found)} zeros, first {found[:3]}"
-
-    rows = (
-        ("square_sum_upper", clean, never(lambda n: s[n] * s[n] > 6 * n)),
-        ("square_sum_lower", clean, never(lambda n: 5 * s[n] * s[n] < 3 * n + 7)),
-        ("alternating_nonnegative", clean, never(lambda n: t[n] < 0, first=0)),
-        ("square_alternating_upper", clean, never(lambda n: t[n] * t[n] > 3 * n)),
-        ("pseudo_square_window", clean,
-         never(lambda n: not (n * n + 2 * n <= 3 * pseudo_square(n) <= 3 * n * n), first=0)),
-        ("pseudo_square_of_sum", clean,
-         never(lambda n: not (3 * n + 7 <= 5 * pseudo_square(s[n]) and pseudo_square(s[n]) <= 3 * n + 1))),
-        ("pseudo_square_of_sum_tight", "equality reached on both sides", tight),
-        ("pseudo_square_of_alternating", clean, never(lambda n: pseudo_square(t[n]) > n + 1, first=0)),
-        ("alternating_zeros", "value 0 recurs, first at 1, 7, 9", zeros),
-    )
-    return SuiteReport([_timed_row(*row, "bound") for row in rows])
+    bounds = {  # name: (first n checked, violated(n, s, t))
+        "square_sum_upper": (1, lambda n, s, t: s * s > 6 * n),
+        "square_sum_lower": (1, lambda n, s, t: 5 * s * s < 3 * n + 7),
+        "alternating_nonnegative": (0, lambda n, s, t: t < 0),
+        "square_alternating_upper": (1, lambda n, s, t: t * t > 3 * n),
+        "pseudo_square_window": (
+            0, lambda n, s, t: not (n * n + 2 * n <= 3 * pseudo_square(n) <= 3 * n * n)),
+        "pseudo_square_of_sum": (1, lambda n, s, t: not (
+            3 * n + 7 <= 5 * pseudo_square(s) and pseudo_square(s) <= 3 * n + 1)),
+        "pseudo_square_of_alternating": (0, lambda n, s, t: pseudo_square(t) > n + 1),
+    }
+    first_bad = {}
+    upper, lower, zeros, zero_count = [], [], [], 0
+    start = time.perf_counter()
+    for n, s, t in _walk(N):
+        for name, (first, violated) in bounds.items():
+            if name not in first_bad and n >= first and violated(n, s, t):
+                first_bad[name] = n
+        if n and len(upper) < 3 and pseudo_square(s) == 3 * n + 1:
+            upper.append(n)
+        if n and len(lower) < 3 and 5 * pseudo_square(s) == 3 * n + 7:
+            lower.append(n)
+        if t == 0:
+            zero_count += 1
+            if len(zeros) < 3:
+                zeros.append(n)
+    seconds = time.perf_counter() - start
+    rows = [(name, clean, f"violated at n={first_bad[name]}" if name in first_bad else clean,
+             name not in first_bad) for name in bounds]
+    tight = bool(upper) and bool(lower)
+    # the table lists the tightness row right after pseudo_square_of_sum
+    rows.insert(6, ("pseudo_square_of_sum_tight", "equality reached on both sides",
+                    f"upper at n={upper}, lower at n={lower}" if tight else "not reached", tight))
+    rows.append(("alternating_zeros", "value 0 recurs, first at 1, 7, 9",
+                 f"{zero_count} zeros, first {zeros}", zeros == [1, 7, 9]))
+    return SuiteReport([SuiteRow(name, "bound", *row, seconds) for name, *row in rows])
 
 
 @dataclass(frozen=True)
@@ -229,29 +243,20 @@ class CurvePoint:
 
 def curve_points(N):
     """The walk (s(n), t(n)) for n < N; every point satisfies x >= y."""
-    s = partial_sums(N)
-    t = alternating_sums(N)
     points = []
-    for n in range(N):
-        if s[n] < t[n]:
-            raise ValueError(f"point {n} has x < y: ({s[n]}, {t[n]})")
-        points.append(CurvePoint(n, s[n], t[n]))
+    for n, x, y in _walk(N):
+        if x < y:
+            raise ValueError(f"point {n} has x < y: ({x}, {y})")
+        points.append(CurvePoint(n, x, y))
     return points
 
 
-def check_curve(N):
+def check_curve(points):
     """No undirected segment repeats and no lattice point is hit thrice."""
-    points = curve_points(N)
+    if max(Counter((p.x, p.y) for p in points).values(), default=0) > 2:
+        return False
     seen_segments = set()
-    hits = {}
-    for n in range(N):
-        p = points[n]
-        hits[(p.x, p.y)] = hits.get((p.x, p.y), 0) + 1
-        if hits[(p.x, p.y)] > 2:
-            return False
-        if n + 1 == N:
-            break
-        q = points[n + 1]
+    for p, q in pairwise(points):
         segment = (min((p.x, p.y), (q.x, q.y)), max((p.x, p.y), (q.x, q.y)))
         if segment in seen_segments:
             return False
@@ -259,9 +264,8 @@ def check_curve(N):
     return True
 
 
-def emit_csv(N, path):
-    """Write n,x,y rows; output bytes depend only on N."""
-    points = curve_points(N)
+def emit_csv(points, path):
+    """Write n,x,y rows; output bytes depend only on the points."""
     lines = ["n,x,y"]
     lines.extend(f"{p.n},{p.x},{p.y}" for p in points)
     data = "\n".join(lines) + "\n"
@@ -273,9 +277,8 @@ def emit_csv(N, path):
 SVG_SCALE = 8  # SVG user units per unit step of the curve
 
 
-def emit_svg(N, path):
+def emit_svg(points, path):
     """Write the curve as a polyline with rounded joins."""
-    points = curve_points(N)
     max_x = max(p.x for p in points)
     max_y = max(p.y for p in points)
     scale = pad = SVG_SCALE

@@ -318,6 +318,34 @@ def test_curve_emits_files(tmp_path, capsys):
     assert csv.read_text().splitlines()[0] == "n,x,y"
 
 
+def test_curve_walks_once(tmp_path, monkeypatch, capsys):
+    # the check, the summary line and both files share one walk
+    from rslogic import toolkit
+
+    real, calls = toolkit.curve_points, []
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(cli, "curve_points", counted)
+    monkeypatch.setattr(toolkit, "curve_points", counted)
+    svg, csv = tmp_path / "curve.svg", tmp_path / "curve.csv"
+    assert main(["curve", "--points", "256", "--svg", str(svg), "--csv", str(csv)]) == 0
+    assert calls == [256]
+
+
+def test_memory_error_exits_2_without_traceback(monkeypatch, capsys):
+    def exhausted(n):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "curve_points", exhausted)
+    assert main(["curve", "--points", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: MemoryError\n"
+
+
 def test_guess_verified(tmp_path, capsys):
     out_file = tmp_path / "machine.txt"
     assert main(["guess", "s", "--out", str(out_file)]) == 0

@@ -47,7 +47,7 @@ def test_partial_sum_tables():
 def test_running_sums_match_direct_sums(signs, alternating):
     weight = [(-1) ** i if alternating else 1 for i in range(len(signs))]
     direct = [sum(weight[i] * signs[i] for i in range(n + 1)) for n in range(len(signs))]
-    assert running_sums(signs.__getitem__, len(signs), alternating) == direct
+    assert list(running_sums(signs.__getitem__, len(signs), alternating)) == direct
 
 
 def test_recurrence_route_agrees_with_direct_sums():
@@ -70,14 +70,14 @@ def test_pseudo_square_values():
 
 def test_double_zero_tables():
     assert [double_zero_sign(n) for n in range(16)] == DZ_SIGN_TABLE
-    assert running_sums(double_zero_sign, 16) == DZ_SUM_TABLE
-    assert running_sums(double_zero_sign, 16, alternating=True) == DZ_ALT_TABLE
+    assert list(running_sums(double_zero_sign, 16)) == DZ_SUM_TABLE
+    assert list(running_sums(double_zero_sign, 16, alternating=True)) == DZ_ALT_TABLE
 
 
 def test_double_zero_alternating_sum_stays_at_most_one():
     # the alternating 0-pair sum never exceeds 1, and hits 1 exactly at 0
     # and at the numbers written 1010...10 in binary
-    alts = running_sums(double_zero_sign, 2 ** 16, alternating=True)
+    alts = list(running_sums(double_zero_sign, 2 ** 16, alternating=True))
     over = [n for n, v in enumerate(alts) if v > 0]
     assert over == [0, 2, 10, 42, 170, 682, 2730, 10922, 43690]
     assert all(n == 0 or bin(n)[2:] == "10" * (len(bin(n)[2:]) // 2) for n in over)
@@ -85,8 +85,8 @@ def test_double_zero_alternating_sum_stays_at_most_one():
 
 
 def test_double_zero_halving_recurrences():
-    sums = running_sums(double_zero_sign, 2 ** 13)
-    alts = running_sums(double_zero_sign, 2 ** 13, alternating=True)
+    sums = list(running_sums(double_zero_sign, 2 ** 13))
+    alts = list(running_sums(double_zero_sign, 2 ** 13, alternating=True))
     # empty-sum convention: the partial sum at -1 is 0
     sp = lambda n: 0 if n < 0 else sums[n]
     for n in range(2 ** 12):
@@ -98,8 +98,8 @@ def test_double_zero_halving_recurrences():
 
 
 def test_double_zero_recurrence_route_agrees_with_running_sums():
-    sums = running_sums(double_zero_sign, 2 ** 10)
-    alts = running_sums(double_zero_sign, 2 ** 10, alternating=True)
+    sums = list(running_sums(double_zero_sign, 2 ** 10))
+    alts = list(running_sums(double_zero_sign, 2 ** 10, alternating=True))
     # the documented empty sum: the partial sum before 0 is 0
     assert double_zero_partial_sum_by_recurrence(-1) == 0
     assert [double_zero_partial_sum_by_recurrence(n) for n in range(2 ** 10)] == sums
@@ -108,7 +108,7 @@ def test_double_zero_recurrence_route_agrees_with_running_sums():
 
 def test_double_zero_quartering_recurrences():
     # the correction term riding along is the threaded sign itself
-    sums = running_sums(double_zero_sign, 2 ** 14)
+    sums = list(running_sums(double_zero_sign, 2 ** 14))
     for n in range(2 ** 12):
         r = double_zero_sign(n)
         sign = -1 if n % 2 else 1
@@ -127,7 +127,7 @@ def test_double_zero_sign_halving_recurrence():
 
 
 def test_double_zero_block_extremes():
-    sums = running_sums(double_zero_sign, 4 ** 6)
+    sums = list(running_sums(double_zero_sign, 4 ** 6))
     for k in range(1, 5):
         lo, hi = 4 ** k, 4 ** (k + 1)
         window = sums[lo:hi]
@@ -138,8 +138,8 @@ def test_double_zero_block_extremes():
 
 
 def test_double_zero_square_root_bounds():
-    sums = running_sums(double_zero_sign, 2 ** 14)
-    alts = running_sums(double_zero_sign, 2 ** 14, alternating=True)
+    sums = list(running_sums(double_zero_sign, 2 ** 14))
+    alts = list(running_sums(double_zero_sign, 2 ** 14, alternating=True))
     for n in range(1, 2 ** 14):
         sp = sums[n]
         assert 9 * n <= 4 * sp * sp

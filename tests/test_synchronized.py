@@ -395,7 +395,7 @@ def test_verify_refuses_a_sign_that_is_not_plus_or_minus_one(rss, output):
 )
 def test_signed_step_is_the_running_sum_difference(dfao, sign, rule):
     limit = 4**6
-    sums = running_sums(sign, limit, alternating=rule != "sum")
+    sums = list(running_sums(sign, limit, alternating=rule != "sum"))
     steps = [b - a for a, b in zip([0] + sums, sums)]
     if rule == "neg_alt":
         steps = [-d for d in steps]

@@ -6,8 +6,10 @@ from rslogic import synchronized, toolkit
 from rslogic.automata import MultiTrackAutomaton
 from rslogic.errors import GuessFailedError
 from rslogic.logic import Environment
+from rslogic.sequences import alternating_sums, partial_sums
 from rslogic.synchronized import accepting_bit_mutations
 from rslogic.toolkit import (
+    CurvePoint,
     check_curve,
     curve_points,
     emit_csv,
@@ -105,6 +107,34 @@ def test_bounds_small_window_still_passes():
     assert verify_bounds(2**10).ok
 
 
+@pytest.mark.parametrize("wrong_from", [0, 40])
+def test_bounds_report_the_first_violation(monkeypatch, wrong_from):
+    # a pseudo_square far too large from argument wrong_from on breaks the
+    # three rows that apply it, each first at the n where its argument
+    # (n, s(n) or t(n)) reaches wrong_from, counted from the row's start
+    N = 2048
+    real = toolkit.pseudo_square
+    monkeypatch.setattr(toolkit, "pseudo_square", lambda m: real(m) + 10**9 * (m >= wrong_from))
+    s, t = partial_sums(N), alternating_sums(N)
+    first_bad = {
+        "pseudo_square_window": wrong_from,
+        "pseudo_square_of_sum": next(n for n in range(1, N) if s[n] >= wrong_from),
+        "pseudo_square_of_alternating": next(n for n in range(N) if t[n] >= wrong_from),
+    }
+    report = verify_bounds(N)
+    for row in report.rows:
+        if row.name in first_bad:
+            assert (row.ok, row.actual) == (False, f"violated at n={first_bad[row.name]}")
+        elif row.name == "pseudo_square_of_sum_tight":
+            # equality needs pseudo_square(s(n)) near 3n, which 10**9 never
+            # is below N; from 40 on, s(1) = 2 and s(6) = 3 still reach it
+            assert row.ok is (wrong_from != 0)
+            assert (row.actual == "not reached") is (wrong_from == 0)
+        else:
+            assert row.ok, row.name
+    assert first_bad["pseudo_square_of_sum"] == (1 if wrong_from == 0 else 533)
+
+
 def test_curve_spot_points():
     points = curve_points(8)
     assert (points[0].x, points[0].y) == (1, 1)
@@ -135,28 +165,22 @@ def test_curve_steps_are_unit_diagonals():
 
 
 def test_check_curve_passes():
-    assert check_curve(2**14)
+    assert check_curve(curve_points(2**14))
 
 
-def test_check_curve_catches_planted_repeat(monkeypatch):
+def test_check_curve_catches_planted_repeat():
     # a walk that retraces its last segment must be rejected
-    import rslogic.toolkit as toolkit
-
     points = curve_points(16)
     bad = points[:8] + [points[6]]
-    monkeypatch.setattr(toolkit, "curve_points", lambda n: bad)
-    assert not toolkit.check_curve(9)
+    assert not check_curve(bad)
 
 
-def test_check_curve_catches_planted_third_hit(monkeypatch):
+def test_check_curve_catches_planted_third_hit():
     # a walk that meets (2, 2) a third time along segments all new
-    import rslogic.toolkit as toolkit
-
     path = [(2, 2), (3, 3), (4, 2), (3, 1), (2, 2), (1, 3), (0, 2), (1, 1), (2, 2)]
-    bad = [toolkit.CurvePoint(n, x, y) for n, (x, y) in enumerate(path)]
-    monkeypatch.setattr(toolkit, "curve_points", lambda n: bad[:n])
-    assert toolkit.check_curve(len(path) - 1)
-    assert not toolkit.check_curve(len(path))
+    bad = [CurvePoint(n, x, y) for n, (x, y) in enumerate(path)]
+    assert check_curve(bad[: len(path) - 1])
+    assert not check_curve(bad[: len(path)])
 
 
 def test_every_nearby_lattice_point_is_hit():
@@ -182,8 +206,8 @@ def test_hit_counts_cap_at_two():
 
 
 def test_csv_is_byte_stable(tmp_path):
-    first = emit_csv(1024, tmp_path / "a.csv")
-    second = emit_csv(1024, tmp_path / "b.csv")
+    first = emit_csv(curve_points(1024), tmp_path / "a.csv")
+    second = emit_csv(curve_points(1024), tmp_path / "b.csv")
     assert first == second
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     lines = first.splitlines()
@@ -193,7 +217,7 @@ def test_csv_is_byte_stable(tmp_path):
 
 
 def test_svg_is_a_polyline(tmp_path):
-    emit_svg(1024, tmp_path / "curve.svg")
+    emit_svg(curve_points(1024), tmp_path / "curve.svg")
     text = (tmp_path / "curve.svg").read_text()
     assert text.startswith("<svg ")
     assert "<polyline" in text and "stroke-linejoin=\"round\"" in text
