@@ -14,6 +14,7 @@ import fnmatch
 import json
 import re
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from .automata import MultiTrackAutomaton, minimize
@@ -154,11 +155,12 @@ def cmd_curve(args):
 
 def cmd_seq(args):
     _check_count(args.to, "--to", 0)
-    sums = [running_sums(sign, args.to, alternating)
-            for sign in (rudin_shapiro, double_zero_sign) for alternating in (False, True)]
+    # the sums and sign columns read each n in turn, so a one-entry cache computes each sign once
+    a, ap = (lru_cache(maxsize=1)(sign) for sign in (rudin_shapiro, double_zero_sign))
+    sums = [running_sums(sign, args.to, alternating) for sign in (a, ap) for alternating in (False, True)]
     print("n,a,s,t,ap,sp,tp")
     for n, s, t, sp, tp in zip(range(args.to), *sums):
-        print(f"{n},{rudin_shapiro(n)},{s},{t},{double_zero_sign(n)},{sp},{tp}")
+        print(f"{n},{a(n)},{s},{t},{ap(n)},{sp},{tp}")
     return 0
 
 

@@ -9,10 +9,12 @@ relations are stored with positional parameter tracks, and an application
 is the existential closure of the renamed relation and one equation per
 compound argument.
 
-An environment compiles each subformula once, as MONA shares equal
-subformulas (Klarlund, Møller and Schwartzbach, "MONA implementation
-secrets", 2002): a subformula met again under other variable names, sorted
-alike, is the stored automaton renamed.
+An environment builds each atom (a comparison, an application or an
+output test) once: an atom met again under other variable names, sorted
+alike, is the stored automaton renamed.  Connectives and quantifiers are not
+stored, unlike MONA's shared subformulas (Klarlund, Møller and
+Schwartzbach, "MONA implementation secrets", 2002), since the paper's
+formulas repeat atoms and seldom anything larger.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ class Environment:
         self.relations = {}
         self.dfaos = {}
         self.representations = {}
-        self.compiled = {}  # _Compiler.compile's memo
+        self.compiled = {}  # _Compiler._atom's memo
 
     def register_relation(self, name, automaton, order=None, overwrite=False):
         """Register; ``order`` lists the automaton's tracks in parameter order
@@ -188,66 +190,55 @@ class _Compiler:
         self.fresh = itertools.count()
 
     def compile(self, node) -> MultiTrackAutomaton:
-        """Automaton of ``node``, compiled once per environment: the memo key
-        adds the rank pattern of the names to ``_shape``, so a hit renamed
-        back keeps its track order and the bytes of a fresh compile.  A
-        failing compile stores nothing."""
-        names = {}  # variable -> number, in order of first appearance
-        key = self._shape(node, names), tuple(names[v] for v in sorted(names))
-        if key not in self.env.compiled:
-            self.env.compiled[key] = self._compile(node), list(names)
-        automaton, old = self.env.compiled[key]
-        return automaton.renamed(dict(zip(old, names)))
-
-    def _shape(self, node, names):
-        """``node`` as a hashable tuple: each variable by its number in
-        ``names``, each applied relation or automaton with output by the
-        object itself, so that one overwritten never matches."""
-
-        def term(t):
-            coeffs = tuple((names.setdefault(v, len(names)), c) for v, c in t.coeffs.items())
-            return coeffs, t.const, t.system
-
-        if isinstance(node, Compare):
-            return "cmp", term(node.left), node.rel, term(node.right), node.system
-        if isinstance(node, Apply):
-            relation = getattr(self.env.relations.get(node.name), "automaton", None)
-            return "$", relation, tuple(map(term, node.args))
-        if isinstance(node, OutputTest):
-            return "@", self.env.dfaos.get(node.name), term(node.arg), node.value
-        if isinstance(node, Not):
-            return "~", self._shape(node.body, names)
-        if isinstance(node, BinOp):
-            return node.op, self._shape(node.left, names), self._shape(node.right, names)
-        if isinstance(node, Quantified):
-            bound = tuple(names.setdefault(v, len(names)) for v in node.variables)
-            return node.kind, bound, self._shape(node.body, names)
-        raise CompileError(f"cannot compile node {type(node).__name__}")
-
-    def _compile(self, node) -> MultiTrackAutomaton:
-        if isinstance(node, Compare):
-            coeffs = dict(node.left.coeffs)
-            for v, c in node.right.coeffs.items():
-                coeffs[v] = coeffs.get(v, 0) - c
-            constant = node.right.const - node.left.const
-            return linear_atom(coeffs, node.rel, constant, node.system)
-        if isinstance(node, Apply):
-            return self._apply(node.name, self.env.relation(node.name).automaton, node.args)
-        if isinstance(node, OutputTest):
-            dfao = self.env.dfao(node.name)
-            recognizer = dfao.where(node.value).renamed({dfao.tracks[0].name: _param(0)})
-            return self._apply(node.name, recognizer, [node.arg])
+        """Automaton of ``node``.  Connectives and quantifiers compile
+        straight through; each atom is built once per environment by
+        ``_atom``."""
         if isinstance(node, Not):
             return complement(self.compile(node.body))
         if isinstance(node, BinOp):
             left = self.compile(node.left)
             right = self.compile(node.right)
             return minimize(product(left, right, _BINOPS[node.op]))
-        # a Quantified node: _shape lets no other kind through
-        if node.kind == "E":
-            conjuncts = [self.compile(c) for c in _flatten_and(node.body)]
-            return self._exists(node.variables, conjuncts)
-        return complement(self._exists(node.variables, self._refutation(node.body)))
+        if isinstance(node, Quantified):
+            if node.kind == "E":
+                conjuncts = [self.compile(c) for c in _flatten_and(node.body)]
+                return self._exists(node.variables, conjuncts)
+            return complement(self._exists(node.variables, self._refutation(node.body)))
+        if isinstance(node, Compare):
+            left, right = node.left, node.right
+            coeffs = {v: left.coeffs.get(v, 0) - right.coeffs.get(v, 0) for v in {**left.coeffs, **right.coeffs}}
+            return self._atom(
+                ("cmp", node.rel, node.system), (left, right),
+                lambda: linear_atom(coeffs, node.rel, right.const - left.const, node.system),
+            )
+        if isinstance(node, Apply):
+            relation = self.env.relation(node.name).automaton
+            return self._atom(("$", relation), node.args, lambda: self._apply(node.name, relation, node.args))
+        if isinstance(node, OutputTest):
+            dfao = self.env.dfao(node.name)
+            return self._atom(("@", dfao, node.value), (node.arg,), lambda: self._apply(
+                node.name, dfao.where(node.value).renamed({dfao.tracks[0].name: _param(0)}), [node.arg]
+            ))
+        raise CompileError(f"cannot compile node {type(node).__name__}")
+
+    def _atom(self, head, terms, build):
+        """``build()``, once per environment.  The key is ``head`` (which
+        holds an applied relation or automaton with output as the object, so
+        that one overwritten never matches), the ``terms`` with each
+        variable numbered by first appearance, and the rank pattern of the
+        names: a hit renamed back has the bytes of a fresh build, and a hit
+        under the stored names is the stored automaton.  A failing build
+        stores nothing."""
+        names = {}  # variable -> number, in order of first appearance
+        shape = tuple(
+            (tuple((names.setdefault(v, len(names)), c) for v, c in t.coeffs.items()), t.const, t.system)
+            for t in terms
+        )
+        key = head, shape, tuple(names[v] for v in sorted(names))
+        if key not in self.env.compiled:
+            self.env.compiled[key] = build(), tuple(names)
+        automaton, old = self.env.compiled[key]
+        return automaton if old == tuple(names) else automaton.renamed(dict(zip(old, names)))
 
     def _refutation(self, body):
         """Compiled conjuncts of ~body: those of L and ~R when body is L => R."""

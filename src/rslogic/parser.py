@@ -131,7 +131,9 @@ def _integer(digits: str, position: int) -> int:
 
 
 def _tokenize(text: str):
+    """Tokens as (kind, text, offset), and each annotation's number system by offset."""
     tokens = []
+    systems = {}
     pos = 0
     while pos < len(text):
         if text[pos].isspace():
@@ -145,19 +147,19 @@ def _tokenize(text: str):
         if kind == "annot":
             value = value[1:]
             try:
-                NumberSystem.parse(value)
+                systems[pos] = NumberSystem.parse(value)
             except BaseMismatchError as exc:
                 raise FormulaParseError(str(exc), position=pos) from None
         tokens.append((kind, value, pos))
         pos = m.end()
     tokens.append(("end", "", len(text)))
-    return tokens
+    return tokens, systems
 
 
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens, self.systems = _tokenize(text)
         self.i = 0
         self.ambient = DEFAULT_SYSTEM
 
@@ -217,7 +219,7 @@ class _Parser:
         kind, value, pos = self.peek()
         if kind == "annot":
             self.next()
-            self.ambient = NumberSystem.parse(value)
+            self.ambient = self.systems[pos]
             return self.unary()
         if value == "~":
             self.next()
@@ -303,11 +305,11 @@ class _Parser:
         # [?msd_k] term  |  ( [?msd_k] term )
         system = None
         if self.peek()[0] == "annot":
-            system = NumberSystem.parse(self.next()[1])
+            system = self.systems[self.next()[2]]
         if self.peek()[1] == "(":
             self.next()
             if self.peek()[0] == "annot":
-                system = NumberSystem.parse(self.next()[1])
+                system = self.systems[self.next()[2]]
             term = self.term()
             self.expect(")")
         else:

@@ -94,8 +94,8 @@ def double_zero_sign(n: int) -> int:
     """+1 or -1 by parity of adjacent 0-pairs in binary n, no leading zeros."""
     if n == 0:
         return 1
-    bits = bin(n)[2:]
-    pairs = sum(1 for i in range(len(bits) - 1) if bits[i] == bits[i + 1] == "0")
+    # bit i of ~(n | n >> 1) marks a 0-pair at bits i, i + 1; the mask stops below the leading 1
+    pairs = bin(~(n | n >> 1) & ((1 << (n.bit_length() - 1)) - 1)).count("1")
     return -1 if pairs & 1 else 1
 
 

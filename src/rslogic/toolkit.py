@@ -234,7 +234,7 @@ def verify_bounds(N=2**16):
     return SuiteReport([SuiteRow(name, "bound", *row, seconds) for name, *row in rows])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CurvePoint:
     n: int
     x: int

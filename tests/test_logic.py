@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rslogic import logic
 from rslogic.automata import MultiTrackAutomaton, NumberSystem, Track, from_regex
 from rslogic.errors import BaseMismatchError, CompileError, FormulaParseError
 from rslogic.logic import Environment, compile_formula, decide, find_counterexample
+from rslogic.numeration import linear_atom
 from rslogic.parser import (
     Apply,
     BinOp,
@@ -20,7 +22,13 @@ from rslogic.parser import (
 from rslogic.sequences import rudin_shapiro, rudin_shapiro_dfao4
 from rslogic.synchronized import verify_sync
 
-from builders import accepts_values, build_compare, build_const_mul, count_kernel_calls
+from builders import (
+    accepts_values,
+    build_compare,
+    build_const_mul,
+    count_kernel_calls,
+    rudin_shapiro_dfao2,
+)
 
 MSD2 = NumberSystem(2)
 MSD4 = NumberSystem(4)
@@ -250,6 +258,7 @@ def make_env():
     env.register_relation("double", build_const_mul(2, MSD2, names=("n", "m")), ["n", "m"])
     env.register_relation("less", build_compare("<", MSD2), ["x", "y"])
     env.register_dfao("RS4", rudin_shapiro_dfao4())
+    env.register_dfao("RS2", rudin_shapiro_dfao2())
     return env
 
 
@@ -408,17 +417,29 @@ def test_compile_deterministic():
 
 def test_compile_memo_stays_within_its_environment(monkeypatch):
     counts = count_kernel_calls(monkeypatch)
+    built = []  # arguments of every linear_atom call
+    monkeypatch.setattr(logic, "linear_atom", lambda *args: built.append(args) or linear_atom(*args))
     formula = "Ez x<z & z<y & (x=z+1 | y!=2*z)"
     env = Environment()
     text = compile_formula(env, formula).to_text()
-    calls = sum(counts.values())
-    assert calls
-    # the environment serves the whole formula from its memo
+    first = sum(counts.values())
+    assert first and len(built) == 4
+    # the environment builds no atom again
     assert compile_formula(env, formula).to_text() == text
-    assert sum(counts.values()) == calls
-    # another environment compiles it afresh
+    assert len(built) == 4
+    second = sum(counts.values())
+    # another environment compiles it afresh, atoms and all
     assert compile_formula(Environment(), formula).to_text() == text
-    assert sum(counts.values()) == 2 * calls
+    assert len(built) == 8
+    assert sum(counts.values()) - second == first
+
+
+def test_compile_memo_holds_atoms_only():
+    env = make_env()
+    formula = "Ax (Ey $double(x, y) & ~(y<x | RS2[x+1]=@1)) => Ez (z=x+1 <=> $less(z, x))"
+    decide(env, formula)
+    # five atoms, and the equation of RS2's compound argument
+    assert sorted(key[0][0] for key in env.compiled) == ["$", "$", "@", "cmp", "cmp", "cmp"]
 
 
 def test_compile_memo_hit_has_the_bytes_of_a_fresh_compile():
@@ -432,6 +453,40 @@ def test_compile_memo_hit_has_the_bytes_of_a_fresh_compile():
     ):
         fresh = compile_formula(Environment(), formula)
         assert compile_formula(env, formula).to_text() == fresh.to_text(), formula
+
+
+# atoms over the placeholders {0} {1} {2}, each filled with a variable
+MEMO_ATOMS = [
+    "{0}<{1}", "{0}=2*{1}+1", "{0}+{1}!={2}", "{2}>=3",
+    "$double({0}, {1})", "$less({1}+1, {0})", "RS2[{0}+{2}]=@-1",
+]
+MEMO_VARIABLES = ["x", "y", "z"]
+MEMO_FORMULAS = st.recursive(
+    st.builds(
+        lambda atom, names: atom.format(*names),
+        st.sampled_from(MEMO_ATOMS),
+        st.lists(st.sampled_from(MEMO_VARIABLES), min_size=3, max_size=3),
+    ),
+    lambda inner: st.one_of(
+        inner.map("~({})".format),
+        st.builds("({}) {} ({})".format, inner, st.sampled_from(["&", "|", "=>"]), inner),
+        st.builds("{}{} ({})".format, st.sampled_from("AE"), st.sampled_from(MEMO_VARIABLES), inner),
+    ),
+    max_leaves=5,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(MEMO_FORMULAS, st.permutations(MEMO_VARIABLES))
+def test_memo_warm_compile_equals_a_fresh_compile(formula, names):
+    # the formula fills the memo, which then serves its renaming
+    warm = make_env()
+    renamed = formula.translate(str.maketrans("xyz", "".join(names)))
+    for text in (formula, renamed):
+        got = compile_formula(warm, text)
+        fresh = compile_formula(make_env(), text)
+        assert got.tracks == fresh.tracks, text
+        assert got.to_text() == fresh.to_text(), text
 
 
 def test_compile_memo_misses_an_overwritten_relation():

@@ -74,6 +74,20 @@ def test_double_zero_tables():
     assert list(running_sums(double_zero_sign, 16, alternating=True)) == DZ_ALT_TABLE
 
 
+def double_zero_sign_by_bits(n):
+    """The definition read off the bit string: count the adjacent 0-pairs."""
+    if n == 0:
+        return 1
+    bits = bin(n)[2:]
+    pairs = sum(1 for i in range(len(bits) - 1) if bits[i] == bits[i + 1] == "0")
+    return -1 if pairs & 1 else 1
+
+
+def test_double_zero_sign_matches_its_bit_string_definition():
+    for n in range(2 ** 16):
+        assert double_zero_sign(n) == double_zero_sign_by_bits(n), n
+
+
 def test_double_zero_alternating_sum_stays_at_most_one():
     # the alternating 0-pair sum never exceeds 1, and hits 1 exactly at 0
     # and at the numbers written 1010...10 in binary

@@ -68,7 +68,7 @@ def test_suite_kernel_call_counts(monkeypatch):
     env = standard_environment()
     counts = count_kernel_calls(monkeypatch)
     run_suite(env)
-    assert counts == {"minimize": 652, "project": 198, "determinize": 311, "product": 350}
+    assert counts == {"minimize": 659, "project": 200, "determinize": 313, "product": 355}
 
 
 def test_suite_reports_engine_errors_as_rows():
