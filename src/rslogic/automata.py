@@ -519,10 +519,13 @@ def project(a: MultiTrackAutomaton, names) -> MultiTrackAutomaton:
 
 
 def reverse(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
-    """Deterministic, unminimized automaton of the mirror images of ``a``'s words.
+    """Deterministic automaton of the mirror images of ``a``'s words.
 
     Subsets of ``a``'s states, fed their predecessor rows, start from its
-    accepting states and accept when they hold its initial state.
+    accepting states and accept when they hold its initial state.  When
+    every state of ``a`` is reachable, the result is minimal (Brzozowski,
+    "Canonical regular expressions and minimal state graphs for definite
+    events", 1962) and numbered as ``minimize`` numbers it.
     """
     preds = [[set() for _ in range(a.alphabet_size)] for _ in range(a.n_states)]
     for q, row in enumerate(a.matrix):

@@ -1,10 +1,10 @@
 """Command line front end.
 
 suite / bounds / curve / seq drive the whole-corpus toolkit; run / eval /
-def execute query-language commands against the standard environment, with
-optional persistence of definitions to a directory (one automaton text
-file per name); guess synthesizes a summation machine from an oracle and
-reports the inductive verification verdict.
+def execute query-language commands against the standard environment and
+an optional directory of definitions (one automaton text file per name),
+which run and def write back; guess synthesizes a summation machine from
+an oracle and reports the inductive verification verdict.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ def _load_env(args):
             # exactly when state 0 stays put on symbol 0
             if machine.matrix[0][0] != 0:
                 raise EngineError(f"{path} is not padding-closed: a leading zero changes it")
-            register(path.name[: -len(suffix)], machine, overwrite=True)
+            register(path.name[: -len(suffix)], machine)
     return env
 
 
@@ -183,7 +183,6 @@ def cmd_eval(args):
     env = _load_env(args)
     result = env.run_command(Command("eval", "it", [], args.query))
     print(_describe(result))
-    _save_env(env, args)
     return 0
 
 

@@ -7,14 +7,17 @@ body and projects its variables away; a universal quantifier is the
 complement of that over the conjuncts refuting its body.  Registered
 relations are stored with positional parameter tracks, and an application
 is the existential closure of the renamed relation and one equation per
-compound argument.
+compound argument, or the minimized renamed relation when every argument
+is a variable.
 
 An environment builds each atom (a comparison, an application or an
 output test) once: an atom met again under other variable names, sorted
-alike, is the stored automaton renamed.  Connectives and quantifiers are not
-stored, unlike MONA's shared subformulas (Klarlund, Møller and
-Schwartzbach, "MONA implementation secrets", 2002), since the paper's
-formulas repeat atoms and seldom anything larger.
+alike, is the stored automaton renamed.  Each name is bound once per
+table (relations, automata with output, linear representations), so a
+stored atom never refers to a replaced automaton.  Connectives and
+quantifiers are not stored, unlike MONA's shared subformulas (Klarlund,
+Møller and Schwartzbach, "MONA implementation secrets", 2002), since the
+paper's formulas repeat atoms and seldom anything larger.
 """
 
 from __future__ import annotations
@@ -87,11 +90,16 @@ class Environment:
         self.representations = {}
         self.compiled = {}  # _Compiler._atom's memo
 
-    def register_relation(self, name, automaton, order=None, overwrite=False):
+    def _bind(self, table, kind, name, value):
+        """Bind ``name`` in ``table``, once: no memo key outlives its automaton."""
+        if name in table:
+            raise CompileError(f"{kind} {name!r} is already defined")
+        table[name] = value
+        return value
+
+    def register_relation(self, name, automaton, order=None):
         """Register; ``order`` lists the automaton's tracks in parameter order
         (default: sorted track names, the order compiled formulas use)."""
-        if name in self.relations and not overwrite:
-            raise CompileError(f"relation {name!r} is already defined")
         if not set(automaton.outputs) <= {0, 1}:
             raise CompileError(f"relation {name!r} has outputs other than 0 and 1")
         names = [t.name for t in automaton.tracks]
@@ -100,15 +108,12 @@ class Environment:
         if sorted(order) != sorted(names):
             raise CompileError(f"parameter order {order} does not match tracks of {name}")
         stored = automaton.renamed({v: _param(i) for i, v in enumerate(order)})
-        self.relations[name] = Relation(name, stored)
-        return self.relations[name]
+        return self._bind(self.relations, "relation", name, Relation(name, stored))
 
-    def register_dfao(self, name, dfao, overwrite=False):
-        if name in self.dfaos and not overwrite:
-            raise CompileError(f"automaton with output {name!r} is already defined")
+    def register_dfao(self, name, dfao):
         if len(dfao.tracks) != 1:
             raise CompileError(f"automaton with output {name!r} reads {len(dfao.tracks)} tracks, not 1")
-        self.dfaos[name] = dfao
+        self._bind(self.dfaos, "automaton with output", name, dfao)
 
     def relation(self, name) -> Relation:
         try:
@@ -154,7 +159,7 @@ class Environment:
             if command.params:
                 full = compile_formula(self, node)
                 representation = count_representation(full, command.params)
-                self.representations[command.name] = representation
+                self._bind(self.representations, "linear representation", command.name, representation)
             else:
                 automaton = compile_formula(self, node)
                 if automaton.tracks:
@@ -223,12 +228,12 @@ class _Compiler:
 
     def _atom(self, head, terms, build):
         """``build()``, once per environment.  The key is ``head`` (which
-        holds an applied relation or automaton with output as the object, so
-        that one overwritten never matches), the ``terms`` with each
-        variable numbered by first appearance, and the rank pattern of the
-        names: a hit renamed back has the bytes of a fresh build, and a hit
-        under the stored names is the stored automaton.  A failing build
-        stores nothing."""
+        holds an applied relation or automaton with output as the object; a
+        name is bound once, so no key outlives its automaton), the ``terms``
+        with each variable numbered by first appearance, and the rank
+        pattern of the names: a hit renamed back has the bytes of a fresh
+        build, and a hit under the stored names is the stored automaton.  A
+        failing build stores nothing."""
         names = {}  # variable -> number, in order of first appearance
         shape = tuple(
             (tuple((names.setdefault(v, len(names)), c) for v, c in t.coeffs.items()), t.const, t.system)
@@ -249,7 +254,8 @@ class _Compiler:
 
     def _apply(self, name, automaton, args):
         """``automaton``, whose track ``_param(i)`` reads parameter i, applied
-        to ``args``; errors call it ``name``."""
+        to ``args``; errors call it ``name``.  Renaming can reorder or merge
+        tracks, so a bare application is minimized like every other result."""
         systems = {t.name: t.system for t in automaton.tracks}
         if len(args) != len(systems):
             raise CompileError(f"{name} takes {len(systems)} arguments, got {len(args)}")
@@ -269,6 +275,8 @@ class _Compiler:
             scratch = f"#a{next(self.fresh)}"
             mapping[_param(i)] = scratch
             equations[scratch] = self.compile(Compare(Term({scratch: 1}), "=", term, system))
+        if not equations:
+            return minimize(automaton.renamed(mapping))
         return self._exists(equations, [automaton.renamed(mapping), *equations.values()])
 
     def _exists(self, variables, autos):

@@ -18,7 +18,6 @@ from .automata import (
     Track,
     _explore,
     complement,
-    minimize,
     reverse,
 )
 from .errors import CompileError
@@ -41,7 +40,8 @@ def linear_atom(terms, rel: str, constant: int, system: NumberSystem) -> MultiTr
     read in the same ``system``.  Variables with coefficient 0 are dropped,
     and an atom left with none reads no track and is true or false.
     The result reads tracks in sorted name order, msd first, and is padding
-    closed, complete and minimal.
+    closed, complete and minimal: the residual automaton comes out of
+    ``_explore`` with every state reachable, so its ``reverse`` is minimal.
     """
     if rel not in RELATIONS:
         raise CompileError(f"unknown relation {rel!r}")
@@ -54,7 +54,7 @@ def linear_atom(terms, rel: str, constant: int, system: NumberSystem) -> MultiTr
     tracks = tuple(Track(n, system) for n in names)
     coeffs = [sign * terms[n] for n in names]
     lsd = _lsd_residual(system, tracks, coeffs, mode, sign * constant + offset)
-    return minimize(reverse(lsd))
+    return reverse(lsd)
 
 
 def _lsd_residual(system, tracks, coeffs, mode, start):

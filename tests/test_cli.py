@@ -86,6 +86,16 @@ def test_env_dir_round_trips_unchanged(tmp_path, capsys):
     assert {p.name: p.read_text() for p in env_dir.iterdir()} == saved
 
 
+def test_eval_reads_env_dir_and_writes_nothing(tmp_path, capsys):
+    env_dir = _saved_env_dir(tmp_path, capsys)
+    saved = {p.name: p.read_text() for p in env_dir.iterdir()}
+    for query in ("?msd_2 x=1", "?msd_2 $triple(x,y) & x<y"):
+        assert main(["eval", query, "--env-dir", str(env_dir)]) == 0, query
+    assert capsys.readouterr().out.splitlines() == ["automaton with 3 states", "automaton with 5 states"]
+    assert {p.name: p.read_text() for p in env_dir.iterdir()} == saved
+    assert not (env_dir / "it.rel.txt").exists()
+
+
 def test_env_dir_rejects_edited_verified_machine(tmp_path, capsys):
     env_dir = _saved_env_dir(tmp_path, capsys)
     for name in ("rss.rel.txt", "RS4.dfao.txt"):
@@ -391,7 +401,7 @@ def test_os_errors_exit_2_without_traceback(tmp_path, capsys):
         ["run", str(tmp_path)],
         ["curve", "--points", "8", "--svg", str(blocker / "curve.svg")],
         ["guess", "s", "--sample-bound", "64", "--out", str(blocker / "machine.txt")],
-        ["eval", "An n<=n", "--env-dir", str(blocker / "env")],
+        ["def", "triple", "?msd_2 y=3*x", "--env-dir", str(blocker / "env")],
     ):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err

@@ -7,13 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rslogic import logic
-from rslogic.automata import MultiTrackAutomaton, NumberSystem, Track, from_regex
+from rslogic.automata import MultiTrackAutomaton, NumberSystem, Track, from_regex, minimize
 from rslogic.errors import BaseMismatchError, CompileError, FormulaParseError
+from rslogic.linrep import eval_linrep
 from rslogic.logic import Environment, compile_formula, decide, find_counterexample
 from rslogic.numeration import linear_atom
 from rslogic.parser import (
     Apply,
     BinOp,
+    Command,
     OutputTest,
     Quantified,
     parse_formula,
@@ -489,12 +491,36 @@ def test_memo_warm_compile_equals_a_fresh_compile(formula, names):
         assert got.to_text() == fresh.to_text(), text
 
 
-def test_compile_memo_misses_an_overwritten_relation():
-    env = Environment()
-    env.register_relation("r", from_regex(["msd_2"], "0*1"))
-    assert decide(env, "$r(1)") and not decide(env, "$r(2)")
-    env.register_relation("r", from_regex(["msd_2"], "0*10"), overwrite=True)
-    assert decide(env, "$r(2)") and not decide(env, "$r(1)")
+# atoms over the placeholders {0} {1}, each filled with a variable (the two
+# may coincide or come in either order), a constant {c} and an output {v}
+# that RS2 may never give
+CANONICAL_ATOMS = [
+    "{0}<{1}", "{0}={c}", "{0}+2*{1}<={c}", "{0}!={1}+{c}",
+    "$double({0}, {1})", "$less({0}, {1})", "$less({1}+{c}, {0})",
+    "RS2[{0}]=@{v}", "RS2[{0}+{1}]=@{v}",
+]
+CANONICAL_FORMULAS = st.recursive(
+    st.builds(
+        lambda atom, names, c, v: atom.format(*names, c=c, v=v),
+        st.sampled_from(CANONICAL_ATOMS),
+        st.lists(st.sampled_from(MEMO_VARIABLES), min_size=2, max_size=2),
+        st.integers(0, 10**60 - 1),
+        st.sampled_from([-1, 0, 1, 2, 5]),
+    ),
+    lambda inner: st.one_of(
+        inner.map("~({})".format),
+        st.builds("({}) {} ({})".format, inner, st.sampled_from(["&", "|", "=>"]), inner),
+        st.builds("{}{} ({})".format, st.sampled_from("AE"), st.sampled_from(MEMO_VARIABLES), inner),
+    ),
+    max_leaves=3,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(CANONICAL_FORMULAS)
+def test_every_compiled_formula_is_minimal(formula):
+    automaton = compile_formula(make_env(), formula)
+    assert automaton.to_text() == minimize(automaton).to_text(), formula
 
 
 def test_compile_memo_stores_no_failure():
@@ -508,17 +534,29 @@ def test_compile_memo_stores_no_failure():
 
 
 def test_redefinition_is_an_error():
+    # each of the three tables binds a name once, through the API and scripts
     env = Environment()
-    env.run_script('def twice "Ek n=2*k":')
-    with pytest.raises(CompileError):
-        env.run_script('def twice "Ek n=2*k+1":')
-    env.register_relation(
-        "twice", env.relations["twice"].automaton, overwrite=True
-    )
-    with pytest.raises(CompileError):
-        env.register_dfao("RS", rudin_shapiro_dfao4())
-        env.register_dfao("RS", rudin_shapiro_dfao4())
-    env.register_dfao("RS", rudin_shapiro_dfao4(), overwrite=True)
+    env.run_script('def twice "Ek n=2*k":\ndef c n "?msd_2 i<n":')
+    twice = env.relations["twice"]
+    for script in ('def twice "Ek n=2*k+1":', 'reg twice msd_2 "0*1":', 'eval twice "x<3":'):
+        with pytest.raises(CompileError, match="relation 'twice' is already defined"):
+            env.run_script(script)
+    with pytest.raises(CompileError, match="relation 'twice' is already defined"):
+        env.register_relation("twice", from_regex(["msd_2"], "0*1"))
+    assert env.relations["twice"] is twice
+    env.register_dfao("RS", rudin_shapiro_dfao4())
+    with pytest.raises(CompileError, match="automaton with output 'RS' is already defined"):
+        env.register_dfao("RS", rudin_shapiro_dfao2())
+    assert env.dfaos["RS"].to_text() == rudin_shapiro_dfao4().to_text()
+    for script in ('def c n "?msd_2 i<=n":', 'eval c n "?msd_2 i<n":'):
+        with pytest.raises(CompileError, match="linear representation 'c' is already defined"):
+            env.run_script(script)
+    with pytest.raises(CompileError, match="linear representation 'c' is already defined"):
+        env.run_command(Command("def", "c", ["n"], "?msd_2 i<=n"))
+    assert eval_linrep(env.representations["c"], 5) == 5
+    # the tables are apart: one name may be a relation and a counting definition
+    env.run_script('def c "x=1":')
+    assert decide(env, "$c(1)")
 
 
 def test_run_script_stops_at_first_error():

@@ -68,7 +68,7 @@ def test_suite_kernel_call_counts(monkeypatch):
     env = standard_environment()
     counts = count_kernel_calls(monkeypatch)
     run_suite(env)
-    assert counts == {"minimize": 659, "project": 200, "determinize": 313, "product": 355}
+    assert counts == {"minimize": 591, "project": 200, "determinize": 313, "product": 355}
 
 
 def test_suite_reports_engine_errors_as_rows():
@@ -86,9 +86,13 @@ def test_suite_reports_engine_errors_as_rows():
 
 
 def test_mutated_machine_fails_suite():
-    env = standard_environment()
-    _, mutant = next(iter(accepting_bit_mutations(env.relations["rss"].automaton)))
-    env.register_relation("rss", mutant, overwrite=True)
+    # an environment binds each name once, so the mutant goes into a new one
+    shipped = standard_environment()
+    _, mutant = next(iter(accepting_bit_mutations(shipped.relation("rss").automaton)))
+    env = Environment()
+    env.register_dfao("RS4", shipped.dfao("RS4"))
+    env.register_relation("rss", mutant)
+    env.register_relation("rst", shipped.relation("rst").automaton)
     broken = run_suite(env)
     assert not broken.ok
     names = [row.name for row in broken.failures()]
