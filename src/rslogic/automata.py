@@ -93,10 +93,16 @@ class Track:
         return self.system.base
 
 
-def to_digits(n: int, base: int) -> list[int]:
-    """Canonical msd-first digits of n; 0 is the empty string."""
+def _natural(n) -> int:
+    """n itself when it is a natural number, the only values with digit strings."""
     if not isinstance(n, int) or n < 0:
         raise CompileError(f"only natural numbers have digit strings, got {n!r}")
+    return n
+
+
+def to_digits(n: int, base: int) -> list[int]:
+    """Canonical msd-first digits of n; 0 is the empty string."""
+    _natural(n)
     out = []
     while n:
         n, d = divmod(n, base)

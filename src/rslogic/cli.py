@@ -181,7 +181,9 @@ def cmd_run(args):
 
 def cmd_eval(args):
     env = _load_env(args)
-    result = env.run_command(Command("eval", "it", [], args.query))
+    # an open formula is bound under a name no formula can spell, so it
+    # never meets a relation of --env-dir
+    result = env.run_command(Command("eval", "#eval", [], args.query))
     print(_describe(result))
     return 0
 

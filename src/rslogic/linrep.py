@@ -10,8 +10,11 @@ combination of the inserted basis, and only the coordinates it returns
 are rationals.  Evaluation reads every representation through one
 reduced form, cached by the first eval_linrep: the Schützenberger-minimal
 form with its integral entries as ints, and its start vector behind r+1
-leading zeros.  One exact test decides whether a count settles under
-padding.
+leading zeros.  A k-regular sequence is also k^b-regular, its matrices the
+products over b-digit blocks (Allouche & Shallit, "The ring of k-regular
+sequences", 1992), so values are read a block of digits per step through
+a table of block products, each multiplied out the first time its block
+is read.  One exact test decides whether a count settles under padding.
 """
 
 from __future__ import annotations
@@ -24,9 +27,17 @@ from math import gcd, lcm
 from operator import mul
 
 from .automata import (
-    _alpha_size, _projection_table, coreachable, reachable, to_digits
+    _alpha_size, _natural, _projection_table, coreachable, reachable
 )
 from .errors import CompileError, DivergenceError
+
+# eval_linrep reads b digits per step, b the largest with width**b <=
+# BLOCK_ENTRIES for width digit tuples: a block table then holds at most
+# that many r x r matrices, 8 * r^2 entries, base 2 steps 3 digits at a
+# time, and any other alphabet one digit tuple at a time.  256 entries read
+# base 2 twice as fast again, but then the benchmark's evals_per_s spread
+# wider between runs than its bounds allow (ROADMAP, open item 7).
+BLOCK_ENTRIES = 8
 
 
 @dataclass
@@ -50,6 +61,7 @@ class LinearRepresentation:
         int (rank 0 when the series is identically 0).  With Z the zero
         digit's matrix of form and r its rank, start is v_{r+1} =
         initial * Z^{r+1} and settled says whether start * Z == start.
+        The block table (_blocks) multiplies out form's gammas.
         """
         minimal = minimize_schutzenberger(self)
         form = LinearRepresentation(
@@ -63,6 +75,24 @@ class LinearRepresentation:
         for _ in range(form.rank + 1):
             start = _mat_vec(zero, start)
         return form, start, _mat_vec(zero, start) == start
+
+    @cached_property
+    def _blocks(self):
+        """(radices, table): how eval_linrep reads b digits of every track per step.
+
+        b is the largest block length with width**b <= BLOCK_ENTRIES, and
+        radices[i] = base_i**b.  table[u] is gammas(u_1) * ... * gammas(u_b)
+        over the reduced form, for the b-symbol word whose per-track blocks
+        u packs in mixed radix, the first track most significant.  Entries
+        are filled on demand; with b = 1 the table is form.gammas itself.
+        """
+        gammas = self._reader[0].gammas
+        span = 1  # also when no parameter is listed and width is 1
+        while 1 < len(gammas) ** (span + 1) <= BLOCK_ENTRIES:
+            span += 1
+        bases = [s.base for s in self.systems]
+        table = gammas if span == 1 else _BlockTable(gammas, bases, span)
+        return [base**span for base in bases], table
 
     @property
     def rank(self):
@@ -122,6 +152,32 @@ def _mat_vec(matrix, vec):
     return [sum(map(mul, row, vec)) for row in matrix]
 
 
+class _BlockTable(dict):
+    """Block products by packed block u, each multiplied out when first read."""
+
+    def __init__(self, gammas, bases, span):
+        super().__init__()
+        self.gammas, self.bases, self.span = gammas, bases, span
+
+    def __missing__(self, u):
+        # unpack u into its b symbols, msd first: the last track is the
+        # least significant part of u and of each symbol index
+        symbols = [0] * self.span
+        rest, scale = u, 1
+        for base in reversed(self.bases):
+            rest, block = divmod(rest, base**self.span)
+            for i in reversed(range(self.span)):
+                block, digit = divmod(block, base)
+                symbols[i] += digit * scale
+            scale *= base
+        product = self.gammas[symbols[0]]
+        for g in symbols[1:]:
+            columns = _transpose(self.gammas[g])
+            product = [_mat_vec(columns, row) for row in product]
+        self[u] = product
+        return product
+
+
 def _ints(vec):
     return [int(x) if x.denominator == 1 else x for x in vec]
 
@@ -131,26 +187,34 @@ def eval_linrep(rep, values):
 
     Every value is read through the representation's one cached reduced
     form (LinearRepresentation._reader): t = gammas(word) * w at the reduced
-    rank r, and the count behind r+1 leading zeros is start * t.  A settled
-    form stops there; any other form takes r more zero steps, one exact test
-    of whether the count settles.
+    rank r, one block table entry (LinearRepresentation._blocks) per b
+    digits of every track, and the count behind r+1 leading zeros is
+    start * t.  A settled form stops there; any other form takes r more
+    zero steps, one exact test of whether the count settles.
     """
     if not isinstance(values, (tuple, list)):
         values = (values,)
     if len(values) != len(rep.systems):
         raise CompileError(f"expected {len(rep.systems)} values, got {len(values)}")
-    digit_rows = [to_digits(v, s.base) for v, s in zip(values, rep.systems)]
-    length = max(len(row) for row in digit_rows)
-    # the word's symbol indices, mixed radix with the first track most significant
-    word = [0] * length
-    for row, s in zip(digit_rows, rep.systems):
-        word = [g * s.base + d for g, d in zip(word, [0] * (length - len(row)) + row)]
+    rest = [_natural(v) for v in values]
 
     form, start, settled = rep._reader
-    # suffix product gammas(word) * w once, then prepend zero symbols
+    radices, table = rep._blocks
+    # suffix product gammas(word) * w, least significant block first, then
+    # prepend zero symbols.  The last block pads the word with e <= b-1
+    # leading zero symbols, so start * t is u_{r+1+e} below, not u_{r+1}.
+    # A settled form has start * Z = start, so e changes nothing.  Otherwise
+    # the test below checks u_{r+1+e+j} for j = 1..r, and by the argument
+    # there a count that settles at c is c from u_{r+1} on, and r+1 equal
+    # values from any index on settle it: the padded and unpadded word
+    # both raise, or both return the same c.
     tail = form.final
-    for g in reversed(word):
-        tail = _mat_vec(form.gammas[g], tail)
+    while any(rest):
+        u = 0
+        for i, radix in enumerate(radices):
+            rest[i], block = divmod(rest[i], radix)
+            u = u * radix + block
+        tail = _mat_vec(table[u], tail)
     value = sum(map(mul, start, tail))
     if not settled:
         # The count behind k zeros is u_k = v Z^k t, and Z's characteristic

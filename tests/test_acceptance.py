@@ -5,13 +5,16 @@ cannot hide the others.  The stated upper bound in
 test_criterion_8f_alternating_upper_bound_as_stated is false at n = 2 and
 at every n whose base-4 digits are all 2; the test keeps the claim as
 stated and fails, listing the witnesses in its assertion message.
+test_criterion_8f_upper_bound_restated_is_proved has the engine prove,
+for every n, the bound that does hold.
 """
 
 import time
 
-from rslogic.automata import language_equal
+from rslogic.automata import language_equal, to_digits
 from rslogic.catalog import CHECKS, COUNT_EQUAL, GOLDS, gold_automaton
 from rslogic.linrep import eval_linrep, minimize_schutzenberger, subtract
+from rslogic.logic import Environment, decide, find_counterexample
 from rslogic.sequences import (
     alternating_sums,
     double_zero_alternating_sum_by_recurrence,
@@ -24,6 +27,7 @@ from rslogic.sequences import (
     running_sums,
 )
 from rslogic.synchronized import (
+    GUESSABLE,
     accepting_bit_mutations,
     guess_sync,
     sync_eval,
@@ -177,6 +181,29 @@ def test_criterion_8f_alternating_upper_bound_as_stated():
     tp = list(running_sums(double_zero_sign, 2**16, alternating=True))
     positives = [n for n in range(1, 2**16) if tp[n] > 0]
     assert positives == [], f"positive at n = {positives[:8]} (values {[tp[n] for n in positives[:8]]})"
+
+
+def test_criterion_8f_upper_bound_restated_is_proved():
+    # nt = 1 - tp is proved a natural number for every n, so tp(n) <= 1;
+    # the engine decides that tp(n) = 1, nt(n) = 0, exactly at the n >= 1
+    # whose base-4 digits are all 2, where the bound as stated fails
+    oracle, sign, rule, base = GUESSABLE["nt"]
+    nt = guess_sync(oracle, names=("n", "y"))
+    assert verify_sync(nt, sign(), rule, base)
+    env = Environment()
+    env.register_relation("nt", nt, ["n", "y"])
+    env.run_script('reg all2 msd_4 "0*22*":')
+    premise = "?msd_4 An,y (n>=1 & $nt(n,y)) => "
+    assert decide(env, premise + "(?msd_2 y=0 <=> $all2(n))")
+    stated = premise + "?msd_2 y>=1"
+    assert not decide(env, stated)
+    assert find_counterexample(env, stated)["n"] == 2
+    assert not decide(env, premise + "(?msd_2 y=1 <=> $all2(n))")
+    # the same restatement by integer sweep, independent of the compiler
+    tp = list(running_sums(double_zero_sign, 2**12, alternating=True))
+    all2 = [n for n in range(1, 2**12) if set(to_digits(n, 4)) == {2}]
+    assert [n for n in range(1, 2**12) if tp[n] > 0] == all2 == [2, 10, 42, 170, 682, 2730]
+    assert max(tp[1:]) == 1
 
 
 def test_criterion_9_per_check_speed(corpus):

@@ -96,6 +96,15 @@ def test_eval_reads_env_dir_and_writes_nothing(tmp_path, capsys):
     assert not (env_dir / "it.rel.txt").exists()
 
 
+def test_eval_after_defining_a_relation_named_it(tmp_path, capsys):
+    assert main(["def", "it", "?msd_2 x=2", "--env-dir", str(tmp_path)]) == 0
+    for query in ("?msd_2 x=1", "?msd_2 $it(x) & x<y"):
+        assert main(["eval", query, "--env-dir", str(tmp_path)]) == 0, query
+    assert capsys.readouterr().out.splitlines() == [
+        "it: automaton with 4 states", "automaton with 3 states", "automaton with 6 states"
+    ]
+
+
 def test_env_dir_rejects_edited_verified_machine(tmp_path, capsys):
     env_dir = _saved_env_dir(tmp_path, capsys)
     for name in ("rss.rel.txt", "RS4.dfao.txt"):

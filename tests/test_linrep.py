@@ -12,6 +12,7 @@ from rslogic import linrep
 from rslogic.automata import NumberSystem
 from rslogic.errors import CompileError, DivergenceError, EngineError
 from rslogic.linrep import (
+    BLOCK_ENTRIES,
     LinearRepresentation,
     count_representation,
     eval_linrep,
@@ -216,6 +217,8 @@ def test_count_stabilizes_for_bounded_machine():
     rep = count_representation(aut, ["n"])
     for n in range(0, 4096, 13):
         assert eval_linrep(rep, n) == n + 1 == sum(1 for k in range(2**16) if k <= n)
+    # with no parameter listed, the count runs over every track
+    assert eval_linrep(count_representation(compile_formula(env, "x<3"), []), ()) == 3
 
 
 def _entries(rep):
@@ -326,12 +329,16 @@ def integer_representations(draw):
 @settings(max_examples=200, deadline=None)
 @given(integer_representations(), st.data())
 def test_cached_evaluator_matches_plain_evaluator(rep, data):
-    point = st.tuples(*[st.integers(0, 200)] * len(rep.systems))
+    # values of up to 20 bits span several blocks (base 2 reads 3 digits a
+    # step, other alphabets one digit tuple) and the tracks of a point
+    # differ in length
+    value = st.integers(0, 20).flatmap(lambda bits: st.integers(0, 2**bits))
+    point = st.tuples(*[value] * len(rep.systems))
     for values in data.draw(st.lists(point, min_size=1, max_size=8)):
         assert _outcome(eval_linrep, rep, values) == _outcome(plain_eval_linrep, rep, values)
 
 
-def test_reduction_runs_once_per_representation(monkeypatch):
+def test_reduction_runs_once_per_representation(monkeypatch, env):
     calls = []
 
     def counted(rep):
@@ -342,6 +349,21 @@ def test_reduction_runs_once_per_representation(monkeypatch):
     rep = count_representation(compile_formula(Environment(), "k<=n"), ["n"])
     assert [eval_linrep(rep, n) for n in (5, 9, 0)] == [6, 10, 1]
     assert calls == [rep.rank]
+    # the block table is filled on demand: one entry per block read so far
+    radices, table = rep._blocks
+    assert radices == [2**3] and sorted(table) == [1, 5]
+    # satz22 at every 16-bit n: six 3-bit blocks each, one table entry per block
+    howmany = env.representations["howmany"]
+    satz22 = LinearRepresentation(howmany.initial, howmany.gammas, howmany.final, howmany.systems)
+    assert all(eval_linrep(satz22, n) == n for n in range(2**16))
+    assert calls == [rep.rank, satz22.rank]
+    assert len(satz22._blocks[1]) <= BLOCK_ENTRIES == 8
+    # 17 digit tuples: 17**2 > BLOCK_ENTRIES, so one digit per step through form.gammas
+    wide = LinearRepresentation([1], [[[1 + d % 3]] for d in range(17)], [1], [NumberSystem(17)])
+    for n in (0, 16, 17**3 + 5, 17**5 - 1):
+        assert eval_linrep(wide, n) == plain_eval_linrep(wide, n)
+    radices, table = wide._blocks
+    assert radices == [17] and table is wide._reader[0].gammas
 
 
 def test_evaluation_leaves_text_and_equality_alone(env):
@@ -352,7 +374,7 @@ def test_evaluation_leaves_text_and_equality_alone(env):
     text = twin.to_text()
     assert twin == rep
     eval_linrep(twin, 77)
-    assert "_reader" in vars(twin)
+    assert "_reader" in vars(twin) and "_blocks" in vars(twin)
     assert twin.to_text() == text
     assert twin == rep and repr(twin) == repr(rep)
 
