@@ -339,11 +339,24 @@ def _read_text(text: str, names=None):
     return tracks, list(outputs), list(rows), headers
 
 
+# The most digit tuples an alphabet may have; every alphabet is sized by
+# _alpha_size before its tuples are listed.  A state keeps one 8-byte
+# reference per tuple, 512 KiB at 2**16, so past it a few hundred states
+# take gigabytes.  The corpus peaks at 256 tuples, 256 times below.
+ALPHABET_BUDGET = 2**16
+
+
 def _alpha_size(tracks) -> int:
-    """Number of digit tuples over ``tracks``."""
+    """Number of digit tuples over ``tracks``; CompileError past ALPHABET_BUDGET."""
     size = 1
     for t in tracks:
         size *= t.base
+    if size > ALPHABET_BUDGET:
+        bases = ", ".join(str(t.base) for t in tracks)
+        raise CompileError(
+            f"tracks in bases {bases} have {size} digit tuples, "
+            f"more than the alphabet budget of {ALPHABET_BUDGET}"
+        )
     return size
 
 
@@ -440,6 +453,7 @@ def product(a: MultiTrackAutomaton, b: MultiTrackAutomaton, op) -> MultiTrackAut
     transition back to itself) are one state; every such caller minimizes.
     """
     merged = _merge_tracks(a.tracks + b.tracks)
+    _alpha_size(merged)  # within the budget before its tuples are listed
     pairs = list(zip(_projection_table(merged, a.tracks), _projection_table(merged, b.tracks)))
     # a state pair (qa, qb) is keyed by the integer qa << shift | qb, a's rows
     # shifted once so that a key is one OR; a merged sink is keyed by all ones,

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 from .automata import from_regex
 
+__all__ = ["CHECKS", "COUNT_EQUAL", "Check", "GOLDS", "gold_automaton"]
+
 
 @dataclass(frozen=True)
 class Check:

@@ -200,6 +200,7 @@ def cmd_def(args):
 
 def cmd_guess(args):
     _check_count(args.sample_bound, "--sample-bound", 1)
+    _check_count(args.state_cap, "--state-cap", 1)
     oracle, dfao, rule, base = GUESSABLE[args.sequence]
     candidate = guess_sync(
         oracle, args.sample_bound, args.state_cap, names=("n", "x")

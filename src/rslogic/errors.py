@@ -1,5 +1,17 @@
 """Shared exception types."""
 
+__all__ = [
+    "AutomatonError",
+    "BaseMismatchError",
+    "CompileError",
+    "DivergenceError",
+    "EngineError",
+    "FormulaParseError",
+    "FunctionalityError",
+    "GuessFailedError",
+    "RegexError",
+]
+
 
 class EngineError(Exception):
     """Base class for all errors raised by this package."""

@@ -8,13 +8,12 @@ Raw and subtracted representations hold Python ints.  Minimization
 eliminates in integers: each echelon row of its row space is an integer
 combination of the inserted basis, and only the coordinates it returns
 are rationals.  Evaluation reads every representation through one
-reduced form, cached by the first eval_linrep: the Schützenberger-minimal
-form with its integral entries as ints, and its start vector behind r+1
-leading zeros.  A k-regular sequence is also k^b-regular, its matrices the
-products over b-digit blocks (Allouche & Shallit, "The ring of k-regular
-sequences", 1992), so values are read a block of digits per step through
-a table of block products, each multiplied out the first time its block
-is read.  One exact test decides whether a count settles under padding.
+reader, built in full by the first eval_linrep: the Schützenberger-minimal
+form, its start vector behind r+1 leading zeros, and one table of the
+matrices it steps through.  A k-regular sequence is also k^b-regular, its
+matrices the products over b-digit blocks (Allouche & Shallit, "The ring of
+k-regular sequences", 1992), so a one-track form is read a block of digits
+per step.  One exact test decides whether a count settles under padding.
 """
 
 from __future__ import annotations
@@ -31,12 +30,22 @@ from .automata import (
 )
 from .errors import CompileError, DivergenceError
 
-# eval_linrep reads b digits per step, b the largest with width**b <=
-# BLOCK_ENTRIES for width digit tuples: a block table then holds at most
-# that many r x r matrices, 8 * r^2 entries, base 2 steps 3 digits at a
-# time, and any other alphabet one digit tuple at a time.  256 entries read
-# base 2 twice as fast again, but then the benchmark's evals_per_s spread
-# wider between runs than its bounds allow (ROADMAP, open item 7).
+__all__ = [
+    "LinearRepresentation",
+    "count_representation",
+    "eval_linrep",
+    "is_zero",
+    "minimize_schutzenberger",
+    "subtract",
+]
+
+# A one-track form reads b digits per step, b the largest with base**b <=
+# BLOCK_ENTRIES: its table then holds at most that many r x r products, and
+# base 2 steps 3 digits at a time.  Every other form reads one digit tuple
+# per step through its gammas: two tracks have at least 4 tuples, and 4**2
+# > 8, so a multi-track block would never be read.  256 entries read base 2
+# twice as fast again, but then the benchmark's evals_per_s spread wider
+# between runs than its bounds allow (ROADMAP, open item 7).
 BLOCK_ENTRIES = 8
 
 
@@ -55,44 +64,32 @@ class LinearRepresentation:
 
     @cached_property
     def _reader(self):
-        """(form, start, settled): what eval_linrep reads in place of self.
+        """(form, start, settled, radices, table): what eval_linrep reads.
 
-        form is minimize_schutzenberger(self) with each integral entry as an
-        int (rank 0 when the series is identically 0).  With Z the zero
-        digit's matrix of form and r its rank, start is v_{r+1} =
-        initial * Z^{r+1} and settled says whether start * Z == start.
-        The block table (_blocks) multiplies out form's gammas.
+        form is minimize_schutzenberger(self) (rank 0 when the series is
+        identically 0).  With Z the zero digit's matrix of form and r its
+        rank, start is v_{r+1} = initial * Z^{r+1}, its integral entries as
+        ints, and settled says whether start * Z == start.  A step reads one
+        block of track i below radices[i], packed into u in mixed radix, the
+        first track most significant, and table[u] is the product of form's
+        gammas over that block's digits.  A one-track form reads blocks of
+        the b digits that fit BLOCK_ENTRIES, so its table holds the b-fold
+        products in order, the first digit most significant; any other form
+        reads one digit tuple per step, and its table is form.gammas.
         """
-        minimal = minimize_schutzenberger(self)
-        form = LinearRepresentation(
-            _ints(minimal.initial),
-            [[_ints(row) for row in g] for g in minimal.gammas],
-            _ints(minimal.final),
-            self.systems,
-        )
+        form = minimize_schutzenberger(self)
         zero = _transpose(form.gammas[0])  # start * Z = _mat_vec(zero, start)
         start = form.initial
         for _ in range(form.rank + 1):
             start = _mat_vec(zero, start)
-        return form, start, _mat_vec(zero, start) == start
-
-    @cached_property
-    def _blocks(self):
-        """(radices, table): how eval_linrep reads b digits of every track per step.
-
-        b is the largest block length with width**b <= BLOCK_ENTRIES, and
-        radices[i] = base_i**b.  table[u] is gammas(u_1) * ... * gammas(u_b)
-        over the reduced form, for the b-symbol word whose per-track blocks
-        u packs in mixed radix, the first track most significant.  Entries
-        are filled on demand; with b = 1 the table is form.gammas itself.
-        """
-        gammas = self._reader[0].gammas
-        span = 1  # also when no parameter is listed and width is 1
-        while 1 < len(gammas) ** (span + 1) <= BLOCK_ENTRIES:
-            span += 1
-        bases = [s.base for s in self.systems]
-        table = gammas if span == 1 else _BlockTable(gammas, bases, span)
-        return [base**span for base in bases], table
+        start = [int(x) if x.denominator == 1 else x for x in start]
+        radices, table = [s.base for s in self.systems], form.gammas
+        if len(radices) == 1:
+            columns = [_transpose(g) for g in form.gammas]
+            while len(table) * radices[0] <= BLOCK_ENTRIES:
+                table = [[_mat_vec(c, row) for row in a] for a in table for c in columns]
+            radices = [len(table)]
+        return form, start, _mat_vec(zero, start) == start, radices, table
 
     @property
     def rank(self):
@@ -152,44 +149,13 @@ def _mat_vec(matrix, vec):
     return [sum(map(mul, row, vec)) for row in matrix]
 
 
-class _BlockTable(dict):
-    """Block products by packed block u, each multiplied out when first read."""
-
-    def __init__(self, gammas, bases, span):
-        super().__init__()
-        self.gammas, self.bases, self.span = gammas, bases, span
-
-    def __missing__(self, u):
-        # unpack u into its b symbols, msd first: the last track is the
-        # least significant part of u and of each symbol index
-        symbols = [0] * self.span
-        rest, scale = u, 1
-        for base in reversed(self.bases):
-            rest, block = divmod(rest, base**self.span)
-            for i in reversed(range(self.span)):
-                block, digit = divmod(block, base)
-                symbols[i] += digit * scale
-            scale *= base
-        product = self.gammas[symbols[0]]
-        for g in symbols[1:]:
-            columns = _transpose(self.gammas[g])
-            product = [_mat_vec(columns, row) for row in product]
-        self[u] = product
-        return product
-
-
-def _ints(vec):
-    return [int(x) if x.denominator == 1 else x for x in vec]
-
-
 def eval_linrep(rep, values):
     """Value at the given parameter values, once padding no longer changes it.
 
-    Every value is read through the representation's one cached reduced
-    form (LinearRepresentation._reader): t = gammas(word) * w at the reduced
-    rank r, one block table entry (LinearRepresentation._blocks) per b
-    digits of every track, and the count behind r+1 leading zeros is
-    start * t.  A settled form stops there; any other form takes r more
+    Every value is read through the representation's one cached reader
+    (LinearRepresentation._reader): t = gammas(word) * w at the reduced
+    rank r, one table entry per step, and the count behind r+1 leading
+    zeros is start * t.  A settled form stops there; any other form takes r more
     zero steps, one exact test of whether the count settles.
     """
     if not isinstance(values, (tuple, list)):
@@ -198,8 +164,7 @@ def eval_linrep(rep, values):
         raise CompileError(f"expected {len(rep.systems)} values, got {len(values)}")
     rest = [_natural(v) for v in values]
 
-    form, start, settled = rep._reader
-    radices, table = rep._blocks
+    form, start, settled, radices, table = rep._reader
     # suffix product gammas(word) * w, least significant block first, then
     # prepend zero symbols.  The last block pads the word with e <= b-1
     # leading zero symbols, so start * t is u_{r+1+e} below, not u_{r+1}.

@@ -23,6 +23,7 @@ paper's formulas repeat atoms and seldom anything larger.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 
@@ -33,7 +34,6 @@ from .automata import (
     OP_IFF,
     OP_IMPLIES,
     OP_OR,
-    _alpha_size,
     _merge_tracks,
     complement,
     decode_word,
@@ -301,8 +301,9 @@ class _Compiler:
                 autos[k] = minimize(project(autos[k], names))
 
         def cost(pair):
+            # unlike _alpha_size, no budget: a pair over it raises only if picked
             a, b = (autos[k] for k in pair)
-            return a.n_states * b.n_states * _alpha_size(_merge_tracks(a.tracks + b.tracks))
+            return a.n_states * b.n_states * math.prod(t.base for t in _merge_tracks(a.tracks + b.tracks))
 
         project_single_holders()
         while len(autos) > 1:

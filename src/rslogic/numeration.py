@@ -16,6 +16,7 @@ from .automata import (
     MultiTrackAutomaton,
     NumberSystem,
     Track,
+    _alpha_size,
     _explore,
     complement,
     reverse,
@@ -66,6 +67,7 @@ def _lsd_residual(system, tracks, coeffs, mode, start):
     constraint for the quotient by the base.
     """
     base = system.base
+    _alpha_size(tracks)  # within the budget before its tuples are listed
     digit_sums = [
         sum(c * d for c, d in zip(coeffs, sym))
         for sym in itertools.product(range(base), repeat=len(coeffs))

@@ -45,6 +45,13 @@ def test_eval_base_mismatch_names_what_is_applied(capsys):
         assert "msd_2" in err and "annotated" not in err
 
 
+def test_eval_over_the_alphabet_budget_exits_2(capsys):
+    assert main(["eval", "?msd_257 x=y"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: tracks in bases 257, 257 have 66049 digit tuples")
+    assert "Traceback" not in captured.err
+
+
 def test_eval_reads_the_query_as_one_formula(capsys):
     # a quote in the query is formula text, not the end of a script command
     assert main(["eval", 'An n=n": eval other "An n=n']) == 2
@@ -418,8 +425,9 @@ def test_os_errors_exit_2_without_traceback(tmp_path, capsys):
 
 
 def test_guess_rejects_sample_bound_below_one(capsys):
-    for bound in ("0", "-5"):
-        assert main(["guess", "s", "--sample-bound", bound]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "--sample-bound must be at least 1" in captured.err
+    for flag in ("--sample-bound", "--state-cap"):
+        for bound in ("0", "-5"):
+            assert main(["guess", "s", flag, bound]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"{flag} must be at least 1, got {bound}" in captured.err

@@ -26,8 +26,9 @@ def test_public_names_imported_across_the_package_are_exported():
             if not (isinstance(node, ast.ImportFrom) and node.level == 1 and node.module):
                 continue
             exported = getattr(MODULES[node.module], "__all__", None)
-            if exported is None:
-                continue
+            assert exported is not None, (
+                f"rslogic.{name} imports from rslogic.{node.module}, which has no __all__"
+            )
             for alias in node.names:
                 if not alias.name.startswith("_"):
                     assert alias.name in exported, (

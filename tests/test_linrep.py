@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from rslogic import linrep
 from rslogic.automata import NumberSystem
+from rslogic.catalog import COUNT_EQUAL
 from rslogic.errors import CompileError, DivergenceError, EngineError
 from rslogic.linrep import (
     BLOCK_ENTRIES,
@@ -139,7 +140,7 @@ def test_non_integral_minimal_form_that_settles():
     assert [eval_linrep(rep, n) for n in range(6)] == [-1, 4, -2, -2, -2, 8]
     for n in range(64):
         assert eval_linrep(rep, n) == plain_eval_linrep(rep, n)
-    form, _, _ = rep._reader
+    form = rep._reader[0]
     assert form.rank == minimize_schutzenberger(rep).rank == 2
     assert any(type(x) is Fraction for x in _entries(form))
 
@@ -349,21 +350,54 @@ def test_reduction_runs_once_per_representation(monkeypatch, env):
     rep = count_representation(compile_formula(Environment(), "k<=n"), ["n"])
     assert [eval_linrep(rep, n) for n in (5, 9, 0)] == [6, 10, 1]
     assert calls == [rep.rank]
-    # the block table is filled on demand: one entry per block read so far
-    radices, table = rep._blocks
-    assert radices == [2**3] and sorted(table) == [1, 5]
-    # satz22 at every 16-bit n: six 3-bit blocks each, one table entry per block
+    # satz22 at every 16-bit n: six 3-bit blocks each, through one reader
     howmany = env.representations["howmany"]
     satz22 = LinearRepresentation(howmany.initial, howmany.gammas, howmany.final, howmany.systems)
     assert all(eval_linrep(satz22, n) == n for n in range(2**16))
     assert calls == [rep.rank, satz22.rank]
-    assert len(satz22._blocks[1]) <= BLOCK_ENTRIES == 8
-    # 17 digit tuples: 17**2 > BLOCK_ENTRIES, so one digit per step through form.gammas
+
+
+def _mat_mul(a, b):
+    return [[sum(x * b[k][j] for k, x in enumerate(row)) for j in range(len(b[0]))] for row in a]
+
+
+def test_one_track_base_2_reads_three_digit_blocks(env):
+    form, _, _, radices, table = env.representations["howmany"]._reader
+    assert radices == [8] and len(table) == BLOCK_ENTRIES == 8
+    # block u = d1 d2 d3 in binary, d1 read first
+    g = form.gammas
+    for u, block in enumerate(table):
+        assert block == _mat_mul(_mat_mul(g[u >> 2], g[u >> 1 & 1]), g[u & 1])
+
+
+def test_other_forms_read_one_digit_tuple_a_step():
+    # 17 digit tuples: 17 * 17 > BLOCK_ENTRIES
     wide = LinearRepresentation([1], [[[1 + d % 3]] for d in range(17)], [1], [NumberSystem(17)])
     for n in (0, 16, 17**3 + 5, 17**5 - 1):
         assert eval_linrep(wide, n) == plain_eval_linrep(wide, n)
-    radices, table = wide._blocks
-    assert radices == [17] and table is wide._reader[0].gammas
+    form, _, _, radices, table = wide._reader
+    assert radices == [17] and table is form.gammas
+    # two base-2 tracks: 4 digit tuples, and 4 * 4 > BLOCK_ENTRIES
+    pair = count_representation(compile_formula(Environment(), "m+a<z"), ["z", "a"])
+    for z, a in ((0, 0), (5, 2), (9, 30), (77, 13)):
+        assert eval_linrep(pair, (z, a)) == max(z - a, 0)
+    form, _, _, radices, table = pair._reader
+    assert radices == [2, 2] and table is form.gammas
+
+
+def test_minimal_forms_hold_integral_entries_as_ints(corpus):
+    # eval_linrep reads gammas and final as minimize_schutzenberger gives them
+    def check(rep):
+        form = minimize_schutzenberger(rep)
+        entries = [*form.final, *(x for g in form.gammas for row in g for x in row)]
+        assert all(type(x) is int for x in entries if x == int(x))
+
+    env, _ = corpus
+    for rep in env.representations.values():
+        check(rep)
+    for left, right in COUNT_EQUAL:
+        check(subtract(env.representations[left], env.representations[right]))
+    settings(max_examples=100, deadline=None)(given(integer_representations())(check))()
 
 
 def test_evaluation_leaves_text_and_equality_alone(env):
@@ -374,7 +408,7 @@ def test_evaluation_leaves_text_and_equality_alone(env):
     text = twin.to_text()
     assert twin == rep
     eval_linrep(twin, 77)
-    assert "_reader" in vars(twin) and "_blocks" in vars(twin)
+    assert "_reader" in vars(twin)
     assert twin.to_text() == text
     assert twin == rep and repr(twin) == repr(rep)
 

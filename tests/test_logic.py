@@ -214,6 +214,20 @@ def test_base_mismatch_between_conjuncts():
         compile_formula(env, "?msd_4 x=3 & (?msd_2 x=3)")
 
 
+def test_alphabet_budget_names_the_bases():
+    # 257**2 = 66049 digit tuples, over the budget of 2**16: linear_atom
+    # refuses before listing them, product before listing the merged ones
+    env = Environment()
+    for formula in ("?msd_257 x=y", "?msd_257 x=1 & y=2"):
+        with pytest.raises(CompileError, match="tracks in bases 257, 257 have 66049 digit tuples"):
+            compile_formula(env, formula)
+    # the cheapest pair is conjoined first, so a pair over the budget that is
+    # never picked does not raise: u and v are gone before x meets y
+    aut = compile_formula(env, "?msd_100 Eu,v u<x & x<u+3 & v<y & y<v+3")
+    assert aut.alphabet_size == 100**2
+    assert aut.accepts([(1, 1)]) and not aut.accepts([(0, 1)])
+
+
 # -- quantifiers -------------------------------------------------------------
 
 def test_exists_even_numbers():
