@@ -9,11 +9,15 @@ eliminates in integers: each echelon row of its row space is an integer
 combination of the inserted basis, and only the coordinates it returns
 are rationals.  Evaluation reads every representation through one
 reader, built in full by the first eval_linrep: the Schützenberger-minimal
-form, its start vector behind r+1 leading zeros, and one table of the
-matrices it steps through.  A k-regular sequence is also k^b-regular, its
-matrices the products over b-digit blocks (Allouche & Shallit, "The ring of
-k-regular sequences", 1992), so a one-track form is read a block of digits
-per step.  One exact test decides whether a count settles under padding.
+form, its start vector behind r+1 leading zeros, one table of the
+matrices it steps through, and each entry times the final vector.  A
+k-regular sequence is also k^b-regular, its matrices the products over
+b-digit blocks (Allouche & Shallit, "The ring of k-regular sequences",
+1992), so a one-track form is read a block of digits per step, b as large
+as a table of BLOCK_CELLS ints allows.  The least significant block is one
+lookup of the entry times the final vector, every further block one
+matrix-vector step.  One exact test decides whether a count settles under
+padding.
 """
 
 from __future__ import annotations
@@ -39,14 +43,18 @@ __all__ = [
     "subtract",
 ]
 
-# A one-track form reads b digits per step, b the largest with base**b <=
-# BLOCK_ENTRIES: its table then holds at most that many r x r products, and
-# base 2 steps 3 digits at a time.  Every other form reads one digit tuple
-# per step through its gammas: two tracks have at least 4 tuples, and 4**2
-# > 8, so a multi-track block would never be read.  256 entries read base 2
-# twice as fast again, but then the benchmark's evals_per_s spread wider
-# between runs than its bounds allow (ROADMAP, open item 7).
-BLOCK_ENTRIES = 8
+# A one-track table holds at most BLOCK_CELLS ints: a form of reduced rank r
+# reads b digits per step, b the largest with base**b * max(r, 1)**2 <=
+# BLOCK_CELLS and at least 1, so the table costs about base**b * r**3 to
+# build.  Rank 2 in base 2 (satz22) reads 8 digits a step; from rank 17 in
+# base 2 a form reads one digit a step and multiplies nothing.  Every other
+# form reads one digit tuple per step through its gammas.  A flat 256-entry
+# table also read base 2 in 8-digit steps, but the benchmark's counting
+# evals_per_s then spread by an IQR of 4.8k/s over ten runs, above the
+# 3.7k/s that 15 % of the digit-at-a-time reader's median allowed.  With
+# this rule and tails, ten 30 s runs on a 2-vCPU VM (Python 3.11.7) gave a
+# median of 128k/s and an IQR of 1.6k/s (ROADMAP, open item 7).
+BLOCK_CELLS = 2**10
 
 
 @dataclass
@@ -64,7 +72,7 @@ class LinearRepresentation:
 
     @cached_property
     def _reader(self):
-        """(form, start, settled, radices, table): what eval_linrep reads.
+        """(form, start, settled, radices, table, tails): what eval_linrep reads.
 
         form is minimize_schutzenberger(self) (rank 0 when the series is
         identically 0).  With Z the zero digit's matrix of form and r its
@@ -73,9 +81,10 @@ class LinearRepresentation:
         block of track i below radices[i], packed into u in mixed radix, the
         first track most significant, and table[u] is the product of form's
         gammas over that block's digits.  A one-track form reads blocks of
-        the b digits that fit BLOCK_ENTRIES, so its table holds the b-fold
+        the b digits that fit BLOCK_CELLS, so its table holds the b-fold
         products in order, the first digit most significant; any other form
         reads one digit tuple per step, and its table is form.gammas.
+        tails[u] = table[u] * form.final reads the least significant block.
         """
         form = minimize_schutzenberger(self)
         zero = _transpose(form.gammas[0])  # start * Z = _mat_vec(zero, start)
@@ -86,10 +95,11 @@ class LinearRepresentation:
         radices, table = [s.base for s in self.systems], form.gammas
         if len(radices) == 1:
             columns = [_transpose(g) for g in form.gammas]
-            while len(table) * radices[0] <= BLOCK_ENTRIES:
+            while len(table) * radices[0] * max(form.rank, 1) ** 2 <= BLOCK_CELLS:
                 table = [[_mat_vec(c, row) for row in a] for a in table for c in columns]
             radices = [len(table)]
-        return form, start, _mat_vec(zero, start) == start, radices, table
+        tails = [_mat_vec(a, form.final) for a in table]
+        return form, start, _mat_vec(zero, start) == start, radices, table, tails
 
     @property
     def rank(self):
@@ -164,22 +174,23 @@ def eval_linrep(rep, values):
         raise CompileError(f"expected {len(rep.systems)} values, got {len(values)}")
     rest = [_natural(v) for v in values]
 
-    form, start, settled, radices, table = rep._reader
-    # suffix product gammas(word) * w, least significant block first, then
-    # prepend zero symbols.  The last block pads the word with e <= b-1
-    # leading zero symbols, so start * t is u_{r+1+e} below, not u_{r+1}.
+    form, start, settled, radices, table, tails = rep._reader
+    # suffix product gammas(word) * w, least significant block first through
+    # tails, then prepend zero symbols.  The first block is always read, so
+    # the word is padded with e <= b leading zero symbols (n = 0 reads one
+    # whole zero block) and start * t is u_{r+1+e} below, not u_{r+1}.
     # A settled form has start * Z = start, so e changes nothing.  Otherwise
     # the test below checks u_{r+1+e+j} for j = 1..r, and by the argument
     # there a count that settles at c is c from u_{r+1} on, and r+1 equal
-    # values from any index on settle it: the padded and unpadded word
-    # both raise, or both return the same c.
-    tail = form.final
-    while any(rest):
+    # values from any index on settle it: for any padding e, the padded and
+    # unpadded word both raise, or both return the same c.
+    tail = None
+    while tail is None or any(rest):
         u = 0
         for i, radix in enumerate(radices):
             rest[i], block = divmod(rest[i], radix)
             u = u * radix + block
-        tail = _mat_vec(table[u], tail)
+        tail = tails[u] if tail is None else _mat_vec(table[u], tail)
     value = sum(map(mul, start, tail))
     if not settled:
         # The count behind k zeros is u_k = v Z^k t, and Z's characteristic

@@ -282,7 +282,7 @@ def plain_eval_linrep(rep, values):
         raise CompileError(f"expected {len(rep.systems)} values, got {len(values)}")
     bases = [s.base for s in rep.systems]
     digit_rows = [to_digits(v, b) for v, b in zip(values, bases)]
-    length = max(len(row) for row in digit_rows)
+    length = max((len(row) for row in digit_rows), default=0)
     digit_rows = [[0] * (length - len(row)) + row for row in digit_rows]
 
     # suffix product gammas(word) * w once, then prepend zero symbols

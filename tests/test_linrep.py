@@ -3,9 +3,10 @@
 import copy
 import math
 from fractions import Fraction
+from functools import reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rslogic import linrep
@@ -13,7 +14,7 @@ from rslogic.automata import NumberSystem
 from rslogic.catalog import COUNT_EQUAL
 from rslogic.errors import CompileError, DivergenceError, EngineError
 from rslogic.linrep import (
-    BLOCK_ENTRIES,
+    BLOCK_CELLS,
     LinearRepresentation,
     count_representation,
     eval_linrep,
@@ -300,7 +301,7 @@ def _outcome(evaluate, rep, values):
 
 
 @st.composite
-def integer_representations(draw):
+def integer_representations(draw, kind=None):
     """Integer representations of rank <= 5 over one or two tracks in bases 2, 3.
 
     Fully random ones mostly never settle and about half of them reduce to a
@@ -308,6 +309,7 @@ def integer_representations(draw):
     to one at or below it, as leading zeros do on an automaton, so the start
     vector stops moving; "doubling" ones give the start vector eigenvalue 2,
     so a count settles only where the word's tail clears that coordinate.
+    kind is drawn unless given.
     """
     rank = draw(st.integers(1, 5))
     bases = draw(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=2))
@@ -316,7 +318,7 @@ def integer_representations(draw):
     matrix = st.lists(vector, min_size=rank, max_size=rank)
     gammas = [draw(matrix) for _ in range(math.prod(bases))]
     initial = draw(vector)
-    kind = draw(st.sampled_from(["random", "settling", "doubling"]))
+    kind = kind or draw(st.sampled_from(["random", "settling", "doubling"]))
     if kind == "settling":
         targets = [draw(st.integers(0, i)) for i in range(rank)]
         gammas[0] = [[int(j == t) for j in range(rank)] for t in targets]
@@ -330,10 +332,10 @@ def integer_representations(draw):
 @settings(max_examples=200, deadline=None)
 @given(integer_representations(), st.data())
 def test_cached_evaluator_matches_plain_evaluator(rep, data):
-    # values of up to 20 bits span several blocks (base 2 reads 3 digits a
-    # step, other alphabets one digit tuple) and the tracks of a point
-    # differ in length
-    value = st.integers(0, 20).flatmap(lambda bits: st.integers(0, 2**bits))
+    # values of up to 40 bits span up to five blocks (base 2 reads up to 8
+    # digits a step, other alphabets one digit tuple) and the tracks of a
+    # point differ in length
+    value = st.integers(0, 40).flatmap(lambda bits: st.integers(0, 2**bits))
     point = st.tuples(*[value] * len(rep.systems))
     for values in data.draw(st.lists(point, min_size=1, max_size=8)):
         assert _outcome(eval_linrep, rep, values) == _outcome(plain_eval_linrep, rep, values)
@@ -350,7 +352,7 @@ def test_reduction_runs_once_per_representation(monkeypatch, env):
     rep = count_representation(compile_formula(Environment(), "k<=n"), ["n"])
     assert [eval_linrep(rep, n) for n in (5, 9, 0)] == [6, 10, 1]
     assert calls == [rep.rank]
-    # satz22 at every 16-bit n: six 3-bit blocks each, through one reader
+    # satz22 at every 16-bit n: at most two 8-bit blocks each, through one reader
     howmany = env.representations["howmany"]
     satz22 = LinearRepresentation(howmany.initial, howmany.gammas, howmany.final, howmany.systems)
     assert all(eval_linrep(satz22, n) == n for n in range(2**16))
@@ -361,28 +363,87 @@ def _mat_mul(a, b):
     return [[sum(x * b[k][j] for k, x in enumerate(row)) for j in range(len(b[0]))] for row in a]
 
 
-def test_one_track_base_2_reads_three_digit_blocks(env):
-    form, _, _, radices, table = env.representations["howmany"]._reader
-    assert radices == [8] and len(table) == BLOCK_ENTRIES == 8
-    # block u = d1 d2 d3 in binary, d1 read first
+def _ints(matrices):
+    return sum(len(row) for matrix in matrices for row in matrix)
+
+
+def _cycle(rank):
+    """A base-2 form of the given rank: 1 where n has a multiple of rank ones, else 0."""
+    identity = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    cycle = [identity[(i + 1) % rank] for i in range(rank)]
+    return LinearRepresentation(identity[0], [identity, cycle], identity[0], [M2])
+
+
+def test_one_track_base_2_reads_eight_digit_blocks(env):
+    form, _, _, radices, table, tails = env.representations["howmany"]._reader
+    # rank 2: 2^8 * 2^2 <= BLOCK_CELLS < 2^9 * 2^2
+    assert form.rank == 2 and radices == [256] and len(table) == 256
+    assert _ints(table) <= BLOCK_CELLS
+    # block u = d1 ... d8 in binary, d1 read first
     g = form.gammas
     for u, block in enumerate(table):
-        assert block == _mat_mul(_mat_mul(g[u >> 2], g[u >> 1 & 1]), g[u & 1])
+        assert block == reduce(_mat_mul, [g[u >> k & 1] for k in range(7, -1, -1)])
+    assert tails == [linrep._mat_vec(block, form.final) for block in table]
 
 
 def test_other_forms_read_one_digit_tuple_a_step():
-    # 17 digit tuples: 17 * 17 > BLOCK_ENTRIES
-    wide = LinearRepresentation([1], [[[1 + d % 3]] for d in range(17)], [1], [NumberSystem(17)])
+    # 17 digit tuples at rank 2: 17^2 * 2^2 > BLOCK_CELLS
+    wide = LinearRepresentation(
+        [1, 0], [[[1 + d % 3, d % 2], [0, 1]] for d in range(17)], [0, 1], [NumberSystem(17)]
+    )
     for n in (0, 16, 17**3 + 5, 17**5 - 1):
         assert eval_linrep(wide, n) == plain_eval_linrep(wide, n)
-    form, _, _, radices, table = wide._reader
-    assert radices == [17] and table is form.gammas
-    # two base-2 tracks: 4 digit tuples, and 4 * 4 > BLOCK_ENTRIES
+    form, _, _, radices, table, _ = wide._reader
+    assert form.rank == 2 and radices == [17] and table is form.gammas
+    # two base-2 tracks: no multi-track blocks
     pair = count_representation(compile_formula(Environment(), "m+a<z"), ["z", "a"])
     for z, a in ((0, 0), (5, 2), (9, 30), (77, 13)):
         assert eval_linrep(pair, (z, a)) == max(z - a, 0)
-    form, _, _, radices, table = pair._reader
+    form, _, _, radices, table, _ = pair._reader
     assert radices == [2, 2] and table is form.gammas
+    # rank 20 in base 2: 2 * 20^2 <= BLOCK_CELLS < 2^2 * 20^2
+    cycle = _cycle(20)
+    for n in (0, 1, 2**20 - 1, 2**40 - 1, 2**45 + 7):
+        assert eval_linrep(cycle, n) == plain_eval_linrep(cycle, n)
+    form, _, _, radices, table, _ = cycle._reader
+    assert form.rank == 20 and radices == [2] and table is form.gammas
+    assert _ints(table) <= BLOCK_CELLS
+
+
+BLOCK_EDGES = (0, 2**8 - 1, 2**8, 2**16 - 1, 2**16, 2**24 + 1)
+
+
+def test_padding_at_block_edges_matches_plain_evaluator(env):
+    # n = 0 reads one whole zero block; the others end a block or start one
+    satz22 = env.representations["howmany"]
+    assert satz22._reader[2]
+    for n in BLOCK_EDGES:
+        assert eval_linrep(satz22, n) == plain_eval_linrep(satz22, n) == n
+    # no parameters: the only word is empty, read as one zero tuple
+    below = count_representation(compile_formula(Environment(), "x<3"), [])
+    assert eval_linrep(below, ()) == plain_eval_linrep(below, ()) == 3
+
+
+@settings(max_examples=100, deadline=None)
+@given(integer_representations(kind="doubling"))
+def test_padding_at_block_edges_on_forms_that_do_not_settle(rep):
+    # the start vector moves under padding, so the exact settle test decides
+    assume(not rep._reader[2])
+    for n in BLOCK_EDGES:
+        values = (n,) * len(rep.systems)
+        assert _outcome(eval_linrep, rep, values) == _outcome(plain_eval_linrep, rep, values)
+
+
+def test_readers_hold_at_most_block_cells_ints(corpus):
+    # a table of products holds at most BLOCK_CELLS ints; a table that is
+    # form.gammas holds what the reduction gives
+    env, _ = corpus
+    reps = list(env.representations.values())
+    reps += [subtract(env.representations[l], env.representations[r]) for l, r in COUNT_EQUAL]
+    for rep in reps:
+        form, _, _, _, table, tails = rep._reader
+        assert _ints(table) <= max(BLOCK_CELLS, _ints(form.gammas))
+        assert tails == [linrep._mat_vec(block, form.final) for block in table]
 
 
 def test_minimal_forms_hold_integral_entries_as_ints(corpus):
