@@ -65,25 +65,27 @@ def guess_sync(oracle, sample_bound=2**14, state_cap=64, *, names=("n", "y")):
     their probe signature: for every suffix length r <= PROBE_DEPTH and
     every input suffix M below sample_bound, the output suffix that would
     complete an accepted word, if any.  Equal signatures are merged, so the
-    result is only a candidate until verify_sync accepts it.  A candidate
-    that cannot even reproduce the sample raises GuessFailedError; growing
-    past state_cap does too.
+    result is only a candidate until verify_sync accepts it.  The oracle is
+    called once for each n below sample_bound, in increasing order, and the
+    probes read that table.  A candidate that cannot even reproduce the
+    sample raises GuessFailedError; growing past state_cap does too.
     """
+    for name, value in (("sample_bound", sample_bound), ("state_cap", state_cap)):
+        if type(value) is not int or value < 1:
+            raise CompileError(f"{name} must be an int of at least 1, got {value!r}")
     b_in, b_out = GUESS_INPUT.base, GUESS_OUTPUT.base
+    sample = list(map(oracle, range(sample_bound)))
 
     def signature(N, X):
         rows = []
         for r in range(PROBE_DEPTH + 1):
-            scale_out = b_out**r
-            base_in = N * b_in**r
-            row = []
-            for M in range(b_in**r):
-                arg = base_in + M
-                if arg >= sample_bound:
-                    row.append(None)
-                    continue
-                owed = oracle(arg) - X * scale_out
-                row.append(owed if 0 <= owed < scale_out else None)
+            span = b_in**r
+            first = N * span
+            # the completions of X by r output digits
+            low = X * b_out**r
+            high = low + b_out**r
+            row = [v - low if low <= v < high else None for v in sample[first : first + span]]
+            row += [None] * (span - len(row))  # inputs past the sample
             rows.append(tuple(row))
         return tuple(rows)
 
@@ -107,7 +109,7 @@ def guess_sync(oracle, sample_bound=2**14, state_cap=64, *, names=("n", "y")):
         return row
 
     order, matrix = _explore(start, successors)
-    outputs = [int(N < sample_bound and oracle(N) == X) for N, X in map(reps.get, order)]
+    outputs = [int(N < sample_bound and sample[N] == X) for N, X in map(reps.get, order)]
     in_name, out_name = names
     # the table is built with the input track first; renamed sorts the tracks
     tracks = (Track(in_name, GUESS_INPUT), Track(out_name, GUESS_OUTPUT))
@@ -117,10 +119,10 @@ def guess_sync(oracle, sample_bound=2**14, state_cap=64, *, names=("n", "y")):
         found = sync_table(candidate, sample_bound, input_track=in_name)
     except FunctionalityError as exc:
         raise GuessFailedError(f"candidate disagrees with the sample: {exc}") from exc
-    bad = next((n for n in range(sample_bound) if found[n] != oracle(n)), None)
-    if bad is not None:
+    if found != sample:
+        bad = next(n for n in range(sample_bound) if found[n] != sample[n])
         raise GuessFailedError(
-            f"candidate computes {found[bad]} at {bad} but the sample says {oracle(bad)}"
+            f"candidate computes {found[bad]} at {bad} but the sample says {sample[bad]}"
         )
     return candidate
 
@@ -231,9 +233,12 @@ def sync_table(automaton, count, input_track=None):
     of the table (Allouche & Shallit, *Automatic Sequences*, ch. 6).  So a
     full block, one that ends at or below count, is walked once per key
     (left, {(q, y - m)}); a later block with the same key is the first
-    block's slice shifted by the difference of the two shifts, with None
-    kept as None.  A reused block was walked once without raising, so
-    errors come at the same input with the same message.
+    block's slice shifted by the difference of the two shifts.  A reused
+    block was walked once without raising, so errors come at the same
+    input with the same message.  An input with no output is one whose
+    walk empties the frontier; the walk notes when that first happens, and
+    only then do copies step over None and the table get searched for the
+    inputs it lacks.
     """
     pos_in, _ = _track_positions(automaton, input_track)
     if not isinstance(count, int):
@@ -250,9 +255,13 @@ def sync_table(automaton, count, input_track=None):
     # is two ints plus its key and never a copy of the block, which stays
     # in values; a key is stored once per fully walked internal node, so
     # there are at most as many keys as internal nodes of the plain walk.
+    # A block is stored only after its walk, so a source block holds None
+    # only if holed was set by then, which a copy checks when it runs.
     memo = {}
+    holed = not start  # some input below count has no output
 
     def descend(pos, prefix, frontier):
+        nonlocal holed
         if pos == width:
             found = {y for q, y in frontier if q in accepting}
             if len(found) != 1:
@@ -273,9 +282,12 @@ def sync_table(automaton, count, input_track=None):
             if seen is not None:
                 src, src_shift = seen
                 delta = shift - src_shift
-                values[base : base + block] = [
-                    None if v is None else v + delta for v in values[src : src + block]
-                ]
+                source = values[src : src + block]
+                if delta and holed:
+                    source = [None if v is None else v + delta for v in source]
+                elif delta:
+                    source = [v + delta for v in source]
+                values[base : base + block] = source
                 return
         span = block // b_in
         for d_in in range(b_in):
@@ -285,13 +297,15 @@ def sync_table(automaton, count, input_track=None):
             new = _step(move, frontier, d_in, b_out)
             if new:
                 descend(pos + 1, prefix * b_in + d_in, new)
+            else:
+                holed = True
         if key is not None:
             memo[key] = (base, shift)
 
     if start:
         descend(0, 0, start)
-    missing = [i for i, v in enumerate(values) if v is None]
-    if missing:
+    if holed:
+        missing = [i for i, v in enumerate(values) if v is None]
         raise FunctionalityError(f"no accepted output for inputs {missing[:5]}")
     return values
 

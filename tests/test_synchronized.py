@@ -3,7 +3,7 @@
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rslogic.automata import MultiTrackAutomaton, NumberSystem, Track, to_digits
@@ -72,6 +72,31 @@ def test_guess_state_cap():
     message = r"^more than 3 candidate states; raise sample_bound or state_cap$"
     with pytest.raises(GuessFailedError, match=message):
         guess_sync(partial_sum_by_recurrence, state_cap=3)
+
+
+@pytest.mark.parametrize(
+    "sample_bound, state_cap, message",
+    [
+        (2**14, "x", "state_cap must be an int of at least 1, got 'x'"),
+        (2.5, 64, "sample_bound must be an int of at least 1, got 2.5"),
+        (0, 64, "sample_bound must be an int of at least 1, got 0"),
+        (16, 0, "state_cap must be an int of at least 1, got 0"),
+    ],
+)
+def test_guess_rejects_bad_arguments(sample_bound, state_cap, message):
+    with pytest.raises(CompileError, match=f"^{re.escape(message)}$"):
+        guess_sync(partial_sum_by_recurrence, sample_bound, state_cap)
+
+
+def test_guess_asks_the_oracle_once_per_input():
+    asked = []
+
+    def oracle(n):
+        asked.append(n)
+        return partial_sum_by_recurrence(n)
+
+    guess_sync(oracle, 2**12)
+    assert asked == list(range(2**12))
 
 
 def test_sync_eval_matches_oracle(rss, rst):
@@ -217,6 +242,32 @@ def _table_or_error(table, automaton, count):
 @settings(max_examples=300, deadline=None)
 @given(two_track_dfas(), st.integers(0, 300))
 def test_sync_table_equals_plain_walk(automaton, count):
+    assert _table_or_error(sync_table, automaton, count) == _table_or_error(
+        plain_sync_table, automaton, count
+    )
+
+
+def _no_three_ones():
+    """y = n in base 2 for inputs without three 1s in a row; others die.
+
+    Input 7 is the first hole, and blocks are reused both before it, at
+    inputs 4 and 5, and after it, from sources that hold holes.
+    """
+
+    def move(q, d_in, d_out):
+        # q < 3 counts the trailing 1s read, 3 is dead
+        if q == 3 or d_in != d_out or (d_in and q == 2):
+            return 3
+        return q + 1 if d_in else 0
+
+    return _two_track(2, 2, True, 4, 0, {0, 1, 2}, move)
+
+
+@settings(max_examples=60, deadline=None)
+@given(two_track_dfas(), st.integers(301, 4096))
+@example(_no_three_ones(), 4096)
+def test_sync_table_equals_plain_walk_on_deep_blocks(automaton, count):
+    # blocks of up to 12 digits below the root, reused several levels deep
     assert _table_or_error(sync_table, automaton, count) == _table_or_error(
         plain_sync_table, automaton, count
     )
@@ -451,8 +502,30 @@ def test_named_verifiers(rss, rst):
 def test_guess_rejects_identity():
     # closes into a small machine on the sample, but the sample sweep
     # catches the disagreement with the oracle
-    with pytest.raises(GuessFailedError):
+    message = (
+        "candidate disagrees with the sample: "
+        "no accepted output for inputs [512, 513, 514, 515, 516]"
+    )
+    with pytest.raises(GuessFailedError, match=f"^{re.escape(message)}$"):
         guess_sync(lambda n: n)
+
+
+@pytest.mark.parametrize(
+    "oracle, reason",
+    [
+        (lambda n: n // 6, "one input reaches one state with two outputs"),
+        (lambda n: (n % 2) * n, "[] accepted for input 513"),
+        (
+            lambda n: min(n, 100),
+            "no accepted output for inputs [12288, 12289, 12290, 12291, 12292]",
+        ),
+    ],
+)
+def test_guess_names_why_the_candidate_fails_its_sample(oracle, reason):
+    # one oracle for each way sync_table can refuse the candidate
+    message = f"candidate disagrees with the sample: {reason}"
+    with pytest.raises(GuessFailedError, match=f"^{re.escape(message)}$"):
+        guess_sync(oracle)
 
 
 def test_underfit_sample_fails_verification():
