@@ -236,9 +236,10 @@ def sync_table(automaton, count, input_track=None):
     block's slice shifted by the difference of the two shifts.  A reused
     block was walked once without raising, so errors come at the same
     input with the same message.  An input with no output is one whose
-    walk empties the frontier; the walk notes when that first happens, and
-    only then do copies step over None and the table get searched for the
-    inputs it lacks.
+    walk empties the frontier; the walk notes when that first happens.
+    From then on the table can only fail, so copies are no longer shifted
+    and keep just where the None values are, and the table is searched for
+    the inputs it lacks.
     """
     pos_in, _ = _track_positions(automaton, input_track)
     if not isinstance(count, int):
@@ -256,7 +257,8 @@ def sync_table(automaton, count, input_track=None):
     # in values; a key is stored once per fully walked internal node, so
     # there are at most as many keys as internal nodes of the plain walk.
     # A block is stored only after its walk, so a source block holds None
-    # only if holed was set by then, which a copy checks when it runs.
+    # only if holed was set by then.  After the first hole values is only
+    # searched for None, so a copy is then an unshifted slice.
     memo = {}
     holed = not start  # some input below count has no output
 
@@ -283,9 +285,7 @@ def sync_table(automaton, count, input_track=None):
                 src, src_shift = seen
                 delta = shift - src_shift
                 source = values[src : src + block]
-                if delta and holed:
-                    source = [None if v is None else v + delta for v in source]
-                elif delta:
+                if delta and not holed:
                     source = [v + delta for v in source]
                 values[base : base + block] = source
                 return
