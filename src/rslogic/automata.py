@@ -142,11 +142,11 @@ class MultiTrackAutomaton:
     transitions are stored densely: ``matrix[state][symbol_index]`` where
     symbol indices enumerate the tuple alphabet in lexicographic order, and
     ``outputs[state]`` is an integer.  ``accepting`` holds the states whose
-    output is 1, the accepting states of a relation.  Instances are treated
-    as immutable once constructed.
+    output is 1, the accepting states of a relation.  Instances are plain
+    values, immutable once constructed, and keep no cache.
     """
 
-    __slots__ = ("tracks", "n_states", "initial", "outputs", "accepting", "matrix", "_alphabet", "_readers")
+    __slots__ = ("tracks", "n_states", "initial", "outputs", "accepting", "matrix")
 
     def __init__(self, tracks, n_states, initial, outputs, matrix):
         tracks = tuple(tracks)
@@ -157,8 +157,6 @@ class MultiTrackAutomaton:
         self.outputs = tuple(outputs)
         self.accepting = frozenset(q for q, out in enumerate(self.outputs) if out == 1)
         self.matrix = matrix
-        self._alphabet = None
-        self._readers = None  # synchronized._reader's cache, by input position
         if not 0 <= initial < n_states:
             raise AutomatonError("initial state out of range")
         if len(matrix) != n_states or len(self.outputs) != n_states:
@@ -178,9 +176,7 @@ class MultiTrackAutomaton:
 
     @property
     def alphabet(self) -> tuple[tuple, ...]:
-        if self._alphabet is None:
-            self._alphabet = tuple(itertools.product(*(range(b) for b in self.bases)))
-        return self._alphabet
+        return tuple(itertools.product(*(range(b) for b in self.bases)))
 
     def symbol_index(self, sym) -> int:
         return _symbol_index(self.bases, sym)
@@ -660,10 +656,11 @@ def find_witness(a: MultiTrackAutomaton):
     q = next((i for i, s in enumerate(order) if s in a.accepting), None)
     if q is None:
         return None
+    alphabet = a.alphabet
     word = []
     while q:
         p = next(p for p, row in enumerate(matrix) if q in row)
-        word.append(a.alphabet[matrix[p].index(q)])
+        word.append(alphabet[matrix[p].index(q)])
         q = p
     word.reverse()
     return word

@@ -48,6 +48,9 @@ def _load_env(args):
         (".dfao.txt", MultiTrackAutomaton.from_output_text, env.register_dfao),
     ):
         for path in sorted(directory.glob(f"*{suffix}")):
+            name = path.name[: -len(suffix)]
+            if not re.fullmatch(NAME_PATTERN, name):
+                raise EngineError(f"{path}: {name!r} is not a name a formula can spell")
             try:
                 text = path.read_text()
             except (OSError, UnicodeDecodeError) as exc:
@@ -68,7 +71,7 @@ def _load_env(args):
             # exactly when state 0 stays put on symbol 0
             if machine.matrix[0][0] != 0:
                 raise EngineError(f"{path} is not padding-closed: a leading zero changes it")
-            register(path.name[: -len(suffix)], machine)
+            register(name, machine)
     return env
 
 
@@ -210,9 +213,11 @@ def cmd_guess(args):
     for check in outcome.checks:
         status = "proved" if check.passed else f"FAILS at {check.witness}"
         print(f"  {check.name}: {status}")
-    if args.out:
+    if args.out and outcome.ok:
         Path(args.out).write_text(candidate.to_text())
         print(f"wrote {args.out}")
+    elif args.out:
+        print(f"nothing written to {args.out}: the candidate is not proved")
     return 0 if outcome.ok else 1
 
 

@@ -12,6 +12,7 @@ base case, and both inductive steps as sentences.
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
 
 from .automata import (
@@ -28,6 +29,7 @@ from .automata import (
 )
 from .errors import CompileError, FunctionalityError, GuessFailedError
 from .logic import Environment, find_counterexample
+from .parser import NAME_PATTERN
 from .sequences import (
     alternating_sum_by_recurrence,
     double_zero_alternating_sum_by_recurrence,
@@ -68,13 +70,24 @@ def guess_sync(oracle, sample_bound=2**14, state_cap=64, *, names=("n", "y")):
     result is only a candidate until verify_sync accepts it.  The oracle is
     called once for each n below sample_bound, in increasing order, and the
     probes read that table.  A candidate that cannot even reproduce the
-    sample raises GuessFailedError; growing past state_cap does too.
+    sample raises GuessFailedError; growing past state_cap does too.  An
+    oracle value that is not an int of at least 0, or names that are not
+    two distinct variable names, raise CompileError.
     """
     for name, value in (("sample_bound", sample_bound), ("state_cap", state_cap)):
         if type(value) is not int or value < 1:
             raise CompileError(f"{name} must be an int of at least 1, got {value!r}")
+    if not (
+        isinstance(names, (tuple, list))
+        and all(type(name) is str and re.fullmatch(NAME_PATTERN, name) for name in names)
+        and len(set(names)) == len(names) == 2
+    ):
+        raise CompileError(f"names must be two distinct variable names, got {names!r}")
     b_in, b_out = GUESS_INPUT.base, GUESS_OUTPUT.base
     sample = list(map(oracle, range(sample_bound)))
+    if set(map(type, sample)) != {int} or min(sample) < 0:
+        bad = next(n for n, v in enumerate(sample) if type(v) is not int or v < 0)
+        raise CompileError(f"oracle({bad}) must be an int of at least 0, got {sample[bad]!r}")
 
     def signature(N, X):
         rows = []
@@ -136,22 +149,6 @@ def _track_positions(automaton, input_track):
     return pos_in, 1 - pos_in
 
 
-def _moves(automaton, pos_in, pos_out):
-    """move[q][d_in]: the (successor, d_out) pairs from q, dead ends dropped."""
-    tracks = automaton.tracks
-    d_ins = _projection_table(tracks, tracks[pos_in : pos_in + 1])
-    d_outs = _projection_table(tracks, tracks[pos_out : pos_out + 1])
-    live = coreachable(automaton.matrix, automaton.accepting)
-    move = []
-    for row in automaton.matrix:
-        rows = [[] for _ in range(tracks[pos_in].base)]
-        for dest, d_in, d_out in zip(row, d_ins, d_outs):
-            if dest in live:
-                rows[d_in].append((dest, d_out))
-        move.append(rows)
-    return move
-
-
 def _step(move, frontier, d_in, b_out):
     """The (state, y) pairs reached from ``frontier`` on input digit d_in.
 
@@ -178,7 +175,7 @@ def _start(move, initial, b_out):
     (Shallit, "Synchronized sequences", WORDS 2021; Allouche & Shallit,
     *Automatic Sequences*, ch. 6).  The walk stops early once a step leaves
     the frontier as it was: from then on every zero step repeats it, so the
-    remaining zeros change nothing.
+    remaining zeros change nothing.  Each ``_reader`` call walks it afresh.
     """
     frontier = {(initial, 0)}
     for _ in range(len(move) - 1):
@@ -189,29 +186,32 @@ def _start(move, initial, b_out):
     return frontier
 
 
-def _reader(automaton, pos_in):
-    """(move, start, b_out) for reading the track at pos_in as the input.
+def _reader(automaton, input_track):
+    """(move, start, b_in, b_out) for reading ``input_track`` as the input.
 
-    Built once per machine and input position and kept on the machine, which
-    is immutable; a start walk that raises is not kept, so it raises again.
+    move[q][d_in] lists the (successor, d_out) pairs from q, dead ends
+    dropped; start is ``_start``'s frontier.  Built on each call, kept nowhere.
     """
-    if automaton._readers is None:
-        automaton._readers = {}
-    reader = automaton._readers.get(pos_in)
-    if reader is None:
-        pos_out = 1 - pos_in
-        move = _moves(automaton, pos_in, pos_out)
-        b_out = automaton.tracks[pos_out].base
-        reader = (move, _start(move, automaton.initial, b_out), b_out)
-        automaton._readers[pos_in] = reader
-    return reader
+    pos_in, pos_out = _track_positions(automaton, input_track)
+    tracks = automaton.tracks
+    b_in, b_out = tracks[pos_in].base, tracks[pos_out].base
+    d_ins = _projection_table(tracks, tracks[pos_in : pos_in + 1])
+    d_outs = _projection_table(tracks, tracks[pos_out : pos_out + 1])
+    live = coreachable(automaton.matrix, automaton.accepting)
+    move = []
+    for row in automaton.matrix:
+        rows = [[] for _ in range(b_in)]
+        for dest, d_in, d_out in zip(row, d_ins, d_outs):
+            if dest in live:
+                rows[d_in].append((dest, d_out))
+        move.append(rows)
+    return move, _start(move, automaton.initial, b_out), b_in, b_out
 
 
 def sync_eval(automaton, n, input_track=None):
     """The unique y with (n, y) accepted; FunctionalityError otherwise."""
-    pos_in, _ = _track_positions(automaton, input_track)
-    move, frontier, b_out = _reader(automaton, pos_in)
-    for d_in in to_digits(n, automaton.tracks[pos_in].base):
+    move, frontier, b_in, b_out = _reader(automaton, input_track)
+    for d_in in to_digits(n, b_in):
         frontier = _step(move, frontier, d_in, b_out)
     found = {y for q, y in frontier if q in automaton.accepting}
     if len(found) > 1:
@@ -241,13 +241,12 @@ def sync_table(automaton, count, input_track=None):
     and keep just where the None values are, and the table is searched for
     the inputs it lacks.
     """
-    pos_in, _ = _track_positions(automaton, input_track)
     if not isinstance(count, int):
         raise CompileError(f"count must be an int, got {count!r}")
     if count <= 0:
+        _track_positions(automaton, input_track)  # a bad track name still raises
         return []
-    move, start, b_out = _reader(automaton, pos_in)
-    b_in = automaton.tracks[pos_in].base
+    move, start, b_in, b_out = _reader(automaton, input_track)
     width = len(to_digits(count - 1, b_in)) if count > 1 else 1
     accepting = automaton.accepting
 

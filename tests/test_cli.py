@@ -153,6 +153,24 @@ def test_env_dir_rejects_machines_that_are_not_padding_closed(tmp_path, capsys):
         (env_dir / name).unlink()
 
 
+def test_env_dir_rejects_files_whose_stem_is_not_a_name(tmp_path, capsys):
+    env_dir = tmp_path / "env"
+    env_dir.mkdir()
+    m2 = Track("t0", NumberSystem(2))
+    even = MultiTrackAutomaton((m2,), 2, 0, [1, 0], [[0, 1], [0, 1]])
+    # "#eval" made every open eval fail as already defined, and "a b"
+    # loaded a relation no formula can name
+    for stem in ("#eval", "a b"):
+        for suffix in (".rel.txt", ".dfao.txt"):
+            path = env_dir / f"{stem}{suffix}"
+            path.write_text(even.to_text())
+            assert main(["eval", "?msd_2 x<2", "--env-dir", str(env_dir)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {path}: {stem!r} is not a name a formula can spell\n"
+            path.unlink()
+
+
 def test_env_dir_minimizes_each_new_machine_once(tmp_path, monkeypatch):
     env_dir = tmp_path / "env"
     env_dir.mkdir()
@@ -385,6 +403,18 @@ def test_guess_underfit_sample_fails_verification(capsys):
     assert "FAILS" in capsys.readouterr().out
 
 
+def test_guess_writes_no_machine_that_fails_verification(tmp_path, capsys):
+    # regenerating a shipped machine from too small a sample must not
+    # overwrite it with one that start-up then refuses
+    out_file = tmp_path / "machine.txt"
+    out_file.write_text("kept")
+    assert main(["guess", "nt", "--sample-bound", "1024", "--out", str(out_file)]) == 1
+    printed = capsys.readouterr().out
+    assert "FAILS" in printed and "wrote" not in printed
+    assert printed.endswith(f"nothing written to {out_file}: the candidate is not proved\n")
+    assert out_file.read_text() == "kept"
+
+
 def test_curve_rejects_empty_walk(capsys):
     assert main(["curve", "--points", "0"]) == 2
     assert "--points must be at least 1" in capsys.readouterr().err
@@ -416,7 +446,7 @@ def test_os_errors_exit_2_without_traceback(tmp_path, capsys):
         ["run", str(tmp_path / "missing.txt")],
         ["run", str(tmp_path)],
         ["curve", "--points", "8", "--svg", str(blocker / "curve.svg")],
-        ["guess", "s", "--sample-bound", "64", "--out", str(blocker / "machine.txt")],
+        ["guess", "s", "--out", str(blocker / "machine.txt")],
         ["def", "triple", "?msd_2 y=3*x", "--env-dir", str(blocker / "env")],
     ):
         assert main(argv) == 2, argv

@@ -88,6 +88,30 @@ def test_guess_rejects_bad_arguments(sample_bound, state_cap, message):
         guess_sync(partial_sum_by_recurrence, sample_bound, state_cap)
 
 
+@pytest.mark.parametrize(
+    "oracle, message",
+    [
+        (lambda n: -n, "oracle(1) must be an int of at least 0, got -1"),
+        (lambda n: "a", "oracle(0) must be an int of at least 0, got 'a'"),
+        (lambda n: 7 if n == 40 else 2.5, "oracle(0) must be an int of at least 0, got 2.5"),
+        (lambda n: n if n < 40 else None, "oracle(40) must be an int of at least 0, got None"),
+    ],
+)
+def test_guess_rejects_oracle_values_that_are_not_natural(oracle, message):
+    # the sample is at fault, not the candidate
+    with pytest.raises(CompileError, match=f"^{re.escape(message)}$"):
+        guess_sync(oracle, 64)
+
+
+@pytest.mark.parametrize(
+    "names", [("n",), ("n", "y", "z"), ("", "y"), ("n", "n"), ("n", "a b"), ("n", 1), "ny", None]
+)
+def test_guess_rejects_names_that_are_not_two_distinct_variables(names):
+    message = f"names must be two distinct variable names, got {names!r}"
+    with pytest.raises(CompileError, match=f"^{re.escape(message)}$"):
+        guess_sync(partial_sum_by_recurrence, 64, names=names)
+
+
 def test_guess_asks_the_oracle_once_per_input():
     asked = []
 
@@ -336,30 +360,20 @@ def test_outputs_longer_than_any_fixed_padding(y):
     assert sync_table(machine, 4, input_track="p00") == [y] * 4
 
 
-def test_one_reader_per_machine_and_input(rss, monkeypatch):
-    built = []
-    plain_moves = synchronized._moves
-
-    def counted(automaton, pos_in, pos_out):
-        built.append(pos_in)
-        return plain_moves(automaton, pos_in, pos_out)
-
-    monkeypatch.setattr(synchronized, "_moves", counted)
-    machine = rss.renamed({})  # a fresh instance, so nothing is cached yet
-    values = [sync_eval(machine, n) for n in range(64)]
-    assert values == partial_sums(64)
-    assert sync_table(machine, 64, input_track="n") == values
-    assert built == [0]
-    # reading x as the input is a second reader; (x, n) is no function
+def test_reading_the_output_track_as_the_input_is_no_function(rss):
+    # (x, n) is no function: s(n) = 3 at n = 2, 4 and 6
+    with pytest.raises(FunctionalityError, match=r"^\[2, 4, 6\] all accepted for input 3$"):
+        sync_eval(rss, 3, input_track="x")
     with pytest.raises(FunctionalityError):
-        sync_eval(machine, 3, input_track="x")
-    sync_eval(machine, 5)
-    assert built == [0, 1]
+        sync_table(rss, 64, input_track="x")
 
 
 def test_track_names_are_checked(rss):
     with pytest.raises(EngineError, match="'q'"):
         sync_eval(rss, 5, input_track="q")
+    # also where the table is empty
+    with pytest.raises(EngineError, match="'q'"):
+        sync_table(rss, 0, input_track="q")
 
 
 @pytest.mark.parametrize("value", [-1, 2.5])
@@ -378,7 +392,7 @@ def test_sync_eval_rejects_relations_that_are_not_functions():
     # are states, so some state carries two of them
     many = linear_atom({"n": 1, "y": -1}, "<=", 0, M2)
     message = "^one input reaches one state with two outputs$"
-    # the start walk raises, so no reader is kept and each call raises again
+    # each call walks to the start frontier afresh, so each raises again
     for _ in range(2):
         with pytest.raises(FunctionalityError, match=message):
             sync_eval(many, 5, input_track="n")
