@@ -4,8 +4,10 @@ Every compiled subformula is a complete, minimal, padding-closed automaton
 whose tracks are exactly its free variables.  Connectives become synchronous
 products.  An existential quantifier conjoins the compiled conjuncts of its
 body and projects its variables away; a universal quantifier is the
-complement of that over the conjuncts refuting its body.  Registered
-relations are stored with positional parameter tracks, and an application
+complement of that over the conjuncts refuting its body.  Registration
+refuses, with CompileError, a machine that a leading zero changes, so every
+machine a formula reads is padding-closed too.  Registered relations are
+stored with positional parameter tracks, and an application
 is the existential closure of the renamed relation and one equation per
 compound argument, or the minimized renamed relation when every argument
 is a variable.
@@ -81,6 +83,20 @@ class Relation:
     automaton: MultiTrackAutomaton
 
 
+def _require_padding_closed(kind, name, automaton):
+    """Refuse ``automaton`` if a leading zero tuple changes an output.
+
+    Every number may be read behind leading zeros, so a machine they change
+    would let one query be both TRUE and FALSE.  An initial state that stays
+    put on symbol 0, the zero tuple, settles it.  Otherwise the states of the
+    minimal machine differ exactly when some suffix tells their outputs
+    apart, so a leading zero changes no output exactly when its state 0
+    stays put on symbol 0.
+    """
+    if automaton.matrix[automaton.initial][0] != automaton.initial and minimize(automaton).matrix[0][0] != 0:
+        raise CompileError(f"{kind} {name!r} is not padding-closed: a leading zero changes it")
+
+
 class Environment:
     """Named relations, automata with output, and linear representations."""
 
@@ -107,12 +123,15 @@ class Environment:
             order = names
         if sorted(order) != sorted(names):
             raise CompileError(f"parameter order {order} does not match tracks of {name}")
+        _require_padding_closed("relation", name, automaton)
         stored = automaton.renamed({v: _param(i) for i, v in enumerate(order)})
         return self._bind(self.relations, "relation", name, Relation(name, stored))
 
     def register_dfao(self, name, dfao):
+        """Register ``dfao``, read as ``name[n]``: it reads one track."""
         if len(dfao.tracks) != 1:
             raise CompileError(f"automaton with output {name!r} reads {len(dfao.tracks)} tracks, not 1")
+        _require_padding_closed("automaton with output", name, dfao)
         self._bind(self.dfaos, "automaton with output", name, dfao)
 
     def relation(self, name) -> Relation:

@@ -275,7 +275,7 @@ class _Parser:
                     args.append(self.argument())
             self.expect(")")
             return Apply(name, args)
-        if kind == "name" and self.peek(1)[1] == "[":
+        if kind == "name" and self._is_output_test():
             self.next()
             self.expect("[")
             arg = self.term()

@@ -148,7 +148,8 @@ def test_env_dir_rejects_machines_that_are_not_padding_closed(tmp_path, capsys):
         assert main(["eval", query, "--env-dir", str(env_dir)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"{name} is not padding-closed" in captured.err
+        assert f"{env_dir / name}: " in captured.err
+        assert "is not padding-closed" in captured.err
         assert "Traceback" not in captured.err
         (env_dir / name).unlink()
 

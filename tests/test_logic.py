@@ -1,12 +1,13 @@
 """Parser and compiler semantics against brute-force evaluation."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rslogic import logic
+from rslogic import logic, synchronized
 from rslogic.automata import MultiTrackAutomaton, NumberSystem, Track, from_regex, minimize
 from rslogic.errors import BaseMismatchError, CompileError, FormulaParseError
 from rslogic.linrep import eval_linrep
@@ -29,6 +30,7 @@ from builders import (
     build_compare,
     build_const_mul,
     count_kernel_calls,
+    is_padding_closed,
     rudin_shapiro_dfao2,
 )
 
@@ -619,6 +621,78 @@ def test_registration_keeps_relations_and_automata_with_output_apart():
     ones = MultiTrackAutomaton(tracks, 1, 0, [1], [[0] * 4])
     with pytest.raises(CompileError, match="'STEP' reads 2 tracks, not 1"):
         verify_sync(two_tracks, ones, "sum", 0)
+
+
+def test_registration_refuses_a_relation_a_leading_zero_changes():
+    # r accepts the word 1 but not 01: Ex x=1 & $r(x) was TRUE and its
+    # equivalent Ax x=1 => $r(x) FALSE
+    env = Environment()
+    r = MultiTrackAutomaton.from_text("msd_2\n0 0\n1 -> 1\n1 1\n")
+    with pytest.raises(CompileError, match="relation 'r' is not padding-closed: a leading zero changes it"):
+        env.register_relation("r", r)
+    assert "r" not in env.relations
+    for sentence in ("Ex x=1 & $r(x)", "Ax x=1 => $r(x)"):
+        with pytest.raises(CompileError, match="unknown relation 'r'"):
+            decide(env, sentence)
+
+
+def test_registration_refuses_an_automaton_with_output_a_leading_zero_changes():
+    # T is 1 on the empty word and -1 on the word 0: T[0]=@1 and T[0]=@-1
+    # were both TRUE
+    env = Environment()
+    dfao = MultiTrackAutomaton((Track("t0", MSD2),), 2, 0, [1, -1], [[1, 1], [1, 1]])
+    with pytest.raises(CompileError, match="automaton with output 'T' is not padding-closed"):
+        env.register_dfao("T", dfao)
+    assert "T" not in env.dfaos
+
+
+def test_verify_sync_refuses_a_candidate_a_leading_zero_changes(monkeypatch):
+    checks = []
+
+    def counted(env, formula, _original=synchronized.find_counterexample):
+        checks.append(formula)
+        return _original(env, formula)
+
+    monkeypatch.setattr(synchronized, "find_counterexample", counted)
+    # cand relates n=0 to x=0 on the empty word only, not on the word (0,0)
+    tracks = (Track("n", MSD2), Track("x", MSD2))
+    cand = MultiTrackAutomaton(tracks, 2, 0, [1, 0], [[1] * 4, [1] * 4])
+    with pytest.raises(CompileError, match="relation 'cand' is not padding-closed"):
+        verify_sync(cand, rudin_shapiro_dfao2(), "sum", 0)
+    assert checks == []
+
+
+@st.composite
+def small_machines(draw):
+    """Complete machines with at most 6 states and any initial state: a
+    relation over 1-2 tracks of bases 2-3, or an automaton with output
+    -1/0/1 over one track."""
+    bases = draw(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=2))
+    tracks = tuple(Track(name, NumberSystem(b)) for name, b in zip("xy", bases))
+    n = draw(st.integers(1, 6))
+    state = st.integers(0, n - 1)
+    width = math.prod(bases)
+    matrix = draw(st.lists(st.lists(state, min_size=width, max_size=width), min_size=n, max_size=n))
+    values = [0, 1] if len(tracks) == 2 else draw(st.sampled_from([[0, 1], [-1, 0, 1]]))
+    outputs = draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
+    return MultiTrackAutomaton(tracks, n, draw(state), outputs, matrix)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_machines())
+def test_registration_refuses_exactly_the_machines_a_leading_zero_changes(machine):
+    registrations = []
+    if set(machine.outputs) <= {0, 1}:
+        registrations.append(Environment().register_relation)
+    if len(machine.tracks) == 1:
+        registrations.append(Environment().register_dfao)
+    closed = is_padding_closed(machine)
+    for register in registrations:
+        if closed:
+            register("m", machine)
+        else:
+            with pytest.raises(CompileError, match="'m' is not padding-closed"):
+                register("m", machine)
 
 
 def test_deeply_nested_formulas_raise_engine_errors():

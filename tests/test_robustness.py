@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from rslogic.automata import ALPHABET_BUDGET, MultiTrackAutomaton
 from rslogic.errors import EngineError
-from rslogic.logic import compile_formula
+from rslogic.logic import Environment, compile_formula
 from rslogic.toolkit import standard_environment
 
 ENV = standard_environment()
@@ -93,6 +93,8 @@ def test_malformed_input_raises_only_engine_errors(formula, text):
         lambda: compile_formula(ENV, formula),
         lambda: MultiTrackAutomaton.from_text(text),
         lambda: MultiTrackAutomaton.from_output_text(text),
+        lambda: Environment().register_relation("r", MultiTrackAutomaton.from_text(text)),
+        lambda: Environment().register_dfao("T", MultiTrackAutomaton.from_output_text(text)),
     )
     for read in readers:
         try:
