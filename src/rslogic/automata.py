@@ -93,16 +93,19 @@ class Track:
         return self.system.base
 
 
-def _natural(n) -> int:
-    """n itself when it is a natural number, the only values with digit strings."""
-    if not isinstance(n, int) or n < 0:
-        raise CompileError(f"only natural numbers have digit strings, got {n!r}")
-    return n
+def _natural(value, what, least=0) -> int:
+    """``value`` if it is an int of at least ``least``, else CompileError naming ``what``.
+
+    The one rule for numeric arguments; a bool is refused, not read as 0 or 1.
+    """
+    if type(value) is not int or value < least:
+        raise CompileError(f"{what} must be an int of at least {least}, got {value!r}")
+    return value
 
 
 def to_digits(n: int, base: int) -> list[int]:
     """Canonical msd-first digits of n; 0 is the empty string."""
-    _natural(n)
+    _natural(n, "n")
     out = []
     while n:
         n, d = divmod(n, base)
@@ -176,7 +179,7 @@ class MultiTrackAutomaton:
 
     @property
     def alphabet(self) -> tuple[tuple, ...]:
-        return tuple(itertools.product(*(range(b) for b in self.bases)))
+        return _alphabet(self.tracks)
 
     def symbol_index(self, sym) -> int:
         return _symbol_index(self.bases, sym)
@@ -260,10 +263,7 @@ def _write_text(tracks, outputs, matrix, initial) -> str:
     digit tuple, in symbol order; the empty tuple is written "-".  The
     reader starts in state 0, so states 0 and ``initial`` swap numbers.
     """
-    symbols = [
-        " ".join(map(str, sym)) if sym else "-"
-        for sym in itertools.product(*(range(t.base) for t in tracks))
-    ]
+    symbols = [" ".join(map(str, sym)) if sym else "-" for sym in _alphabet(tracks)]
     number = list(range(len(matrix)))
     number[0], number[initial] = initial, 0  # its own inverse
     lines = [" ".join(str(t.system) for t in tracks)]
@@ -354,6 +354,12 @@ def _alpha_size(tracks) -> int:
             f"more than the alphabet budget of {ALPHABET_BUDGET}"
         )
     return size
+
+
+def _alphabet(tracks) -> tuple[tuple, ...]:
+    """The digit tuples over ``tracks`` in symbol-index order, sized first."""
+    _alpha_size(tracks)
+    return tuple(itertools.product(*(range(t.base) for t in tracks)))
 
 
 def _symbol_index(bases, sym) -> int:

@@ -172,7 +172,7 @@ def eval_linrep(rep, values):
         values = (values,)
     if len(values) != len(rep.systems):
         raise CompileError(f"expected {len(rep.systems)} values, got {len(values)}")
-    rest = [_natural(v) for v in values]
+    rest = [_natural(v, "value") for v in values]
 
     form, start, settled, radices, table, tails = rep._reader
     # suffix product gammas(word) * w, least significant block first through

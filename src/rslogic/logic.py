@@ -3,14 +3,14 @@
 Every compiled subformula is a complete, minimal, padding-closed automaton
 whose tracks are exactly its free variables.  Connectives become synchronous
 products.  An existential quantifier conjoins the compiled conjuncts of its
-body and projects its variables away; a universal quantifier is the
-complement of that over the conjuncts refuting its body.  Registration
-refuses, with CompileError, a machine that a leading zero changes, so every
-machine a formula reads is padding-closed too.  Registered relations are
-stored with positional parameter tracks, and an application
-is the existential closure of the renamed relation and one equation per
-compound argument, or the minimized renamed relation when every argument
-is a variable.
+body and projects its variables away; a universal quantifier complements
+that over its body's refutation (``_refuting``), whose unprojected
+automaton find_counterexample decodes.  Registration refuses, with
+CompileError, a machine that a leading zero changes, so every machine a
+formula reads is padding-closed too.  Registered relations are stored
+with positional parameter tracks, and an application is the existential
+closure of the renamed relation and one equation per compound argument, or
+the minimized renamed relation when every argument is a variable.
 
 An environment builds each atom (a comparison, an application or an
 output test) once: an atom met again under other variable names, sorted
@@ -227,7 +227,7 @@ class _Compiler:
             if node.kind == "E":
                 conjuncts = [self.compile(c) for c in _flatten_and(node.body)]
                 return self._exists(node.variables, conjuncts)
-            return complement(self._exists(node.variables, self._refutation(node.body)))
+            return complement(self.compile(Quantified("E", node.variables, _refuting(node.body))))
         if isinstance(node, Compare):
             left, right = node.left, node.right
             coeffs = {v: left.coeffs.get(v, 0) - right.coeffs.get(v, 0) for v in {**left.coeffs, **right.coeffs}}
@@ -263,13 +263,6 @@ class _Compiler:
             self.env.compiled[key] = build(), tuple(names)
         automaton, old = self.env.compiled[key]
         return automaton if old == tuple(names) else automaton.renamed(dict(zip(old, names)))
-
-    def _refutation(self, body):
-        """Compiled conjuncts of ~body: those of L and ~R when body is L => R."""
-        nodes = [Not(body)]
-        if isinstance(body, BinOp) and body.op == "=>":
-            nodes = _flatten_and(body.left) + [Not(body.right)]
-        return [self.compile(n) for n in nodes]
 
     def _apply(self, name, automaton, args):
         """``automaton``, whose track ``_param(i)`` reads parameter i, applied
@@ -335,6 +328,16 @@ class _Compiler:
         return autos[0]
 
 
+def _refuting(body):
+    """The node refuting ``body``: L & ~R when body is L => R, else ~body.
+
+    A over it is the complement of E over it; find_counterexample reads it.
+    """
+    if isinstance(body, BinOp) and body.op == "=>":
+        return BinOp("&", body.left, Not(body.right))
+    return Not(body)
+
+
 def _flatten_and(node):
     if isinstance(node, BinOp) and node.op == "&":
         return _flatten_and(node.left) + _flatten_and(node.right)
@@ -362,12 +365,12 @@ def decide(env: Environment, source) -> bool:
 def find_counterexample(env: Environment, source):
     """Assignment falsifying a universally quantified formula, or None.
 
-    The leading block of universal quantifiers is stripped, and the shortest
-    valuation accepted by the conjunction of the body's refuting conjuncts
-    (those the compiled universal quantifier would project) is decoded.
-    Variables those conjuncts do not constrain are reported as 0.  For a
-    sentence without a universal prefix the result is {} when it is false,
-    None when true.
+    The leading block of universal quantifiers is stripped, and the body's
+    refutation (``_refuting``) is compiled with no variable projected: the
+    very automaton that the compiled universal quantifier projects and
+    complements.  Its shortest accepted word is decoded, and variables it
+    does not constrain are reported as 0.  For a sentence without a
+    universal prefix the result is {} when it is false, None when true.
     """
     node = parse_formula(source) if isinstance(source, str) else source
     prefix = []
@@ -376,11 +379,7 @@ def find_counterexample(env: Environment, source):
         node = node.body
     if not prefix:
         return None if decide(env, node) else {}
-    compiler = _Compiler(env)
-    try:
-        negated = compiler._exists((), compiler._refutation(node))
-    except RecursionError:
-        raise CompileError("the formula nests too deeply to compile") from None
+    negated = compile_formula(env, Quantified("E", [], _refuting(node)))
     word = find_witness(negated)
     if word is None:
         return None

@@ -10,13 +10,11 @@ and a doubling chain that assemble the same relations.
 
 from __future__ import annotations
 
-import itertools
-
 from .automata import (
     MultiTrackAutomaton,
     NumberSystem,
     Track,
-    _alpha_size,
+    _alphabet,
     _explore,
     complement,
     reverse,
@@ -67,11 +65,7 @@ def _lsd_residual(system, tracks, coeffs, mode, start):
     constraint for the quotient by the base.
     """
     base = system.base
-    _alpha_size(tracks)  # within the budget before its tuples are listed
-    digit_sums = [
-        sum(c * d for c, d in zip(coeffs, sym))
-        for sym in itertools.product(range(base), repeat=len(coeffs))
-    ]
+    digit_sums = [sum(c * d for c, d in zip(coeffs, sym)) for sym in _alphabet(tracks)]
     dead = "dead"
 
     def successors(s):

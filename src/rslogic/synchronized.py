@@ -21,6 +21,7 @@ from .automata import (
     Track,
     _alpha_size,
     _explore,
+    _natural,
     _projection_table,
     coreachable,
     minimize,
@@ -74,9 +75,8 @@ def guess_sync(oracle, sample_bound=2**14, state_cap=64, *, names=("n", "y")):
     oracle value that is not an int of at least 0, or names that are not
     two distinct variable names, raise CompileError.
     """
-    for name, value in (("sample_bound", sample_bound), ("state_cap", state_cap)):
-        if type(value) is not int or value < 1:
-            raise CompileError(f"{name} must be an int of at least 1, got {value!r}")
+    _natural(sample_bound, "sample_bound", 1)
+    _natural(state_cap, "state_cap", 1)
     if not (
         isinstance(names, (tuple, list))
         and all(type(name) is str and re.fullmatch(NAME_PATTERN, name) for name in names)
@@ -86,8 +86,9 @@ def guess_sync(oracle, sample_bound=2**14, state_cap=64, *, names=("n", "y")):
     b_in, b_out = GUESS_INPUT.base, GUESS_OUTPUT.base
     sample = list(map(oracle, range(sample_bound)))
     if set(map(type, sample)) != {int} or min(sample) < 0:
-        bad = next(n for n, v in enumerate(sample) if type(v) is not int or v < 0)
-        raise CompileError(f"oracle({bad}) must be an int of at least 0, got {sample[bad]!r}")
+        # one screen for the whole sample; _natural names the first bad value
+        for n, value in enumerate(sample):
+            _natural(value, f"oracle({n})")
 
     def signature(N, X):
         rows = []
@@ -208,17 +209,26 @@ def _reader(automaton, input_track):
     return move, _start(move, automaton.initial, b_out), b_in, b_out
 
 
+def _output(frontier, accepting, n):
+    """The one y accepted from ``frontier``, input n's walk, or None if none is.
+
+    Both readers end every input here; two or more raise FunctionalityError.
+    """
+    found = {y for q, y in frontier if q in accepting}
+    if len(found) > 1:
+        raise FunctionalityError(f"{sorted(found)} accepted for input {n}")
+    return found.pop() if found else None
+
+
 def sync_eval(automaton, n, input_track=None):
     """The unique y with (n, y) accepted; FunctionalityError otherwise."""
     move, frontier, b_in, b_out = _reader(automaton, input_track)
     for d_in in to_digits(n, b_in):
         frontier = _step(move, frontier, d_in, b_out)
-    found = {y for q, y in frontier if q in automaton.accepting}
-    if len(found) > 1:
-        raise FunctionalityError(f"{sorted(found)} all accepted for input {n}")
-    if not found:
+    y = _output(frontier, automaton.accepting, n)
+    if y is None:
         raise FunctionalityError(f"no accepted output for input {n}")
-    return found.pop()
+    return y
 
 
 def sync_table(automaton, count, input_track=None):
@@ -235,15 +245,13 @@ def sync_table(automaton, count, input_track=None):
     (left, {(q, y - m)}); a later block with the same key is the first
     block's slice shifted by the difference of the two shifts.  A reused
     block was walked once without raising, so errors come at the same
-    input with the same message.  An input with no output is one whose
-    walk empties the frontier; the walk notes when that first happens.
-    From then on the table can only fail, so copies are no longer shifted
-    and keep just where the None values are, and the table is searched for
-    the inputs it lacks.
+    input with the same message.  An input has no output when its walk
+    empties the frontier or ``_output`` finds none; the walk notes when that
+    first happens.  From then on the table can only fail, so copies are no
+    longer shifted and keep just where the None values are, and the error
+    lists the first five inputs the table lacks.  count is an int >= 0.
     """
-    if not isinstance(count, int):
-        raise CompileError(f"count must be an int, got {count!r}")
-    if count <= 0:
+    if _natural(count, "count") == 0:
         _track_positions(automaton, input_track)  # a bad track name still raises
         return []
     move, start, b_in, b_out = _reader(automaton, input_track)
@@ -264,12 +272,9 @@ def sync_table(automaton, count, input_track=None):
     def descend(pos, prefix, frontier):
         nonlocal holed
         if pos == width:
-            found = {y for q, y in frontier if q in accepting}
-            if len(found) != 1:
-                raise FunctionalityError(
-                    f"{sorted(found)} accepted for input {prefix}"
-                )
-            values[prefix] = found.pop()
+            values[prefix] = _output(frontier, accepting, prefix)
+            if values[prefix] is None:
+                holed = True
             return
         left = width - pos
         block = b_in**left
@@ -381,8 +386,7 @@ def verify_sync(automaton, sign_dfao, rule, base_value, input_track=None):
     Together these pin down the function for all n by induction.  The signed
     step is one automaton with output: the sign times the rule's parity weight.
     """
-    if type(base_value) is not int or base_value < 0:
-        raise CompileError(f"base_value must be a natural number, got {base_value!r}")
+    _natural(base_value, "base_value")
     env = Environment()
     env.register_dfao("STEP", _signed_step(sign_dfao, rule))
     pos_in, pos_out = _track_positions(automaton, input_track)

@@ -111,46 +111,24 @@ def _truth_name(value):
     return {True: "TRUE", False: "FALSE"}.get(value, str(value))
 
 
+# what a catalog row of each kind expects, but for sentences
+_EXPECTED = {"automaton": "language matches the stated regex", "counting": "linear representation"}
+
+
 def run_suite(env=None):
-    """Run the whole catalog in order; failures become report rows."""
+    """Run the whole catalog in order; failures become report rows.
+
+    Every row is timed by ``_timed_row``: a catalog row from its script to
+    its verdict, an automaton row's gold comparison included.
+    """
     if env is None:
         env = standard_environment()
     rows = []
     for check in CHECKS:
-        start = time.perf_counter()
-        error = None
-        result = None
-        try:
-            (result,) = env.run_script(check.script)
-        except EngineError as exc:
-            error = exc
-        seconds = time.perf_counter() - start
+        expected = _EXPECTED.get(check.kind, "defined")
         if check.kind == "sentence":
             expected = _truth_name(check.expect)
-            actual = str(error) if error else _truth_name(result.truth)
-            ok = error is None and result.truth is check.expect
-        elif check.kind == "automaton":
-            expected = "language matches the stated regex"
-            if error is None:
-                ok = language_equal(
-                    env.relation(check.name).automaton, gold_automaton(env, check.name)
-                )
-                actual = "matches" if ok else "differs"
-            else:
-                ok, actual = False, str(error)
-        elif check.kind == "counting":
-            expected = "linear representation"
-            if error is None:
-                rep = env.representations[check.name]
-                actual = f"rank {rep.rank}"
-                ok = True
-            else:
-                ok, actual = False, str(error)
-        else:
-            expected = "defined"
-            actual = str(error) if error else "defined"
-            ok = error is None
-        rows.append(SuiteRow(check.name, check.kind, expected, actual, ok, seconds))
+        rows.append(_timed_row(check.name, expected, partial(_catalog_row, env, check), check.kind))
 
     def satz22_rank():
         rep = env.representations.get("satz22")
@@ -174,6 +152,22 @@ def run_suite(env=None):
             )
         )
     return SuiteReport(rows)
+
+
+def _catalog_row(env, check):
+    """(ok, actual) for one catalog check: its script run once in ``env``."""
+    try:
+        (result,) = env.run_script(check.script)
+    except EngineError as exc:
+        return False, str(exc)
+    if check.kind == "sentence":
+        return result.truth is check.expect, _truth_name(result.truth)
+    if check.kind == "automaton":
+        ok = language_equal(env.relation(check.name).automaton, gold_automaton(env, check.name))
+        return ok, "matches" if ok else "differs"
+    if check.kind == "counting":
+        return True, f"rank {env.representations[check.name].rank}"
+    return True, "defined"
 
 
 def _timed_row(name, expected, check, kind):

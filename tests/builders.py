@@ -237,11 +237,10 @@ def plain_sync_table(automaton, count, input_track=None):
     def descend(pos, prefix, frontier):
         if pos == width:
             found = {y for q, y in frontier if q in accepting}
-            if len(found) != 1:
-                raise FunctionalityError(
-                    f"{sorted(found)} accepted for input {prefix}"
-                )
-            values[prefix] = found.pop()
+            if len(found) > 1:
+                raise FunctionalityError(f"{sorted(found)} accepted for input {prefix}")
+            if found:  # else the input stays None, a missing output
+                values[prefix] = found.pop()
             return
         span = b_in ** (width - pos - 1)
         for d_in in range(b_in):

@@ -32,7 +32,7 @@ from rslogic.automata import (
     reverse,
     to_digits,
 )
-from rslogic.errors import AutomatonError, BaseMismatchError, RegexError
+from rslogic.errors import AutomatonError, BaseMismatchError, CompileError, RegexError
 
 from builders import (
     accepts_values,
@@ -84,6 +84,14 @@ def test_digit_roundtrip():
             assert from_digits(ds, base) == n
             assert not ds or ds[0] != 0
     assert to_digits(0, 2) == []
+
+
+@pytest.mark.parametrize("n", [-1, 2.5, True])
+def test_to_digits_rejects_values_that_are_not_natural(n):
+    # True is no 1: a bool is refused like every other non-int
+    message = f"n must be an int of at least 0, got {n!r}"
+    with pytest.raises(CompileError, match=f"^{re.escape(message)}$"):
+        to_digits(n, 2)
 
 
 def test_encode_decode_roundtrip():

@@ -3,10 +3,12 @@
 import argparse
 import json
 
-from rslogic import automata, cli
+from rslogic import cli
 from rslogic.automata import MultiTrackAutomaton, NumberSystem, Track
 from rslogic.cli import main
 from rslogic.toolkit import standard_environment
+
+from builders import count_kernel_calls
 
 
 def test_seq_csv(capsys):
@@ -183,16 +185,10 @@ def test_env_dir_minimizes_each_new_machine_once(tmp_path, monkeypatch):
     (env_dir / "power.rel.txt").write_text(power.to_text())
     env = standard_environment()
     monkeypatch.setattr(cli, "standard_environment", lambda: env)
-    calls = []
-
-    def counting_minimize(a, minimize=automata.minimize):
-        calls.append(a)
-        return minimize(a)
-
-    monkeypatch.setattr(cli, "minimize", counting_minimize)
-    monkeypatch.setattr(automata, "minimize", counting_minimize)
+    # counted in every module, the registration gate's included
+    counts = count_kernel_calls(monkeypatch, ("minimize",))
     loaded = cli._load_env(argparse.Namespace(env_dir=str(env_dir)))
-    assert len(calls) == 2
+    assert counts["minimize"] == 2
     assert loaded.relations["even"].automaton.n_states == 2
     assert loaded.relations["power"].automaton.n_states == 3
 

@@ -2,6 +2,7 @@
 
 import copy
 import math
+import re
 from fractions import Fraction
 from functools import reduce
 
@@ -146,11 +147,12 @@ def test_non_integral_minimal_form_that_settles():
     assert any(type(x) is Fraction for x in _entries(form))
 
 
-@pytest.mark.parametrize("value", [-1, 2.5])
+@pytest.mark.parametrize("value", [-1, 2.5, True])
 def test_eval_rejects_values_that_are_not_natural(env, value):
-    with pytest.raises(CompileError, match=f"got {value}"):
+    message = f"^{re.escape(f'value must be an int of at least 0, got {value!r}')}$"
+    with pytest.raises(CompileError, match=message):
         eval_linrep(env.representations["ident"], value)
-    with pytest.raises(CompileError, match=f"got {value}"):
+    with pytest.raises(CompileError, match=message):
         eval_linrep(env.representations["full_block"], (1, value))
 
 
