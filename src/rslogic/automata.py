@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import itemgetter, or_
 
 from .errors import AutomatonError, BaseMismatchError, CompileError, RegexError
 
@@ -489,40 +489,60 @@ def complement(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
 
 
 def determinize(tracks, initial, accepting, trans) -> MultiTrackAutomaton:
-    """Subset construction; the empty subset becomes the rejecting sink.
+    """Subset construction over bit masks; the empty set becomes the rejecting sink.
 
-    ``trans[q][j]`` is the frozenset of states reached from q on symbol j,
-    in the rows that ``project``, ``reverse`` and ``from_regex`` build.
-    Subsets are numbered in breadth-first order from ``initial`` and accept
-    when they meet ``accepting``.  A singleton subset takes its state's row
-    as is; a larger one unions its states' rows column by column.
+    A set of states is an int whose bit q stands for state q.  ``trans[q][j]``
+    is the mask of the states reached from q on symbol j, in the rows that
+    ``project``, ``reverse`` and ``from_regex`` build; ``initial`` and
+    ``accepting`` are collections of states.  Sets are numbered in
+    breadth-first order from ``initial`` and accept when they meet
+    ``accepting``.  A singleton takes its state's row as is; a larger set
+    ORs its members' rows column by column, one pass in C per member.
+    Masks and sets of states correspond one to one, so the numbering is the
+    one that sets of states would give.
     """
-    union = frozenset().union
-    sink_row = [frozenset()] * _alpha_size(tracks)
+    sink_row = [0] * _alpha_size(tracks)
 
-    def successors(subset):
-        if len(subset) == 1:
-            (q,) = subset
-            return trans[q]
-        if subset:
-            return [union(*col) for col in zip(*[trans[q] for q in subset])]
-        return sink_row
+    def successors(mask):
+        if not mask:
+            return sink_row
+        row = trans[(mask & -mask).bit_length() - 1]
+        mask &= mask - 1  # drop the lowest member
+        while mask:
+            row = list(map(or_, row, trans[(mask & -mask).bit_length() - 1]))
+            mask &= mask - 1
+        return row
 
-    order, matrix = _explore(frozenset(initial), successors)
-    outputs = [int(not accepting.isdisjoint(subset)) for subset in order]
+    order, matrix = _explore(_mask(initial), successors)
+    final = _mask(accepting)
+    outputs = [int(mask & final != 0) for mask in order]
     return MultiTrackAutomaton(tracks, len(order), 0, outputs, matrix)
+
+
+def _mask(states) -> int:
+    """The bit mask of a collection of states."""
+    return sum(1 << q for q in set(states))
+
+
+def _picker(indices):
+    """An ``itemgetter`` of ``indices`` that returns a tuple for one index too."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda row: (row[i],)
+    return itemgetter(*indices)
 
 
 def project(a: MultiTrackAutomaton, names) -> MultiTrackAutomaton:
     """Existentially remove the tracks ``names`` (one name, or a collection
-    of them) in one ``determinize``, over rows that group each state's
+    of them) in one ``determinize``, over mask rows that OR each state's
     successors by the digits on the remaining tracks.
 
     Removing tracks can strand witnesses that needed more digits than the
     remaining tracks, so the initial set is closed under transitions whose
     remaining digits are all zero: the result then accepts w exactly when
     some zero-padding of w extends to an accepted full word.  That is the
-    language of removing the tracks one at a time, in any order.
+    language of removing the tracks one at a time, in any order.  Removing
+    no track gives the padding closure of ``a``.
     """
     names = [names] if isinstance(names, str) else names
     pos = {a.track_index(name) for name in names}
@@ -532,29 +552,37 @@ def project(a: MultiTrackAutomaton, names) -> MultiTrackAutomaton:
     groups = [[] for _ in range(_alpha_size(rest))]
     for j, out in enumerate(_projection_table(a.tracks, rest)):
         groups[out].append(j)
-    # every group holds one symbol per digit tuple of the removed tracks
-    pickers = [itemgetter(*group) for group in groups]
-    trans = [[frozenset(pick(row)) for pick in pickers] for row in a.matrix]
+    # every group holds one symbol per digit tuple of the removed tracks, and
+    # layer r picks every group's r-th symbol: a state's mask row ORs the
+    # layers of its successors' bits
+    first, *layers = [_picker(layer) for layer in zip(*groups)]
+    bit = [1 << q for q in range(a.n_states)].__getitem__
+    trans = []
+    for row in a.matrix:
+        bits = list(map(bit, row))
+        cells = first(bits)
+        for layer in layers:
+            cells = list(map(or_, cells, layer(bits)))
+        trans.append(cells)
     # close the initial set under leading zero padding
-    initial = reachable([pickers[0](row) for row in a.matrix], a.initial)
+    initial = reachable([[row[j] for j in groups[0]] for row in a.matrix], a.initial)
     return determinize(rest, initial, a.accepting, trans)
 
 
 def reverse(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
     """Deterministic automaton of the mirror images of ``a``'s words.
 
-    Subsets of ``a``'s states, fed their predecessor rows, start from its
+    Sets of ``a``'s states, fed their predecessor mask rows, start from its
     accepting states and accept when they hold its initial state.  When
     every state of ``a`` is reachable, the result is minimal (Brzozowski,
     "Canonical regular expressions and minimal state graphs for definite
     events", 1962) and numbered as ``minimize`` numbers it.
     """
-    preds = [[set() for _ in range(a.alphabet_size)] for _ in range(a.n_states)]
+    preds = [[0] * a.alphabet_size for _ in range(a.n_states)]
     for q, row in enumerate(a.matrix):
         for j, t in enumerate(row):
-            preds[t][j].add(q)
-    rows = [[frozenset(cell) for cell in row] for row in preds]
-    return determinize(a.tracks, a.accepting, {a.initial}, rows)
+            preds[t][j] |= 1 << q
+    return determinize(a.tracks, a.accepting, {a.initial}, preds)
 
 
 def reachable(matrix, initial) -> list[int]:
@@ -808,15 +836,15 @@ def from_regex(systems, pattern: str) -> MultiTrackAutomaton:
         symbols, follow, accepting = _positions(pattern, [t.base for t in tracks])
     except RecursionError:
         raise RegexError("the pattern nests too deeply to parse") from None
-    # state 0 is the start and state p is position p, entered on its symbol
-    rows = [[set() for _ in range(_alpha_size(tracks))] for _ in follow]
-    for row, succ in zip(rows, follow):
+    # state 0 is the start and state p is position p, entered on its symbol;
+    # a cell is the mask of the positions entered
+    trans = [[0] * _alpha_size(tracks) for _ in follow]
+    for row, succ in zip(trans, follow):
         for p in succ:
-            row[symbols[p]].add(p)
+            row[symbols[p]] |= 1 << p
     # close the start under leading zero tuples (symbol index 0), as project
     # does: the start loops on zero, and every state reached from it on
     # zeros starts too
-    rows[0][0].add(0)
-    initial = reachable([row[0] for row in rows], 0)
-    trans = [[frozenset(cell) for cell in row] for row in rows]
+    trans[0][0] |= 1
+    initial = reachable([[p for p in succ if symbols[p] == 0] for succ in follow], 0)
     return minimize(determinize(tracks, initial, accepting, trans))

@@ -11,6 +11,8 @@ Fractions: it reduces every candidate once to insert it and again to
 express it in the inserted basis.  ``plain_product`` is ``product`` with
 every reachable state pair its own state, also where one side is a
 rejecting sink; ``plain_product_pairs`` lists those pairs.
+``plain_project`` and ``plain_reverse`` are ``project`` and ``reverse`` as
+subset constructions over frozensets of states, one symbol at a time.
 These stay deliberately separate from the engine code they check.  The
 encoder ``encode_values``, the readers ``step``, ``accepts_values`` and
 ``value_of_word``, the test ``is_padding_closed``, the base-2 sign table
@@ -183,6 +185,61 @@ def plain_product(a, b, op) -> MultiTrackAutomaton:
     tracks, order, matrix = plain_product_pairs(a, b)
     outputs = [int(op(a.outputs[qa], b.outputs[qb])) for qa, qb in order]
     return MultiTrackAutomaton(tracks, len(order), 0, outputs, matrix)
+
+
+def _plain_determinize(tracks, initial, accepting, trans) -> MultiTrackAutomaton:
+    """Subset construction over frozensets, numbered breadth first, symbols in order.
+
+    ``trans[q][j]`` is the set of states reached from q on symbol j.
+    """
+    width = _alpha_size(tracks)
+    start = frozenset(initial)
+    ids, order, matrix = {start: 0}, [start], []
+    for subset in order:
+        row = []
+        for j in range(width):
+            succ = frozenset().union(*(trans[q][j] for q in subset))
+            if succ not in ids:
+                ids[succ] = len(order)
+                order.append(succ)
+            row.append(ids[succ])
+        matrix.append(row)
+    outputs = [int(not subset.isdisjoint(accepting)) for subset in order]
+    return MultiTrackAutomaton(tracks, len(order), 0, outputs, matrix)
+
+
+def plain_project(a, names) -> MultiTrackAutomaton:
+    """``project`` of the tracks ``names``, unminimized, over frozensets of states.
+
+    A state's set on a remaining symbol holds its successors on every full
+    symbol showing those remaining digits, and the initial set holds what
+    the initial state reaches on symbols whose remaining digits are all zero.
+    """
+    keep = [i for i, t in enumerate(a.tracks) if t.name not in names]
+    rest = tuple(a.tracks[i] for i in keep)
+    bases = tuple(t.base for t in rest)
+    # the remaining symbol that each full symbol shows
+    seen = [_symbol_index(bases, tuple(sym[i] for i in keep)) for sym in a.alphabet]
+    trans = [
+        [frozenset(t for t, s in zip(row, seen) if s == j) for j in range(_alpha_size(rest))]
+        for row in a.matrix
+    ]
+    initial, todo = {a.initial}, [a.initial]
+    while todo:
+        for t in trans[todo.pop()][0]:
+            if t not in initial:
+                initial.add(t)
+                todo.append(t)
+    return _plain_determinize(rest, initial, a.accepting, trans)
+
+
+def plain_reverse(a) -> MultiTrackAutomaton:
+    """``reverse``, over frozensets of predecessors."""
+    preds = [[set() for _ in range(a.alphabet_size)] for _ in range(a.n_states)]
+    for q, row in enumerate(a.matrix):
+        for j, t in enumerate(row):
+            preds[t][j].add(q)
+    return _plain_determinize(a.tracks, a.accepting, {a.initial}, preds)
 
 
 def count_kernel_calls(monkeypatch, names=("minimize", "project", "determinize", "product")):

@@ -40,6 +40,8 @@ from builders import (
     is_padding_closed,
     plain_product,
     plain_product_pairs,
+    plain_project,
+    plain_reverse,
     step,
     value_of_word,
 )
@@ -221,6 +223,25 @@ def test_projection_to_zero_tracks():
     assert not accepts_values(none, ())
 
 
+def test_projecting_no_track_keeps_a_padding_closed_automaton():
+    for a in (
+        MultiTrackAutomaton((), 1, 0, [1], [[0]]),
+        MultiTrackAutomaton((), 1, 0, [0], [[0]]),
+        less_than_automaton(),
+        from_regex(["msd_2", "msd_3"], "[0,0]*[1,2]([0,1]|[1,0])*"),
+    ):
+        assert is_padding_closed(a)
+        assert minimize(project(a, [])).to_text() == minimize(a).to_text()
+
+
+def test_projecting_no_track_closes_under_padding():
+    # the word 0 1 is accepted, the word 1 is not; the closure accepts both
+    a = MultiTrackAutomaton((t2("x"),), 3, 0, [0, 0, 1], [[1, 0], [0, 2], [0, 0]])
+    closed = project(a, [])
+    assert is_padding_closed(closed)
+    assert closed.accepts([(1,)]) and closed.accepts([(0,), (1,)])
+
+
 def test_minimize_is_canonical():
     a = from_regex(["msd_2"], "0*10*")
     b = minimize(complement(complement(a)))
@@ -358,6 +379,18 @@ def test_determinize_subset_construction():
     # padding closure keeps value semantics
     for n in range(256):
         assert accepts_values(nfa, [n]) == (n in values)
+
+
+def test_from_regex_with_more_positions_than_a_machine_word():
+    # 1 followed by 7-digit blocks of even parity: 449 positions, few states
+    blocks = [format(v, "07b") for v in range(128) if bin(v).count("1") % 2 == 0]
+    a = from_regex(["msd_2"], "1(" + "|".join(blocks) + ")*")
+    assert a.n_states < 20
+    for n in range(2**15):
+        digits = bin(n)[3:]
+        blocks_even = all(digits[i : i + 7].count("1") % 2 == 0 for i in range(0, len(digits), 7))
+        expected = n > 0 and len(digits) % 7 == 0 and blocks_even
+        assert accepts_values(a, [n]) == expected, n
 
 
 def test_walk_rejects_bad_digits():
@@ -646,6 +679,30 @@ def test_project_is_existential_over_removed_track(a, data):
 
 
 @st.composite
+def dfas_up_to_three_tracks(draw):
+    """A complete DFA with 1-3 tracks of bases 2-3 and at most 6 states."""
+    bases = draw(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=3))
+    tracks = tuple(Track(name, NumberSystem(b)) for name, b in zip("xyz", bases))
+    n = draw(st.integers(1, 6))
+    state = st.integers(0, n - 1)
+    width = math.prod(bases)
+    matrix = draw(st.lists(st.lists(state, min_size=width, max_size=width), min_size=n, max_size=n))
+    outputs = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return MultiTrackAutomaton(tracks, n, draw(state), outputs, matrix)
+
+
+@settings(max_examples=80, deadline=None)
+@given(dfas_up_to_three_tracks())
+def test_project_and_reverse_give_the_frozenset_construction_bytes(a):
+    # unminimized, so every subset and its number are compared
+    names = [t.name for t in a.tracks]
+    for k in range(1, len(names) + 1):
+        for removed in itertools.combinations(names, k):
+            assert project(a, removed).to_text() == plain_project(a, removed).to_text(), removed
+    assert reverse(a).to_text() == plain_reverse(a).to_text()
+
+
+@st.composite
 def small_dfaos(draw):
     base = draw(st.sampled_from([2, 3]))
     n = draw(st.integers(1, 8))
@@ -825,7 +882,8 @@ def subset_rows(draw):
 @given(subset_rows())
 def test_determinize_accepts_what_the_subset_simulation_accepts(case):
     tracks, initial, accepting, trans = case
-    a = determinize(tracks, initial, accepting, trans)
+    masks = [[sum(1 << t for t in cell) for cell in row] for row in trans]
+    a = determinize(tracks, initial, accepting, masks)
     for length in range(4):
         for word in itertools.product(a.alphabet, repeat=length):
             current = initial
