@@ -488,34 +488,63 @@ def complement(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
     return MultiTrackAutomaton(a.tracks, a.n_states, a.initial, outputs, a.matrix)
 
 
+# Sets of states are int bit masks, bit q for state q, in machines of at most
+# this many states: a set's row is then the OR of its members' mask rows, one
+# pass in C per member.  A mask is as wide as its machine, so a machine's mask
+# rows grow with the square of its states; wider machines keep collections of
+# states, whose rows grow with the transitions.  At this width a mask takes
+# 164 bytes in CPython, no more than a frozenset of one state (216).
+MASK_STATES = 1024
+
+
+def _state_sets(n):
+    """The empty-set constructor and the singleton sets of the states 0..n-1:
+    int masks when ``n`` is at most ``MASK_STATES``, Python sets above."""
+    if n <= MASK_STATES:
+        return int, [1 << q for q in range(n)]
+    return set, [frozenset((q,)) for q in range(n)]
+
+
 def determinize(tracks, initial, accepting, trans) -> MultiTrackAutomaton:
-    """Subset construction over bit masks; the empty set becomes the rejecting sink.
+    """Subset construction; the empty set becomes the rejecting sink.
 
-    A set of states is an int whose bit q stands for state q.  ``trans[q][j]``
-    is the mask of the states reached from q on symbol j, in the rows that
-    ``project``, ``reverse`` and ``from_regex`` build; ``initial`` and
-    ``accepting`` are collections of states.  Sets are numbered in
-    breadth-first order from ``initial`` and accept when they meet
-    ``accepting``.  A singleton takes its state's row as is; a larger set
-    ORs its members' rows column by column, one pass in C per member.
-    Masks and sets of states correspond one to one, so the numbering is the
-    one that sets of states would give.
+    ``trans[q][j]`` is the set of states reached from q on symbol j, in the
+    rows that ``project``, ``reverse`` and ``from_regex`` build: an int bit
+    mask, bit t for state t, when ``trans`` has at most ``MASK_STATES``
+    rows, and an iterable of states above.  ``initial`` and ``accepting``
+    are collections of states.  Sets are numbered in breadth-first order
+    from ``initial`` and accept when they meet ``accepting``.  Over masks,
+    a singleton takes its state's row as is and a larger set ORs its
+    members' rows column by column, one pass in C per member; over
+    collections, each cell is one union of its column.  Masks and sets of
+    states correspond one to one, so both number the sets alike.
     """
-    sink_row = [0] * _alpha_size(tracks)
+    if len(trans) <= MASK_STATES:
+        sink_row = [0] * _alpha_size(tracks)
 
-    def successors(mask):
-        if not mask:
+        def successors(mask):
+            if not mask:
+                return sink_row
+            row = trans[(mask & -mask).bit_length() - 1]
+            mask &= mask - 1  # drop the lowest member
+            while mask:
+                row = list(map(or_, row, trans[(mask & -mask).bit_length() - 1]))
+                mask &= mask - 1
+            return row
+
+        start, final = _mask(initial), _mask(accepting)
+    else:
+        union = frozenset().union
+        sink_row = [frozenset()] * _alpha_size(tracks)
+
+        def successors(subset):
+            if subset:
+                return [union(*col) for col in zip(*map(trans.__getitem__, subset))]
             return sink_row
-        row = trans[(mask & -mask).bit_length() - 1]
-        mask &= mask - 1  # drop the lowest member
-        while mask:
-            row = list(map(or_, row, trans[(mask & -mask).bit_length() - 1]))
-            mask &= mask - 1
-        return row
 
-    order, matrix = _explore(_mask(initial), successors)
-    final = _mask(accepting)
-    outputs = [int(mask & final != 0) for mask in order]
+        start, final = frozenset(initial), frozenset(accepting)
+    order, matrix = _explore(start, successors)
+    outputs = [int(bool(subset & final)) for subset in order]
     return MultiTrackAutomaton(tracks, len(order), 0, outputs, matrix)
 
 
@@ -534,7 +563,7 @@ def _picker(indices):
 
 def project(a: MultiTrackAutomaton, names) -> MultiTrackAutomaton:
     """Existentially remove the tracks ``names`` (one name, or a collection
-    of them) in one ``determinize``, over mask rows that OR each state's
+    of them) in one ``determinize``, over rows that OR each state's
     successors by the digits on the remaining tracks.
 
     Removing tracks can strand witnesses that needed more digits than the
@@ -552,18 +581,22 @@ def project(a: MultiTrackAutomaton, names) -> MultiTrackAutomaton:
     groups = [[] for _ in range(_alpha_size(rest))]
     for j, out in enumerate(_projection_table(a.tracks, rest)):
         groups[out].append(j)
-    # every group holds one symbol per digit tuple of the removed tracks, and
-    # layer r picks every group's r-th symbol: a state's mask row ORs the
-    # layers of its successors' bits
-    first, *layers = [_picker(layer) for layer in zip(*groups)]
-    bit = [1 << q for q in range(a.n_states)].__getitem__
-    trans = []
-    for row in a.matrix:
-        bits = list(map(bit, row))
-        cells = first(bits)
-        for layer in layers:
-            cells = list(map(or_, cells, layer(bits)))
-        trans.append(cells)
+    # every group holds one symbol per digit tuple of the removed tracks
+    if a.n_states > MASK_STATES:
+        # a state's row holds the tuple of its successors in each group
+        trans = [[tuple(map(row.__getitem__, group)) for group in groups] for row in a.matrix]
+    else:
+        # layer r picks every group's r-th symbol, and a state's mask row ORs
+        # the layers of its successors' bits
+        first, *layers = [_picker(layer) for layer in zip(*groups)]
+        bit = [1 << q for q in range(a.n_states)].__getitem__
+        trans = []
+        for row in a.matrix:
+            bits = list(map(bit, row))
+            cells = first(bits)
+            for layer in layers:
+                cells = list(map(or_, cells, layer(bits)))
+            trans.append(cells)
     # close the initial set under leading zero padding
     initial = reachable([[row[j] for j in groups[0]] for row in a.matrix], a.initial)
     return determinize(rest, initial, a.accepting, trans)
@@ -572,16 +605,17 @@ def project(a: MultiTrackAutomaton, names) -> MultiTrackAutomaton:
 def reverse(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
     """Deterministic automaton of the mirror images of ``a``'s words.
 
-    Sets of ``a``'s states, fed their predecessor mask rows, start from its
+    Sets of ``a``'s states, fed their predecessor rows, start from its
     accepting states and accept when they hold its initial state.  When
     every state of ``a`` is reachable, the result is minimal (Brzozowski,
     "Canonical regular expressions and minimal state graphs for definite
     events", 1962) and numbered as ``minimize`` numbers it.
     """
-    preds = [[0] * a.alphabet_size for _ in range(a.n_states)]
+    empty, unit = _state_sets(a.n_states)
+    preds = [[empty() for _ in range(a.alphabet_size)] for _ in range(a.n_states)]
     for q, row in enumerate(a.matrix):
         for j, t in enumerate(row):
-            preds[t][j] |= 1 << q
+            preds[t][j] |= unit[q]
     return determinize(a.tracks, a.accepting, {a.initial}, preds)
 
 
@@ -837,14 +871,15 @@ def from_regex(systems, pattern: str) -> MultiTrackAutomaton:
     except RecursionError:
         raise RegexError("the pattern nests too deeply to parse") from None
     # state 0 is the start and state p is position p, entered on its symbol;
-    # a cell is the mask of the positions entered
-    trans = [[0] * _alpha_size(tracks) for _ in follow]
+    # a cell is the set of the positions entered
+    empty, unit = _state_sets(len(follow))
+    trans = [[empty() for _ in range(_alpha_size(tracks))] for _ in follow]
     for row, succ in zip(trans, follow):
         for p in succ:
-            row[symbols[p]] |= 1 << p
+            row[symbols[p]] |= unit[p]
     # close the start under leading zero tuples (symbol index 0), as project
     # does: the start loops on zero, and every state reached from it on
     # zeros starts too
-    trans[0][0] |= 1
+    trans[0][0] |= unit[0]
     initial = reachable([[p for p in succ if symbols[p] == 0] for succ in follow], 0)
     return minimize(determinize(tracks, initial, accepting, trans))

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,7 @@ from rslogic.automata import (
     reverse,
     to_digits,
 )
+from rslogic import automata
 from rslogic.errors import AutomatonError, BaseMismatchError, CompileError, RegexError
 
 from builders import (
@@ -391,6 +393,22 @@ def test_from_regex_with_more_positions_than_a_machine_word():
         blocks_even = all(digits[i : i + 7].count("1") % 2 == 0 for i in range(0, len(digits), 7))
         expected = n > 0 and len(digits) % 7 == 0 and blocks_even
         assert accepts_values(a, [n]) == expected, n
+    # over collections of positions, as a pattern wider than the masks
+    with mock.patch.object(automata, "MASK_STATES", 0):
+        assert from_regex(["msd_2"], "1(" + "|".join(blocks) + ")*").to_text() == a.to_text()
+
+
+def test_machines_wider_than_the_masks_keep_collections_of_states():
+    # "the 11th digit from the end is 1" takes 2048 states; projecting its
+    # track puts every state in one set
+    a = from_regex(["msd_2"], "(0|1)*1" + "(0|1)" * 10)
+    assert a.n_states == 2048 > automata.MASK_STATES
+    wide = project(a, ["t0"]), reverse(a)
+    assert wide[0].to_text() == plain_project(a, ["t0"]).to_text()
+    assert wide[1].to_text() == plain_reverse(a).to_text()
+    assert wide[1].n_states == 13
+    with mock.patch.object(automata, "MASK_STATES", a.n_states):
+        assert [project(a, ["t0"]).to_text(), reverse(a).to_text()] == [m.to_text() for m in wide]
 
 
 def test_walk_rejects_bad_digits():
@@ -694,12 +712,15 @@ def dfas_up_to_three_tracks(draw):
 @settings(max_examples=80, deadline=None)
 @given(dfas_up_to_three_tracks())
 def test_project_and_reverse_give_the_frozenset_construction_bytes(a):
-    # unminimized, so every subset and its number are compared
+    # unminimized, so every subset and its number are compared; a limit of 0
+    # keeps collections of states, as a machine wider than the masks does
     names = [t.name for t in a.tracks]
-    for k in range(1, len(names) + 1):
-        for removed in itertools.combinations(names, k):
-            assert project(a, removed).to_text() == plain_project(a, removed).to_text(), removed
-    assert reverse(a).to_text() == plain_reverse(a).to_text()
+    for limit in (automata.MASK_STATES, 0):
+        with mock.patch.object(automata, "MASK_STATES", limit):
+            for k in range(1, len(names) + 1):
+                for removed in itertools.combinations(names, k):
+                    assert project(a, removed).to_text() == plain_project(a, removed).to_text(), removed
+            assert reverse(a).to_text() == plain_reverse(a).to_text()
 
 
 @st.composite
@@ -884,6 +905,9 @@ def test_determinize_accepts_what_the_subset_simulation_accepts(case):
     tracks, initial, accepting, trans = case
     masks = [[sum(1 << t for t in cell) for cell in row] for row in trans]
     a = determinize(tracks, initial, accepting, masks)
+    # with a limit of 0 the rows are collections of states, as in a wide machine
+    with mock.patch.object(automata, "MASK_STATES", 0):
+        assert determinize(tracks, initial, accepting, trans).to_text() == a.to_text()
     for length in range(4):
         for word in itertools.product(a.alphabet, repeat=length):
             current = initial
