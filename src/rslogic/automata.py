@@ -363,7 +363,12 @@ def _alphabet(tracks) -> tuple[tuple, ...]:
 
 
 def _symbol_index(bases, sym) -> int:
-    """Index of a digit tuple: mixed radix, the first track most significant."""
+    """Index of a digit tuple: mixed radix, the first track most significant.
+
+    AutomatonError unless the tuple has one digit in range per base.
+    """
+    if len(sym) != len(bases):
+        raise AutomatonError(f"digit tuple {sym} does not have {len(bases)} digits")
     idx = 0
     for d, b in zip(sym, bases):
         if not 0 <= d < b:
@@ -380,14 +385,18 @@ OP_IFF = lambda x, y: x == y
 
 
 def _merge_tracks(tracks):
-    """One track per name, in sorted name order; a name keeps one base."""
-    by_name: dict[str, NumberSystem] = {}
+    """One track per name, in sorted name order; a name keeps one base.
+
+    The tracks are the callers' own: the first one given under each name.
+    """
+    by_name: dict[str, Track] = {}
     for t in tracks:
-        if by_name.setdefault(t.name, t.system) != t.system:
+        kept = by_name.setdefault(t.name, t)
+        if kept is not t and kept.system != t.system:
             raise BaseMismatchError(
-                f"track {t.name!r} used with both {by_name[t.name]} and {t.system}"
+                f"track {t.name!r} used with both {kept.system} and {t.system}"
             )
-    return tuple(Track(name, by_name[name]) for name in sorted(by_name))
+    return tuple(by_name[name] for name in sorted(by_name))
 
 
 def _projection_table(merged, part):
@@ -406,11 +415,10 @@ def _projection_table(merged, part):
     for t in reversed(part):
         weight[t.name] = weight.get(t.name, 0) + w
         w *= t.base
-    table = [0]
-    for t in merged:
-        w = weight.get(t.name, 0)
-        table = [x + d * w for x in table for d in range(t.base)]
-    return table
+    # the product lists the merged digit tuples in symbol-index order, each
+    # as its digits' terms, whose sum is its index in ``part``
+    terms = ([d * weight.get(t.name, 0) for d in range(t.base)] for t in merged)
+    return list(map(sum, itertools.product(*terms)))
 
 
 def _explore(start, successors):
@@ -422,10 +430,12 @@ def _explore(start, successors):
     canonical for a given successor function.  Returns ``(order, matrix)``:
     ``order[i]`` is the key numbered i and ``matrix[i]`` the numbers of its
     successors.  This is the one place where the kernel numbers states:
-    products, subset constructions, quotients and the residual automata of
-    ``numeration`` and ``synchronized`` all come out of it.  Most rows hold
-    no new key, so they are mapped in one pass and walked only when a key
-    is missing.
+    products, subset constructions and the residual automata of
+    ``numeration`` and ``synchronized`` all come out of it.  Quotients are
+    not walked: ``_refine`` renumbers only an input not yet numbered this
+    way, and reads its quotient's numbering off the refinement.  Most rows
+    hold no new key, so they are mapped in one pass and walked only when a
+    key is missing.
     """
     ids = {start: 0}
     order = [start]
@@ -643,22 +653,55 @@ def coreachable(matrix, targets) -> set[int]:
     return set(_explore(extra, preds.__getitem__)[0]) - {extra}
 
 
+def _numbered(matrix, initial) -> bool:
+    """Whether ``_explore`` from ``initial`` would number ``matrix`` as it is.
+
+    That holds when ``initial`` is 0 and, walking the rows in order, each row
+    meets the states above the highest one met so far in increasing order
+    of first position, the next numbers without a gap, and no row is walked
+    before its state is met.  Each row costs a ``max`` and, where it meets
+    new states, one ``list.index`` per new state.
+    """
+    if initial:
+        return False
+    top = 0  # the highest state met so far
+    for q, row in enumerate(matrix):
+        if q > top:
+            return False
+        high = max(row)
+        if high > top:
+            try:
+                firsts = list(map(row.index, range(top + 1, high + 1)))
+            except ValueError:  # the row skips a number
+                return False
+            if firsts != sorted(firsts):
+                return False
+            top = high
+    return top == len(matrix) - 1
+
+
 def _refine(matrix, initial, labels):
     """Minimal quotient of the states reachable from ``initial``.
 
-    Moore signature refinement: start from the partition by label, and in
-    each round give a state the signature (class, class of each successor);
-    stop when a round adds no class.  Every state takes part, reachable or
-    not: a class holds states of equal behaviour, and an unreachable state
-    that joins a reachable class changes none of its rows.  ``_explore``
-    then numbers only the classes reachable from the initial class, so
+    An input not numbered as ``_explore`` numbers it from ``initial`` is
+    renumbered so once, which also drops its unreachable states.  Moore
+    signature refinement then starts from the partition by label, and each
+    round gives a state the signature (class, class of each successor); a
+    round that adds no class ends it.  The quotient is read off the result:
+    the last round numbers each class by its least member, and a class is
+    first met in the quotient's walk where its least member is first met in
+    the input's, so that numbering is already the breadth-first one and
     equal behaviours always give identical matrices.  Returns the quotient
-    matrix, with initial state 0, and the label of each class.
+    matrix, with initial state 0, and the label of each class; the input
+    matrix itself when no class merged.
 
     Each round costs O(n * width) and adds at least one class, so there are
     at most n rounds.  If a workload ever shows that quadratic bound, the
     fallback is Valmari, "Fast brief practical DFA minimization" (IPL 2012).
     """
+    if not _numbered(matrix, initial):
+        order, matrix = _explore(initial, matrix.__getitem__)
+        labels = [labels[q] for q in order]
     ids: dict = {}
     cls = [ids.setdefault(label, len(ids)) for label in labels]
     count = len(ids)
@@ -671,22 +714,22 @@ def _refine(matrix, initial, labels):
         if len(sigs) == count:
             break
         count = len(sigs)
-    rep = [0] * count
-    for q, c in enumerate(cls):
-        rep[c] = q
-    order, out = _explore(cls[initial], lambda c: [cls[t] for t in matrix[rep[c]]])
-    return out, [labels[rep[c]] for c in order]
+    if count == len(matrix):
+        return matrix, labels
+    # the least member of each class, in class order
+    rep = sorted(dict(zip(reversed(cls), range(len(cls) - 1, -1, -1))).values())
+    return [list(map(cls.__getitem__, matrix[r])) for r in rep], [labels[r] for r in rep]
 
 
 def minimize(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
     """Unique minimal complete automaton, states renumbered canonically.
 
     Moore signature refinement, starting from the partition of the states
-    by output, merges indistinguishable states, and ``_explore`` numbers
-    the reachable classes in breadth-first order from the initial state
-    (symbols in lexicographic order), dropping the others (see
-    ``_refine``).  So equal languages, and equal output functions, always
-    serialize to identical bytes.
+    by output, merges indistinguishable states, and the classes reachable
+    from the initial state come out numbered in breadth-first order
+    (symbols in lexicographic order), the others dropped (see ``_refine``).
+    So equal languages, and equal output functions, always serialize to
+    identical bytes.
     """
     matrix, outputs = _refine(a.matrix, a.initial, a.outputs)
     return MultiTrackAutomaton(a.tracks, len(matrix), 0, outputs, matrix)

@@ -13,6 +13,8 @@ every reachable state pair its own state, also where one side is a
 rejecting sink; ``plain_product_pairs`` lists those pairs.
 ``plain_project`` and ``plain_reverse`` are ``project`` and ``reverse`` as
 subset constructions over frozensets of states, one symbol at a time.
+``plain_minimize`` is ``minimize`` by Moore refinement of every state,
+reachable or not, whose quotient ``_explore`` walks and numbers again.
 These stay deliberately separate from the engine code they check.  The
 encoder ``encode_values``, the readers ``step``, ``accepts_values`` and
 ``value_of_word``, the test ``is_padding_closed``, the base-2 sign table
@@ -33,6 +35,7 @@ from rslogic.automata import (
     OP_AND,
     Track,
     _alpha_size,
+    _explore,
     _symbol_index,
     coreachable,
     minimize,
@@ -240,6 +243,30 @@ def plain_reverse(a) -> MultiTrackAutomaton:
         for j, t in enumerate(row):
             preds[t][j].add(q)
     return _plain_determinize(a.tracks, a.accepting, {a.initial}, preds)
+
+
+def plain_minimize(a) -> MultiTrackAutomaton:
+    """``minimize`` as Moore refinement followed by a walk of the quotient.
+
+    Every state takes part, reachable or not, starting from the partition
+    by output; each round gives a state the signature (class, class of each
+    successor), and a round that adds no class ends it.  ``_explore`` then
+    numbers the classes reachable from the initial one, reading each class's
+    row off its last member.
+    """
+    ids: dict = {}
+    cls = [ids.setdefault(out, len(ids)) for out in a.outputs]
+    count = len(ids)
+    while count < a.n_states:
+        sigs: dict = {}
+        cls = [sigs.setdefault((c, tuple(cls[t] for t in row)), len(sigs)) for c, row in zip(cls, a.matrix)]
+        if len(sigs) == count:
+            break
+        count = len(sigs)
+    rep = {c: q for q, c in enumerate(cls)}
+    order, matrix = _explore(cls[a.initial], lambda c: [cls[t] for t in a.matrix[rep[c]]])
+    outputs = [a.outputs[rep[c]] for c in order]
+    return MultiTrackAutomaton(a.tracks, len(order), 0, outputs, matrix)
 
 
 def count_kernel_calls(monkeypatch, names=("minimize", "project", "determinize", "product")):

@@ -40,6 +40,7 @@ from builders import (
     accepts_values,
     encode_values,
     is_padding_closed,
+    plain_minimize,
     plain_product,
     plain_product_pairs,
     plain_project,
@@ -415,6 +416,17 @@ def test_walk_rejects_bad_digits():
     eq = equality_automaton()
     with pytest.raises(AutomatonError):
         step(eq, 0, (2, 0))
+
+
+def test_digit_tuples_of_the_wrong_length_are_rejected():
+    a = from_regex(["msd_2", "msd_2"], "[0,1]*")
+    for word, message in (
+        ([(1,)], "digit tuple (1,) does not have 2 digits"),
+        ([(0, 1, 1)], "digit tuple (0, 1, 1) does not have 2 digits"),
+    ):
+        with pytest.raises(AutomatonError, match=re.escape(message)):
+            a.accepts(word)
+    assert a.accepts([(0, 1)])
 
 
 def test_duplicate_track_names_rejected():
@@ -875,6 +887,74 @@ def test_output_minimized_bytes_ignore_numbering_and_unreachable_states(dfao, da
     )
     b = MultiTrackAutomaton(dfao.tracks, len(matrix), initial, outputs, matrix)
     assert minimize(b).to_text() == minimize(dfao).to_text()
+
+
+def _renumbered(a, order):
+    """``a`` on the states that ``order`` lists, state ``order[i]`` numbered i."""
+    new = {q: i for i, q in enumerate(order)}
+    matrix = [[new[t] for t in a.matrix[q]] for q in order]
+    return MultiTrackAutomaton(a.tracks, len(order), new[a.initial], [a.outputs[q] for q in order], matrix)
+
+
+def _numberings(a, data):
+    """``a`` as drawn; its reachable states numbered as ``_explore`` numbers
+    them; those followed by the unreachable states; and two of them swapped."""
+    reached = automata._explore(a.initial, a.matrix.__getitem__)[0]
+    rest = sorted(set(range(a.n_states)) - set(reached))
+    state = st.integers(0, len(reached) - 1)
+    i, j = data.draw(state), data.draw(state)
+    swapped = list(reached)
+    swapped[i], swapped[j] = reached[j], reached[i]
+    return a, _renumbered(a, reached), _renumbered(a, reached + rest), _renumbered(a, swapped)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_dfas(), small_dfaos()), st.data())
+def test_minimize_gives_the_reference_bytes(a, data):
+    # a numbered input has its quotient read off the refinement; the others
+    # are walked first
+    for b in _numberings(a, data):
+        assert minimize(b).to_text() == plain_minimize(b).to_text()
+
+
+def test_numbered_needs_each_state_met_in_order_before_its_row():
+    assert automata._numbered([[0]], 0)
+    assert automata._numbered([[1, 2], [0, 2], [2, 2]], 0)
+    assert automata._numbered([[1], [0]], 0)
+    assert not automata._numbered([[0], [1]], 0)  # state 1 is never met
+    assert not automata._numbered([[2, 1], [1, 1], [2, 2]], 0)  # met out of order
+    assert not automata._numbered([[0, 2], [1, 1], [2, 2]], 0)  # a number skipped
+    assert not automata._numbered([[1], [0]], 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_dfas(), st.data())
+def test_numbered_says_whether_explore_keeps_the_numbers(a, data):
+    for b in _numberings(a, data):
+        kept = automata._explore(b.initial, b.matrix.__getitem__)[0] == list(range(b.n_states))
+        assert automata._numbered(b.matrix, b.initial) == kept
+
+
+@settings(max_examples=80, deadline=None)
+@given(dfa_pairs_with_sinks())
+def test_kernel_outputs_are_numbered_as_explore_numbers_them(pair):
+    a, b = pair
+    outputs = [minimize(a), reverse(a), project(a, [t.name for t in a.tracks])]
+    outputs += [project(a, t.name) for t in a.tracks]
+    outputs += [product(a, b, op) for op in (OP_AND, OP_OR, OP_XOR)]
+    for m in outputs:
+        assert automata._numbered(m.matrix, m.initial), m
+
+
+def test_regex_automata_are_numbered_as_explore_numbers_them():
+    for systems, pattern in (
+        (["msd_2"], "1(0|1)*"),
+        (["msd_2"], "(10|01)*1*"),
+        (["msd_3"], "(12|2)*0"),
+        (["msd_2", "msd_2"], "[0,1]*[1,0]([1,1]|[0,0])*"),
+    ):
+        m = from_regex(systems, pattern)
+        assert automata._numbered(m.matrix, m.initial), pattern
 
 
 @settings(max_examples=80, deadline=None)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from rslogic import synchronized, toolkit
+from rslogic import automata, synchronized, toolkit
 from rslogic.automata import MultiTrackAutomaton
 from rslogic.errors import GuessFailedError
 from rslogic.logic import Environment
@@ -69,6 +69,34 @@ def test_suite_kernel_call_counts(monkeypatch):
     counts = count_kernel_calls(monkeypatch)
     run_suite(env)
     assert counts == {"minimize": 591, "project": 200, "determinize": 313, "product": 355}
+
+
+def test_suite_minimize_walks_only_the_inputs_not_yet_numbered(monkeypatch):
+    # a replay's minimize inputs mostly come out of product, determinize or
+    # an earlier minimize, numbered as _explore numbers them; their quotient
+    # is read off the refinement, and every other input is walked once
+    env = standard_environment()
+    refine, explore = automata._refine, automata._explore
+    seen = {"calls": 0, "numbered": 0, "walks": 0}
+
+    def counted_explore(*args):
+        seen["walks"] += 1
+        return explore(*args)
+
+    def watched_refine(matrix, initial, labels):
+        seen["calls"] += 1
+        seen["numbered"] += automata._numbered(matrix, initial)
+        monkeypatch.setattr(automata, "_explore", counted_explore)
+        try:
+            return refine(matrix, initial, labels)
+        finally:
+            monkeypatch.setattr(automata, "_explore", explore)
+
+    monkeypatch.setattr(automata, "_refine", watched_refine)
+    run_suite(env)
+    assert seen["calls"] == 591
+    assert seen["numbered"] >= 585
+    assert seen["walks"] == seen["calls"] - seen["numbered"]
 
 
 def test_suite_reports_engine_errors_as_rows():
