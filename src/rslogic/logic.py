@@ -6,11 +6,12 @@ products.  An existential quantifier conjoins the compiled conjuncts of its
 body and projects its variables away; a universal quantifier complements
 that over its body's refutation (``_refuting``), whose unprojected
 automaton find_counterexample decodes.  Registration refuses, with
-CompileError, a machine that a leading zero changes, so every machine a
-formula reads is padding-closed too.  Registered relations are stored
-with positional parameter tracks, and an application is the existential
-closure of the renamed relation and one equation per compound argument, or
-the minimized renamed relation when every argument is a variable.
+CompileError, a machine with a transition outside its states or one that a
+leading zero changes, so every machine a formula reads is padding-closed
+too.  Registered relations are stored with positional parameter tracks, and
+an application is the existential closure of the renamed relation and one
+equation per compound argument, or the minimized renamed relation when
+every argument is a variable.
 
 An environment builds each atom (a comparison, an application or an
 output test) once: an atom met again under other variable names, sorted
@@ -36,7 +37,6 @@ from .automata import (
     OP_IFF,
     OP_IMPLIES,
     OP_OR,
-    _merge_tracks,
     complement,
     decode_word,
     find_witness,
@@ -83,6 +83,18 @@ class Relation:
     automaton: MultiTrackAutomaton
 
 
+def _require_states(kind, name, automaton):
+    """Refuse ``automaton`` if a transition leads outside its states.
+
+    The constructor checks only the shape of the matrix, so that the kernels
+    build machines without a pass over every cell; a machine from outside
+    enters an environment only through this check.
+    """
+    matrix = automaton.matrix
+    if min(map(min, matrix)) < 0 or max(map(max, matrix)) >= automaton.n_states:
+        raise CompileError(f"{kind} {name!r} has a transition to a state outside 0..{automaton.n_states - 1}")
+
+
 def _require_padding_closed(kind, name, automaton):
     """Refuse ``automaton`` if a leading zero tuple changes an output.
 
@@ -123,6 +135,7 @@ class Environment:
             order = names
         if sorted(order) != sorted(names):
             raise CompileError(f"parameter order {order} does not match tracks of {name}")
+        _require_states("relation", name, automaton)
         _require_padding_closed("relation", name, automaton)
         stored = automaton.renamed({v: _param(i) for i, v in enumerate(order)})
         return self._bind(self.relations, "relation", name, Relation(name, stored))
@@ -131,6 +144,7 @@ class Environment:
         """Register ``dfao``, read as ``name[n]``: it reads one track."""
         if len(dfao.tracks) != 1:
             raise CompileError(f"automaton with output {name!r} reads {len(dfao.tracks)} tracks, not 1")
+        _require_states("automaton with output", name, dfao)
         _require_padding_closed("automaton with output", name, dfao)
         self._bind(self.dfaos, "automaton with output", name, dfao)
 
@@ -292,40 +306,64 @@ class _Compiler:
         return self._exists(equations, [automaton.renamed(mapping), *equations.values()])
 
     def _exists(self, variables, autos):
-        """Conjoin the automata, cheapest pair (states x states x merged
-        alphabet) first, and project each variable once a single conjunct
-        holds it: one ``project`` call per conjunct removes all of them."""
+        """Conjoin the automata, cheapest pair first, and project each
+        variable once a single conjunct holds it: one ``project`` call per
+        conjunct removes all of them.
+
+        A pair costs n_a * n_b * W_merged / sqrt(W_shared), where W_merged
+        is the alphabet size of the pair's tracks together and W_shared that
+        of the tracks both read.  Operands that share tracks move in step on
+        them, so their product reaches fewer pairs of states than n_a * n_b
+        suggests.  The square root takes only part of that credit: dividing
+        by all of W_shared picked orders that made the benchmark's mutant
+        proofs 5-13 % slower.
+        """
         pending = set(variables)
+        bases = [_bases(a) for a in autos]  # conjunct index -> {track name: base}
 
         def project_single_holders():
             # projecting removes only the named tracks, so no other variable
             # loses a holder and one pass suffices
             single = {}  # conjunct index -> the pending variables it alone holds
             for v in list(pending):
-                holders = [
-                    k for k, a in enumerate(autos) if any(t.name == v for t in a.tracks)
-                ]
+                holders = [k for k, names in enumerate(bases) if v in names]
                 if len(holders) <= 1:
                     pending.discard(v)
                 if len(holders) == 1:
                     single.setdefault(holders[0], []).append(v)
             for k, names in single.items():
                 autos[k] = minimize(project(autos[k], names))
+                bases[k] = _bases(autos[k])
 
         def cost(pair):
-            # unlike _alpha_size, no budget: a pair over it raises only if picked
-            a, b = (autos[k] for k in pair)
-            return a.n_states * b.n_states * math.prod(t.base for t in _merge_tracks(a.tracks + b.tracks))
+            i, j = pair
+            return _pair_cost(autos[i].n_states, bases[i], autos[j].n_states, bases[j])
 
         project_single_holders()
         while len(autos) > 1:
             i, j = min(itertools.combinations(range(len(autos)), 2), key=cost)
             merged = minimize(product(autos[i], autos[j], OP_AND))
-            autos = [a for k, a in enumerate(autos) if k not in (i, j)]
+            for k in (j, i):  # j > i
+                del autos[k], bases[k]
             autos.append(merged)
+            bases.append(_bases(merged))
             project_single_holders()
         # one automaton left: project_single_holders has emptied pending
         return autos[0]
+
+
+def _bases(automaton):
+    return {t.name: t.base for t in automaton.tracks}
+
+
+def _pair_cost(n_a, bases_a, n_b, bases_b):
+    """``_exists``'s cost of conjoining machines of n_a and n_b states whose
+    tracks have the ``{name: base}`` maps ``bases_a`` and ``bases_b``."""
+    # unlike _alpha_size, no budget: a pair over it raises only if picked,
+    # and product names a base clash
+    shared = math.prod(bases_a[v] for v in bases_a.keys() & bases_b.keys())
+    merged = math.prod(bases_a.values()) * math.prod(bases_b.values()) // shared
+    return n_a * n_b * merged / math.sqrt(shared)
 
 
 def _refuting(body):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rslogic import logic, synchronized
-from rslogic.automata import MultiTrackAutomaton, NumberSystem, Track, from_regex, minimize
+from rslogic.automata import OP_AND, MultiTrackAutomaton, NumberSystem, Track, from_regex, minimize, product, project
 from rslogic.errors import BaseMismatchError, CompileError, FormulaParseError
 from rslogic.linrep import eval_linrep
 from rslogic.logic import Environment, compile_formula, decide, find_counterexample
@@ -242,6 +242,55 @@ def test_exists_joint_constraints():
     env = Environment()
     aut = compile_formula(env, "Ek (n=2*k & k<5)")
     sweep(aut, lambda n: n % 2 == 0 and n < 10, bound=40)
+
+
+def test_exists_conjoins_the_pair_sharing_more_tracks_first(monkeypatch):
+    # x<y and w<y+1 share y alone, x<y and y<x+z share x and y: states x
+    # states x merged alphabet ranks them 72 < 96, and dividing by the
+    # square root of the shared alphabet 72/sqrt(2) > 96/2
+    env = Environment()
+    a, b, c = (compile_formula(env, text) for text in ("x<y", "w<y+1", "y<x+z"))
+
+    def estimate(p, q):
+        return p.n_states * q.n_states * 2 ** len({*p.tracks, *q.tracks})
+
+    assert estimate(a, b) < estimate(a, c) < estimate(b, c)
+    operands = []
+    monkeypatch.setattr(logic, "product", lambda p, q, op: operands.append((p, q)) or product(p, q, op))
+    got = compile_formula(env, "Ey x<y & w<y+1 & y<x+z")
+    assert operands[0][0] is a and operands[0][1] is c
+    # the estimate's order gives the same bytes
+    old = minimize(project(minimize(product(minimize(product(a, b, OP_AND)), c, OP_AND)), ["y"]))
+    assert got.to_text() == old.to_text()
+
+
+PLANNED_VARIABLES = ["w", "x", "y", "z"]
+
+
+@st.composite
+def linear_conjunctions(draw):
+    """``?msd_b E<vars> A1 & ... & An``: 3-5 linear atoms over 1-3 of four
+    variables in base 2-4, quantifying 1-3 of the variables they read."""
+    atoms = []
+    for _ in range(draw(st.integers(3, 5))):
+        names = draw(st.lists(st.sampled_from(PLANNED_VARIABLES), min_size=1, max_size=3, unique=True))
+        left = "+".join(f"{draw(st.integers(1, 3))}*{v}" for v in names)
+        relation = draw(st.sampled_from(["=", "<", "<=", "!="]))
+        atoms.append(f"{left}{relation}{draw(st.integers(0, 20))}")
+    read = sorted({v for v in PLANNED_VARIABLES if any(v in atom for atom in atoms)})
+    bound = draw(st.lists(st.sampled_from(read), min_size=1, max_size=3, unique=True))
+    return f"?msd_{draw(st.integers(2, 4))} E{','.join(bound)} " + " & ".join(atoms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(linear_conjunctions(), st.randoms(use_true_random=False))
+def test_exists_gives_the_same_bytes_in_any_order(formula, rng):
+    planned = compile_formula(Environment(), formula)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(logic, "_pair_cost", lambda *args: rng.random())
+        shuffled = compile_formula(Environment(), formula)
+    assert shuffled.tracks == planned.tracks, formula
+    assert shuffled.to_text() == planned.to_text(), formula
 
 
 def test_forall_totality_sentence():
@@ -642,6 +691,25 @@ def test_registration_refuses_an_automaton_with_output_a_leading_zero_changes():
     env = Environment()
     dfao = MultiTrackAutomaton((Track("t0", MSD2),), 2, 0, [1, -1], [[1, 1], [1, 1]])
     with pytest.raises(CompileError, match="automaton with output 'T' is not padding-closed"):
+        env.register_dfao("T", dfao)
+    assert "T" not in env.dfaos
+
+
+def test_registration_refuses_transitions_outside_the_states():
+    # the constructor checks only the shape of the matrix: [[5, 5]] ended in
+    # a bare IndexError, and the target -1 was read as the last state, so
+    # $r(1) was TRUE
+    env = Environment()
+    x = (Track("x", MSD2),)
+    with pytest.raises(CompileError, match=r"relation 'r' has a transition to a state outside 0\.\.0"):
+        env.register_relation("r", MultiTrackAutomaton(x, 1, 0, [1], [[5, 5]]))
+    with pytest.raises(CompileError, match=r"relation 'r' has a transition to a state outside 0\.\.1"):
+        env.register_relation("r", MultiTrackAutomaton(x, 2, 0, [0, 1], [[0, -1], [1, 1]]))
+    assert "r" not in env.relations
+    with pytest.raises(CompileError, match="unknown relation 'r'"):
+        decide(env, "$r(1)")
+    dfao = MultiTrackAutomaton((Track("t0", MSD2),), 2, 0, [1, -1], [[0, 2], [1, 1]])
+    with pytest.raises(CompileError, match="automaton with output 'T' has a transition to a state outside"):
         env.register_dfao("T", dfao)
     assert "T" not in env.dfaos
 
