@@ -563,14 +563,6 @@ def _mask(states) -> int:
     return sum(1 << q for q in set(states))
 
 
-def _picker(indices):
-    """An ``itemgetter`` of ``indices`` that returns a tuple for one index too."""
-    if len(indices) == 1:
-        (i,) = indices
-        return lambda row: (row[i],)
-    return itemgetter(*indices)
-
-
 def project(a: MultiTrackAutomaton, names) -> MultiTrackAutomaton:
     """Existentially remove the tracks ``names`` (one name, or a collection
     of them) in one ``determinize``, over rows that OR each state's
@@ -586,29 +578,28 @@ def project(a: MultiTrackAutomaton, names) -> MultiTrackAutomaton:
     names = [names] if isinstance(names, str) else names
     pos = {a.track_index(name) for name in names}
     rest = tuple(t for i, t in enumerate(a.tracks) if i not in pos)
-    # group the full symbol indices by the projected symbol index they map to;
-    # group 0 holds the symbols whose remaining digits are all zero
-    groups = [[] for _ in range(_alpha_size(rest))]
-    for j, out in enumerate(_projection_table(a.tracks, rest)):
-        groups[out].append(j)
-    # every group holds one symbol per digit tuple of the removed tracks
+    # the projected symbol index of each full symbol index; group 0, the
+    # symbols whose remaining digits are all zero, feeds the padding closure
+    table = _projection_table(a.tracks, rest)
+    zeros = [j for j, g in enumerate(table) if not g]
+    width = _alpha_size(rest)
     if a.n_states > MASK_STATES:
         # a state's row holds the tuple of its successors in each group
+        groups = [[] for _ in range(width)]
+        for j, g in enumerate(table):
+            groups[g].append(j)
         trans = [[tuple(map(row.__getitem__, group)) for group in groups] for row in a.matrix]
     else:
-        # layer r picks every group's r-th symbol, and a state's mask row ORs
-        # the layers of its successors' bits
-        first, *layers = [_picker(layer) for layer in zip(*groups)]
-        bit = [1 << q for q in range(a.n_states)].__getitem__
+        # a state's mask row ORs each successor's bit into its group's cell
+        bit = [1 << q for q in range(a.n_states)]
         trans = []
         for row in a.matrix:
-            bits = list(map(bit, row))
-            cells = first(bits)
-            for layer in layers:
-                cells = list(map(or_, cells, layer(bits)))
+            cells = [0] * width
+            for g, t in zip(table, row):
+                cells[g] |= bit[t]
             trans.append(cells)
     # close the initial set under leading zero padding
-    initial = reachable([[row[j] for j in groups[0]] for row in a.matrix], a.initial)
+    initial = reachable([[row[j] for j in zeros] for row in a.matrix], a.initial)
     return determinize(rest, initial, a.accepting, trans)
 
 
@@ -660,11 +651,12 @@ def _numbered(matrix, initial) -> bool:
     meets the states above the highest one met so far in increasing order
     of first position, the next numbers without a gap, and no row is walked
     before its state is met.  Each row costs a ``max`` and, where it meets
-    new states, one ``list.index`` per new state.
+    new states, one ``list.index`` per new state.  Once the highest state
+    is met the scan stops: the rows left meet no new state.
     """
     if initial:
         return False
-    top = 0  # the highest state met so far
+    top, last = 0, len(matrix) - 1  # the highest state met so far, and of all
     for q, row in enumerate(matrix):
         if q > top:
             return False
@@ -677,7 +669,9 @@ def _numbered(matrix, initial) -> bool:
             if firsts != sorted(firsts):
                 return False
             top = high
-    return top == len(matrix) - 1
+            if top == last:
+                return True
+    return top == last
 
 
 def _refine(matrix, initial, labels):

@@ -249,12 +249,14 @@ class _Compiler:
                 ("cmp", node.rel, node.system), (left, right),
                 lambda: linear_atom(coeffs, node.rel, right.const - left.const, node.system),
             )
+        # an application checks its arguments' annotations, so they join its key
         if isinstance(node, Apply):
             relation = self.env.relation(node.name).automaton
-            return self._atom(("$", relation), node.args, lambda: self._apply(node.name, relation, node.args))
+            head = "$", relation, tuple(t.system for t in node.args)
+            return self._atom(head, node.args, lambda: self._apply(node.name, relation, node.args))
         if isinstance(node, OutputTest):
             dfao = self.env.dfao(node.name)
-            return self._atom(("@", dfao, node.value), (node.arg,), lambda: self._apply(
+            return self._atom(("@", dfao, node.value, node.arg.system), (node.arg,), lambda: self._apply(
                 node.name, dfao.where(node.value).renamed({dfao.tracks[0].name: _param(0)}), [node.arg]
             ))
         raise CompileError(f"cannot compile node {type(node).__name__}")
@@ -262,15 +264,17 @@ class _Compiler:
     def _atom(self, head, terms, build):
         """``build()``, once per environment.  The key is ``head`` (which
         holds an applied relation or automaton with output as the object; a
-        name is bound once, so no key outlives its automaton), the ``terms``
-        with each variable numbered by first appearance, and the rank
-        pattern of the names: a hit renamed back has the bytes of a fresh
-        build, and a hit under the stored names is the stored automaton.  A
-        failing build stores nothing."""
+        name is bound once, so no key outlives its automaton), the ``terms``'
+        coefficients and constants with each variable numbered by first
+        appearance, and the rank pattern of the names: a hit renamed back
+        has the bytes of a fresh build, and a hit under the stored names is
+        the stored automaton.  A term's annotation is not in the key, since
+        a comparison reads only its own system; an application puts its
+        arguments' annotations in ``head``.  A failing build stores
+        nothing."""
         names = {}  # variable -> number, in order of first appearance
         shape = tuple(
-            (tuple((names.setdefault(v, len(names)), c) for v, c in t.coeffs.items()), t.const, t.system)
-            for t in terms
+            (tuple((names.setdefault(v, len(names)), c) for v, c in t.coeffs.items()), t.const) for t in terms
         )
         key = head, shape, tuple(names[v] for v in sorted(names))
         if key not in self.env.compiled:

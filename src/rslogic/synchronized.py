@@ -5,8 +5,11 @@ in parallel accepts exactly the graph of f.  guess_sync builds a candidate
 by exploring prefix residuals: the residual of a prefix pair (N, X) depends
 only on those two values, and two prefixes are merged when probing all
 suffixes up to a fixed depth cannot tell them apart.  The guess is unsound
-on its own; verify_sync settles it by deciding totality, functionality, the
-base case, and both inductive steps as sentences.
+on its own; verify_sync settles it by deciding totality, functionality and
+both inductive steps as sentences, and the base case by one membership
+test.  That test is sound because a registered candidate is padding-closed:
+(0, b) is accepted behind every number of leading zeros or behind none.
+Both steps read ``$shift``, the candidate at n+1, compiled once per proof.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .automata import (
     to_digits,
 )
 from .errors import CompileError, FunctionalityError, GuessFailedError
-from .logic import Environment, find_counterexample
+from .logic import Environment, compile_formula, find_counterexample
 from .parser import NAME_PATTERN
 from .sequences import (
     alternating_sum_by_recurrence,
@@ -381,10 +384,17 @@ class VerifyOutcome:
 def verify_sync(automaton, sign_dfao, rule, base_value, input_track=None):
     """Prove the candidate computes the running sum of a +/-1 sequence.
 
-    Decides, as sentences: the relation is a total function, its value at 0
-    is base_value, and it moves by exactly the signed step at every n -> n+1.
-    Together these pin down the function for all n by induction.  The signed
-    step is one automaton with output: the sign times the rule's parity weight.
+    Decides that the relation is a total function, that its value at 0 is
+    base_value, and that it moves by exactly the signed step at every
+    n -> n+1.  Together these pin down the function for all n by induction.
+    The signed step is one automaton with output: the sign times the rule's
+    parity weight.  Totality, functionality and the steps are sentences; the
+    base case is one membership test.  Registration has refused a candidate
+    that a leading zero changes, so every padding of (0, base_value) is
+    accepted or none is, and the shortest one decides: base_value's digits
+    on the output track against zeros on the input track, the empty word
+    for 0.  Both steps read ``$shift(n, y)``, the candidate at n+1, built
+    once per proof.
     """
     _natural(base_value, "base_value")
     env = Environment()
@@ -393,20 +403,21 @@ def verify_sync(automaton, sign_dfao, rule, base_value, input_track=None):
     arg, value = automaton.tracks[pos_in], automaton.tracks[pos_out]
     env.register_relation("cand", automaton, [arg.name, value.name])
     in_sys, out_sys = arg.system, value.system
+    env.register_relation("shift", compile_formula(env, f"?{in_sys} $cand(n+1, y)"), ["n", "y"])
 
-    checks = [
-        ("total", f"?{in_sys} An Ey $cand(n,y)"),
-        ("function", f"?{in_sys} An,x,y ($cand(n,x) & $cand(n,y)) => (?{out_sys} x=y)"),
-        ("base", f"?{in_sys} $cand(0, {base_value})"),
-        ("step_up", f"?{in_sys} An,y ($cand(n,y) & STEP[n+1]=@1) => $cand(n+1, ?{out_sys} y+1)"),
-        ("step_down", f"?{in_sys} An,y ($cand(n,y) & STEP[n+1]=@-1) => $cand(n+1, ?{out_sys} y-1)"),
-    ]
-    outcomes = []
-    for name, formula in checks:
-        witness = find_counterexample(env, formula)
-        if witness is not None and name == "base":
-            witness = {"n": 0}
-        outcomes.append(CheckOutcome(name, witness is None, witness))
+    base_word = [(0, d) if pos_out else (d, 0) for d in to_digits(base_value, value.base)]
+    witnesses = {
+        "total": find_counterexample(env, f"?{in_sys} An Ey $cand(n,y)"),
+        "function": find_counterexample(env, f"?{in_sys} An,x,y ($cand(n,x) & $cand(n,y)) => (?{out_sys} x=y)"),
+        "base": None if automaton.accepts(base_word) else {"n": 0},
+        "step_up": find_counterexample(
+            env, f"?{in_sys} An,y ($cand(n,y) & STEP[n+1]=@1) => $shift(n, ?{out_sys} y+1)"
+        ),
+        "step_down": find_counterexample(
+            env, f"?{in_sys} An,y ($cand(n,y) & STEP[n+1]=@-1) => $shift(n, ?{out_sys} y-1)"
+        ),
+    }
+    outcomes = [CheckOutcome(name, witness is None, witness) for name, witness in witnesses.items()]
     return VerifyOutcome(all(c.passed for c in outcomes), outcomes)
 
 

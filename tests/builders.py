@@ -4,6 +4,9 @@ A carry adder, a digitwise comparator and a doubling chain of adders
 assemble the same relations that ``rslogic.numeration.linear_atom``
 compiles in one pass.  ``plain_sync_table`` is ``sync_table`` without its
 kernel memo: it walks every input prefix from the engine's start frontier.
+``plain_verify_sync`` is ``verify_sync`` with every check a sentence: the
+base case compiles ``$cand(0, b)`` and each step applies the candidate to
+``n+1`` afresh.
 ``plain_eval_linrep`` is ``eval_linrep`` without its cached reduced form: it
 multiplies at the raw rank and pads every input until the count settles.
 ``plain_minimize_schutzenberger`` is the Schützenberger reduction over
@@ -46,9 +49,9 @@ from rslogic.automata import (
 )
 from rslogic.errors import AutomatonError, CompileError, DivergenceError, FunctionalityError
 from rslogic.linrep import LinearRepresentation
-from rslogic.logic import compile_formula, find_counterexample
+from rslogic.logic import Environment, compile_formula, find_counterexample
 from rslogic.numeration import RELATIONS, linear_atom
-from rslogic.synchronized import _start, _track_positions
+from rslogic.synchronized import CheckOutcome, VerifyOutcome, _signed_step, _start, _track_positions
 
 
 def build_compare(rel: str, system: NumberSystem, names=("x", "y")) -> MultiTrackAutomaton:
@@ -346,6 +349,35 @@ def plain_sync_table(automaton, count, input_track=None):
     if missing:
         raise FunctionalityError(f"no accepted output for inputs {missing[:5]}")
     return values
+
+
+def plain_verify_sync(automaton, sign_dfao, rule, base_value, input_track=None):
+    """``verify_sync`` as five sentences, each compiled from scratch.
+
+    The base case is the sentence ``$cand(0, b)`` and both steps apply the
+    candidate to ``n+1`` themselves; a false base sentence is reported at
+    ``{"n": 0}``.
+    """
+    env = Environment()
+    env.register_dfao("STEP", _signed_step(sign_dfao, rule))
+    pos_in, pos_out = _track_positions(automaton, input_track)
+    arg, value = automaton.tracks[pos_in], automaton.tracks[pos_out]
+    env.register_relation("cand", automaton, [arg.name, value.name])
+    in_sys, out_sys = arg.system, value.system
+    checks = [
+        ("total", f"?{in_sys} An Ey $cand(n,y)"),
+        ("function", f"?{in_sys} An,x,y ($cand(n,x) & $cand(n,y)) => (?{out_sys} x=y)"),
+        ("base", f"?{in_sys} $cand(0, {base_value})"),
+        ("step_up", f"?{in_sys} An,y ($cand(n,y) & STEP[n+1]=@1) => $cand(n+1, ?{out_sys} y+1)"),
+        ("step_down", f"?{in_sys} An,y ($cand(n,y) & STEP[n+1]=@-1) => $cand(n+1, ?{out_sys} y-1)"),
+    ]
+    outcomes = []
+    for name, formula in checks:
+        witness = find_counterexample(env, formula)
+        if witness is not None and name == "base":
+            witness = {"n": 0}
+        outcomes.append(CheckOutcome(name, witness is None, witness))
+    return VerifyOutcome(all(c.passed for c in outcomes), outcomes)
 
 
 def _plain_mat_vec(matrix, vec):

@@ -501,6 +501,27 @@ def test_compile_memo_stays_within_its_environment(monkeypatch):
     assert sum(counts.values()) - second == first
 
 
+def test_compile_memo_builds_an_equation_once_whatever_its_argument_says(monkeypatch):
+    # the equation #a = n+1 of an argument reads the relation's system, so an
+    # annotated and an unannotated n+1 share it; the application checks the
+    # annotation and keeps it in its own key
+    fresh = compile_formula(make_env(), "$less(n+1, x)").to_text()
+    built = []
+    monkeypatch.setattr(logic, "linear_atom", lambda *args: built.append(args) or linear_atom(*args))
+    env = make_env()
+    annotated = compile_formula(env, "$less(?msd_2 n+1, x)")
+    plain = compile_formula(env, "$less(n+1, x)")
+    assert len(built) == 1
+    assert annotated.to_text() == plain.to_text() == fresh
+    with pytest.raises(BaseMismatchError):
+        compile_formula(env, "$less(?msd_4 n+1, x)")
+    # an output test's argument always carries a system, the ambient one
+    compile_formula(env, "RS2[n+1]=@1")
+    with pytest.raises(BaseMismatchError):
+        compile_formula(env, "?msd_4 RS2[n+1]=@1")
+    assert len(built) == 1
+
+
 def test_compile_memo_holds_atoms_only():
     env = make_env()
     formula = "Ax (Ey $double(x, y) & ~(y<x | RS2[x+1]=@1)) => Ez (z=x+1 <=> $less(z, x))"

@@ -23,8 +23,9 @@ from rslogic.sequences import (
     rudin_shapiro_dfao4,
     running_sums,
 )
-from rslogic import synchronized
+from rslogic import logic, synchronized
 from rslogic.synchronized import (
+    GUESSABLE,
     accepting_bit_mutations,
     guess_sync,
     sync_eval,
@@ -33,7 +34,14 @@ from rslogic.synchronized import (
 )
 from rslogic.toolkit import _shipped_text
 
-from builders import define_derived_sync, is_padding_closed, plain_sync_table, value_of_word
+from builders import (
+    count_kernel_calls,
+    define_derived_sync,
+    is_padding_closed,
+    plain_sync_table,
+    plain_verify_sync,
+    value_of_word,
+)
 
 M4 = NumberSystem(4)
 M2 = NumberSystem(2)
@@ -525,6 +533,73 @@ def test_mutation_witnesses_are_concrete(rss):
     outcome = verify_sync(mutant, dfao, "sum", 1)
     witness = outcome.failures()[0].witness
     assert isinstance(witness, dict) and "n" in witness
+
+
+def _checks(outcome):
+    return [(c.name, c.passed, c.witness) for c in outcome.checks]
+
+
+def test_verify_equals_the_five_sentences_on_every_mutant(rss, rst):
+    dfao = rudin_shapiro_dfao4()
+    for automaton, rule in ((rss, "sum"), (rst, "alt")):
+        for q, mutant in accepting_bit_mutations(automaton):
+            expected = _checks(plain_verify_sync(mutant, dfao, rule, 1))
+            assert _checks(verify_sync(mutant, dfao, rule, 1)) == expected, (rule, q)
+
+
+@pytest.mark.parametrize("names, input_track", [(("n", "x"), None), (("x", "n"), "x")])
+@pytest.mark.parametrize("key", sorted(GUESSABLE))
+def test_verify_equals_the_five_sentences_on_the_guessed_candidates(key, names, input_track):
+    # with the input track named x it sorts last, and the output is read first
+    oracle, dfao, rule, base = GUESSABLE[key]
+    cand = guess_sync(oracle, names=names)
+    for value in (base, base + 1):
+        expected = _checks(plain_verify_sync(cand, dfao(), rule, value, input_track))
+        assert _checks(verify_sync(cand, dfao(), rule, value, input_track)) == expected, value
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["=", "<=", ">="]),
+    st.integers(1, 3),
+    st.integers(0, 20),
+    st.sampled_from([2, 4]),
+    st.sampled_from(["m", "y"]),
+    st.integers(0, 20),
+)
+@example("=", 1, 5, 2, "m", 5)
+@example("=", 2, 7, 4, "y", 7)
+@example("<=", 3, 0, 2, "y", 0)
+def test_base_case_by_membership_decides_the_base_sentence(rel, a, c, base, out, b):
+    # the candidate relates the input n to out, which sorts before n ("m")
+    # or after it ("y"); registration has checked that it is padding-closed
+    system = NumberSystem(base)
+    cand = compile_formula(Environment(), f"?{system} {out} {rel} {a}*n + {c}")
+    env = Environment()
+    env.register_relation("cand", cand, ["n", out])
+    ones = MultiTrackAutomaton((Track("n", system),), 1, 0, [1], [[0] * base])
+    check = verify_sync(cand, ones, "sum", b, input_track="n").checks[2]
+    assert check.name == "base"
+    assert check.passed == decide(env, f"$cand(0, {b})")
+    assert check.witness == (None if check.passed else {"n": 0})
+
+
+def test_verify_builds_the_candidate_at_n_plus_1_once_and_compiles_no_base_case(rss, monkeypatch):
+    # plain_verify_sync's five sentences took 7 linear_atom, 15 product,
+    # 24 minimize, 8 project and 5 find_counterexample calls while each
+    # annotation of n+1 built its own equation
+    counts = count_kernel_calls(monkeypatch, ("product", "minimize", "project"))
+    counts.update(linear_atom=0, find_counterexample=0)
+    for module, name in ((logic, "linear_atom"), (synchronized, "find_counterexample")):
+
+        def counted(*args, _name=name, _original=getattr(module, name)):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    assert verify_sync(rss, rudin_shapiro_dfao4(), "sum", 1).ok
+    assert counts == {"linear_atom": 4, "product": 12, "minimize": 19, "project": 6, "find_counterexample": 4}
+
 
 def test_sync_eval_spot_values(rss, rst):
     assert sync_eval(rss, 12) == 5

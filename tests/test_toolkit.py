@@ -68,7 +68,7 @@ def test_suite_kernel_call_counts(monkeypatch):
     env = standard_environment()
     counts = count_kernel_calls(monkeypatch)
     run_suite(env)
-    assert counts == {"minimize": 603, "project": 212, "determinize": 325, "product": 355}
+    assert counts == {"minimize": 603, "project": 212, "determinize": 318, "product": 355}
 
 
 def test_suite_minimize_walks_only_the_inputs_not_yet_numbered(monkeypatch):
